@@ -1040,7 +1040,7 @@ let serve_cmd =
          $ max_line_bytes $ backlog $ retry_after_ms))
 
 (* stats: observability self-test.  Runs a small fixed workload through
-   every instrumented subsystem (CSP solver, relational hom search, glb,
+   every instrumented subsystem (CSP engine, relational hom, glb,
    chase, naive evaluation, XML tree hom) and prints the snapshot; exits
    nonzero if a hot-path counter stayed at zero, so CI can use it as a
    telemetry smoke test. *)
@@ -1109,9 +1109,9 @@ let stats_cmd =
     in
     let required =
       [
-        "csp.solver.decisions"; "csp.ac3.revisions"; "rel.hom.nodes";
+        "csp.solver.decisions"; "csp.solver.searches"; "csp.ac3.revisions";
         "rel.glb.pairs"; "rel.lub.pairs"; "exchange.chase.steps";
-        "query.naive_evals"; "xml.tree_hom.searches"; "gdm.ghom.nodes";
+        "query.naive_evals"; "xml.tree_hom.searches";
       ]
     in
     let missing = List.filter (fun n -> not (nonzero n)) required in

@@ -29,7 +29,9 @@
     0-ary constraints, which belong to no variable).
 
     {!Solver.find_hom} and friends remain as thin unlimited-budget shims
-    over this module.  {!Batch} fans independent searches out across
+    over this module.  Relational homomorphisms ([Hom]) and gdm
+    homomorphisms ([Ghom]) are encoders onto it, so every hom test of
+    the library runs here.  {!Batch} fans independent searches out across
     OCaml domains with deterministic result ordering. *)
 
 type hom = int Structure.Int_map.t
@@ -91,10 +93,12 @@ module Limits : sig
   val is_unlimited : t -> bool
 end
 
-(** The runtime counterpart of {!Limits.t}: a mutable tracker that other
-    search procedures (the relational fact-based search, [Gdm.Ghom], the
-    enumeration loops of query answering) thread through their own hot
-    loops so every budget has one semantics. *)
+(** The runtime counterpart of {!Limits.t}: a mutable tracker that the
+    search procedures outside this engine (the CDCL SAT backend, the
+    enumeration loops of gdm query answering and of the chase) thread
+    through their own hot loops so every budget has one semantics.  The
+    relational and gdm hom searches have no loop of their own: they are
+    encoded onto this engine. *)
 module Budget : sig
   exception Interrupted of reason
 

@@ -1,6 +1,7 @@
 module Int_set = Structure.Int_set
 module Int_map = Structure.Int_map
 module Obs = Certdb_obs.Obs
+module Fault = Certdb_obs.Fault
 
 type hom = Engine.hom
 
@@ -12,12 +13,14 @@ let config_of restrict =
   | None -> Engine.Config.default
   | Some r -> Engine.Config.with_restrict r Engine.Config.default
 
-(* The unlimited-budget shims never see [Unknown]: no limit is set, so
-   nothing can trip. *)
+(* No limit is set in the unlimited-budget shims, so the only [Unknown]
+   they can see is an injected crash: it escapes as the fault itself. *)
 let definitive = function
   | Engine.Sat x -> Some x
   | Engine.Unsat -> None
-  | Engine.Unknown _ -> assert false
+  | Engine.Unknown (Engine.Crashed p) -> raise (Fault.Injected p)
+  | Engine.Unknown r ->
+    invalid_arg ("Solver.definitive: " ^ Engine.reason_to_string r)
 
 let find_hom ?restrict ~source ~target () =
   definitive (Engine.solve ~config:(config_of restrict) ~source ~target ())
@@ -62,37 +65,27 @@ let find_hom_naive ?restrict ~source ~target () =
 let iter_homs ?restrict ~source ~target f =
   match Engine.iter ~config:(config_of restrict) ~source ~target f with
   | `Exhausted | `Stopped -> ()
-  | `Interrupted _ -> assert false
+  | `Interrupted r -> ignore (definitive (Engine.Unknown r))
 
 let count_homs ?restrict ~source ~target () =
   definitive (Engine.count ~config:(config_of restrict) ~source ~target ())
   |> Option.get
 
-let find_onto_hom ~source ~target () =
+(* Onto: the image of [source] under [h] contains every node and every
+   tuple of [target] (the image is inside [target] since [h] is a hom). *)
+let find_onto_hom ?(limits = Engine.Limits.unlimited) ?restrict ~source
+    ~target () =
   let found = ref None in
-  let target_nodes = Int_set.of_list (Structure.nodes target) in
-  iter_homs ~source ~target (fun h ->
-      let image =
-        Int_map.fold (fun _ w s -> Int_set.add w s) h Int_set.empty
-      in
-      let facts_covered =
-        Structure.fold_tuples
-          (fun rel t ok ->
-            ok
-            && Structure.fold_tuples
-                 (fun rel' t' found ->
-                   found
-                   || String.equal rel rel'
-                      && Array.length t = Array.length t'
-                      && Array.for_all2
-                           (fun v w -> Int_map.find v h = w)
-                           t' t)
-                 source false)
-          target true
-      in
-      if Int_set.subset target_nodes image && facts_covered then begin
-        found := Some h;
-        `Stop
-      end
-      else `Continue);
-  !found
+  let config = Engine.Config.make ~limits ?restrict () in
+  match
+    Engine.iter ~config ~source ~target (fun h ->
+        let image = Structure.map_nodes source (fun v -> Int_map.find v h) in
+        if Structure.is_substructure target image then begin
+          found := Some h;
+          `Stop
+        end
+        else `Continue)
+  with
+  | `Exhausted | `Stopped -> (
+    match !found with Some h -> Engine.Sat h | None -> Engine.Unsat)
+  | `Interrupted r -> Engine.Unknown r

@@ -9,11 +9,19 @@
 
     These entry points are thin unlimited-budget shims over {!Engine};
     callers that want node/backtrack budgets, deadlines, cancellation, or
-    a three-valued result use {!Engine.solve} and friends directly.
+    a three-valued result use {!Engine.solve} and friends directly.  An
+    injected crash ([csp.search.node]) escapes every shim as
+    [Certdb_obs.Fault.Injected].
     [find_hom_naive] is a lexicographic backtracker kept for the ablation
     benchmark and as an independent test oracle. *)
 
 type hom = Engine.hom
+
+(** [definitive o] — the unlimited-budget reading of an outcome: [Sat x]
+    is [Some x], [Unsat] is [None].
+    @raise Certdb_obs.Fault.Injected on [Unknown (Crashed p)]
+    @raise Invalid_argument on any other [Unknown] (a limit was set). *)
+val definitive : 'a Engine.outcome -> 'a option
 
 (** [is_hom ~source ~target h] checks that [h] is a total label-preserving
     homomorphism. *)
@@ -62,8 +70,14 @@ val count_homs :
   unit ->
   int
 
-(** [find_onto_hom ~source ~target ()] searches for a homomorphism whose
-    node image covers all of [target]'s nodes and whose fact image covers
-    all of [target]'s facts (the onto homomorphisms of the CWA ordering). *)
+(** [find_onto_hom ?limits ?restrict ~source ~target ()] searches for a
+    homomorphism whose node image covers all of [target]'s nodes and whose
+    fact image covers all of [target]'s facts (the onto homomorphisms of
+    the CWA ordering, relational and gdm alike). *)
 val find_onto_hom :
-  source:Structure.t -> target:Structure.t -> unit -> hom option
+  ?limits:Engine.Limits.t ->
+  ?restrict:Domains.t ->
+  source:Structure.t ->
+  target:Structure.t ->
+  unit ->
+  hom Engine.outcome

@@ -35,9 +35,10 @@ let frontier_restriction body head h =
 
 let tgd_violations d (r : tgd) =
   let violations = ref [] in
+  let into_d = Hom.exists_into d in
   Hom.iter r.tgd_body d (fun h ->
       let head' = Instance.apply (frontier_restriction r.tgd_body r.tgd_head h) r.tgd_head in
-      if not (Hom.exists head' d) then violations := head' :: !violations;
+      if not (into_d head') then violations := head' :: !violations;
       `Continue);
   List.rev !violations
 

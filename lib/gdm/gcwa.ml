@@ -1,35 +1,3 @@
-open Certdb_csp
-module Int_map = Structure.Int_map
-module Int_set = Structure.Int_set
-
-let is_onto h d d' =
-  let image =
-    Int_map.fold (fun _ w s -> Int_set.add w s) h.Ghom.node_map Int_set.empty
-  in
-  Int_set.subset (Int_set.of_list (Gdb.nodes d')) image
-  && Structure.fold_tuples
-       (fun rel t ok ->
-         ok
-         && Structure.fold_tuples
-              (fun rel' t' found ->
-                found
-                || String.equal rel rel'
-                   && Array.length t = Array.length t'
-                   && Array.for_all2
-                        (fun v w -> Int_map.find v h.Ghom.node_map = w)
-                        t' t)
-              (Gdb.structure d) false)
-       (Gdb.structure d') true
-
-let find d d' =
-  let found = ref None in
-  Ghom.iter d d' (fun h ->
-      if is_onto h d d' then begin
-        found := Some h;
-        `Stop
-      end
-      else `Continue);
-  !found
-
+let find = Ghom.find_onto
 let leq d d' = Option.is_some (find d d')
 let equiv d d' = leq d d' && leq d' d

@@ -2,12 +2,6 @@ open Certdb_values
 open Certdb_csp
 module Int_map = Structure.Int_map
 module Int_set = Structure.Int_set
-module Obs = Certdb_obs.Obs
-
-let searches = Obs.counter "gdm.ghom.searches"
-let nodes_counter = Obs.counter "gdm.ghom.nodes"
-let candidate_checks = Obs.counter "gdm.ghom.candidate_checks"
-let solutions = Obs.counter "gdm.ghom.solutions"
 
 type t = {
   node_map : int Int_map.t;
@@ -23,93 +17,110 @@ let is_hom h d d' =
          Gdb.data d' v' = Valuation.apply_array h.valuation (Gdb.data d v))
        (Gdb.nodes d)
 
-(* Backtracking on source nodes with dynamic fewest-candidates ordering;
-   the valuation is threaded through data unification, the structural
-   tuples are checked as soon as fully assigned. *)
-let search ?(budget = Engine.Budget.unlimited) ?restrict d d' on_solution =
-  let s = Gdb.structure d and s' = Gdb.structure d' in
-  let target_nodes = Structure.nodes s' in
-  let tuples = Structure.all_tuples s in
-  let candidates (_node_map, valuation) v =
-    let base =
-      List.filter_map
-        (fun w ->
-          Obs.incr candidate_checks;
-          if not (Structure.same_label s v s' w) then None
-          else
-            match
-              Valuation.extend_match valuation (Gdb.data d v) (Gdb.data d' w)
-            with
-            | Some val' -> Some (w, val')
-            | None -> None)
-        target_nodes
-    in
-    match restrict with
-    | None -> base
-    | Some r -> List.filter (fun (w, _) -> Domains.mem r v w) base
-  in
-  let structural_ok node_map =
-    List.for_all
-      (fun (rel, tup) ->
-        (not (Array.for_all (fun v -> Int_map.mem v node_map) tup))
-        || Structure.mem_tuple s' rel
-             (Array.map (fun v -> Int_map.find v node_map) tup))
-      tuples
-  in
-  let exception Stop in
-  let rec go state remaining =
-    Obs.incr nodes_counter;
-    Engine.Budget.tick_node budget;
-    match remaining with
-    | [] ->
-      let node_map, valuation = state in
-      Obs.incr solutions;
-      if on_solution { node_map; valuation } = `Stop then raise Stop
-    | _ ->
-      let scored = List.map (fun v -> (v, candidates state v)) remaining in
-      let best, cands =
-        List.fold_left
-          (fun (bv, bc) (v, c) ->
-            if List.length c < List.length bc then (v, c) else (bv, bc))
-          (List.hd scored) (List.tl scored)
-      in
-      let rest = List.filter (fun v -> v <> best) remaining in
-      if cands = [] then Engine.Budget.tick_backtrack budget;
-      List.iter
-        (fun (w, val') ->
-          let node_map' = Int_map.add best w (fst state) in
-          if structural_ok node_map' then go (node_map', val') rest)
-        cands
-  in
-  Obs.incr searches;
-  Obs.with_span "gdm.ghom.search" (fun () ->
-      try go (Int_map.empty, Valuation.empty) (Gdb.nodes d) with Stop -> ())
+(* A gdb as one labeled structure: its own nodes, labels and σ-tuples,
+   plus one node per data value (numbered past the largest gdm node,
+   with a label no gdm node carries) and one data tuple
+   [ν, ρ(ν)₁, …, ρ(ν)ₖ] per node. *)
+let value_label = "\000value"
+let data_rel = "\000data"
 
-let find ?restrict d d' =
-  let found = ref None in
-  search ?restrict d d' (fun h ->
-      found := Some h;
-      `Stop);
-  !found
+let encode_db d =
+  let base = 1 + List.fold_left max (-1) (Gdb.nodes d) in
+  let s, ids =
+    List.fold_left
+      (fun (s, ids) v ->
+        let ids, tup =
+          Array.fold_left_map
+            (fun ids x ->
+              match Value.Map.find_opt x ids with
+              | Some n -> (ids, n)
+              | None ->
+                let n = base + Value.Map.cardinal ids in
+                (Value.Map.add x n ids, n))
+            ids (Gdb.data d v)
+        in
+        (Structure.add_tuple s data_rel (Array.append [| v |] tup), ids))
+      (Gdb.structure d, Value.Map.empty)
+      (Gdb.nodes d)
+  in
+  ( Value.Map.fold
+      (fun _ n s -> Structure.add_node ~label:value_label s n)
+      ids s,
+    ids )
 
-let exists ?restrict d d' = Option.is_some (find ?restrict d d')
+type encoding = {
+  source : Structure.t;
+  target : Structure.t;
+  restrict : Domains.t;
+  decode : Engine.hom -> t;
+}
 
-let find_b ?restrict ?(limits = Engine.Limits.unlimited) d d' =
-  Engine.Budget.run limits (fun budget ->
-      let found = ref None in
-      search ~budget ?restrict d d' (fun h ->
-          found := Some h;
-          `Stop);
-      !found)
+(* Constants are pinned to their own value node (the empty set when [d']
+   lacks the constant); nulls range over every value node of [d']. *)
+let encode ?(restrict = Domains.unconstrained) d d' =
+  let source, src_ids = encode_db d and target, tgt_ids = encode_db d' in
+  let tgt_value =
+    Value.Map.fold (fun x n m -> Int_map.add n x m) tgt_ids Int_map.empty
+  in
+  let pins =
+    Value.Map.fold
+      (fun x n acc ->
+        if Value.is_null x then acc
+        else
+          ( n,
+            match Value.Map.find_opt x tgt_ids with
+            | Some w -> Int_set.singleton w
+            | None -> Int_set.empty )
+          :: acc)
+      src_ids []
+  in
+  let decode h =
+    {
+      node_map = Int_map.filter (fun v _ -> Gdb.mem_node d v) h;
+      valuation =
+        Value.Map.fold
+          (fun x n acc ->
+            if Value.is_null x then
+              Valuation.bind acc x (Int_map.find (Int_map.find n h) tgt_value)
+            else acc)
+          src_ids Valuation.empty;
+    }
+  in
+  let restrict = Domains.inter restrict (Domains.of_list pins) in
+  { source; target; restrict; decode }
+
+let config ?(limits = Engine.Limits.unlimited) e =
+  Engine.Config.make ~limits ~restrict:e.restrict ()
+
+let find_b ?restrict ?limits d d' =
+  let e = encode ?restrict d d' in
+  Engine.map_outcome e.decode
+    (Engine.solve ~config:(config ?limits e) ~source:e.source
+       ~target:e.target ())
+
+let satisfiable ?restrict ?limits d d' =
+  let e = encode ?restrict d d' in
+  Engine.satisfiable ~config:(config ?limits e) ~source:e.source
+    ~target:e.target ()
 
 let exists_b ?restrict ?limits d d' =
-  Engine.decision_of_outcome (find_b ?restrict ?limits d d')
+  Engine.decision_of_outcome (satisfiable ?restrict ?limits d d')
 
-let iter ?restrict d d' f = search ?restrict d d' f
+let find ?restrict d d' = Solver.definitive (find_b ?restrict d d')
 
-let count d d' =
-  let n = ref 0 in
-  iter d d' (fun _ ->
-      incr n;
-      `Continue);
-  !n
+let exists ?restrict d d' =
+  Option.is_some (Solver.definitive (satisfiable ?restrict d d'))
+
+let iter ?restrict d d' f =
+  let e = encode ?restrict d d' in
+  Solver.iter_homs ~restrict:e.restrict ~source:e.source ~target:e.target
+    (fun h -> f (e.decode h))
+
+(* Onto on the encoding is onto on the gdb: covering every gdm node of
+   [d'] covers its data tuples and value nodes too. *)
+let find_onto d d' =
+  let e = encode d d' in
+  Option.map e.decode
+    (Solver.definitive
+       (Solver.find_onto_hom ~restrict:e.restrict ~source:e.source
+          ~target:e.target ()))

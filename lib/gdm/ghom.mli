@@ -1,6 +1,12 @@
 (** Homomorphisms between generalized databases (Section 5.1): pairs
     (h₁, h₂) of a structural homomorphism on nodes and a valuation on nulls
-    such that [ρ′(h₁(ν)) = h₂(ρ(ν))] for every node. *)
+    such that [ρ′(h₁(ν)) = h₂(ρ(ν))] for every node.
+
+    Searches run on {!Certdb_csp.Engine}: each gdb becomes one labeled
+    structure whose data values are extra nodes under a reserved label,
+    tied to their gdm node by one data tuple per node; constants are
+    pinned to themselves.  The unlimited entry points let an injected
+    fault escape as [Certdb_obs.Fault.Injected]. *)
 
 open Certdb_values
 open Certdb_csp
@@ -41,4 +47,6 @@ val iter :
   (t -> [ `Continue | `Stop ]) ->
   unit
 
-val count : Gdb.t -> Gdb.t -> int
+(** [find_onto d d'] — a homomorphism covering every node and every
+    σ-fact of [d'] (the gdm CWA ordering, {!Gcwa}). *)
+val find_onto : Gdb.t -> Gdb.t -> t option

@@ -12,10 +12,12 @@
 
     Points currently wired in:
     - ["csp.search.node"] — every {!Engine.Budget.tick_node}, i.e. each
-      node of every hom search (the CSP engine, the relational fact
-      search, [Gdm.Ghom], the enumeration loops of query answering).
+      node of every hom search (the CSP engine, which the relational and
+      gdm hom encoders run on, and the enumeration loops of query
+      answering).
       Budgeted searches convert the injected crash into
-      [Unknown (Crashed _)]; unbudgeted shims let it escape.
+      [Unknown (Crashed _)]; the unlimited shims re-raise it as
+      {!Injected}.
     - ["csp.sat.conflict"] — every conflict of the CDCL SAT backend
       ([Certdb_sat.Solver.Cdcl]); the solver's budget wrapper converts
       the crash into [Unknown (Crashed "csp.sat.conflict")], which is

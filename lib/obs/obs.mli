@@ -7,7 +7,7 @@
     the [unix] library shipped with the compiler, used for the clock).
 
     Conventions: metric names are dot-separated lowercase paths grouped
-    by subsystem ([csp.solver.decisions], [rel.hom.search_nodes],
+    by subsystem ([csp.solver.decisions], [rel.glb.pairs],
     [exchange.chase.steps], ...).  Counters count discrete events, gauges
     record the last observed size, timers aggregate span durations in
     milliseconds.  Instrumentation is on by default and costs one

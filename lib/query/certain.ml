@@ -77,82 +77,29 @@ module Int_set = Structure.Int_set
 module Domains = Certdb_csp.Domains
 
 (* [D_Q ⊑ D] as an R-compatible hom problem — the shared encoding behind
-   the bounded-treewidth and component-parallel routes: one unlabeled
-   node per distinct term of the query, one target node per
-   active-domain value.  [restrict] carries the semantics of the
-   information ordering — a constant may map only to its own value, a
-   variable (or a null literal) anywhere — so node labels stay unused.
-   Both DPs ignore 0-ary facts, so propositional atoms are partitioned
-   out for a direct check against [d]. *)
-type cq_hom_instance = {
-  cq_source : Structure.t;
-  cq_target : Structure.t;
-  cq_restrict : Domains.t;
-}
-
+   the bounded-treewidth, component-parallel and SAT routes: the query's
+   variables are frozen to fresh nulls and the tableau, as an atom list,
+   goes through [Hom.encode], so source nodes are numbered by first
+   occurrence in the query.  Both DPs ignore 0-ary facts, so
+   propositional atoms are partitioned out for a direct check against
+   [d]. *)
 let cq_hom_encode positive d =
-  let term_ids = Hashtbl.create 16 in
-  let next = ref 0 in
-  let id_of_term t =
-    match Hashtbl.find_opt term_ids t with
-    | Some i -> i
-    | None ->
-      let i = !next in
-      incr next;
-      Hashtbl.replace term_ids t i;
-      i
+  let frozen = Hashtbl.create 16 in
+  let value = function
+    | Fo.Val v -> v
+    | Fo.Var x -> (
+      match Hashtbl.find_opt frozen x with
+      | Some n -> n
+      | None ->
+        let n = Value.fresh_null () in
+        Hashtbl.replace frozen x n;
+        n)
   in
-  let source_tuples =
-    List.map
-      (fun (a : Cq.atom) ->
-        (a.rel, [ Array.of_list (List.map id_of_term a.args) ]))
-      positive
-  in
-  let source =
-    Structure.make
-      ~nodes:(List.init !next (fun i -> (i, None)))
-      ~tuples:source_tuples
-  in
-  let values = Value.Set.elements (Instance.active_domain d) in
-  let value_ids =
-    List.fold_left
-      (fun (i, m) v -> (i + 1, Value.Map.add v i m))
-      (0, Value.Map.empty) values
-    |> snd
-  in
-  let target =
-    Structure.make
-      ~nodes:(List.mapi (fun i _ -> (i, None)) values)
-      ~tuples:
-        (List.filter_map
-           (fun (f : Instance.fact) ->
-             if Array.length f.args = 0 then None
-             else
-               Some
-                 ( f.rel,
-                   [
-                     Array.map (fun v -> Value.Map.find v value_ids) f.args;
-                   ] ))
-           (Instance.facts d))
-  in
-  let restrict =
-    Domains.of_list
-      (Hashtbl.fold
-         (fun t i acc ->
-           match t with
-           | Fo.Var _ -> acc
-           | Fo.Val value ->
-             if Value.is_null value then acc
-             else
-               let s =
-                 match Value.Map.find_opt value value_ids with
-                 | Some w -> Int_set.singleton w
-                 | None -> Int_set.empty
-               in
-               (i, s) :: acc)
-         term_ids [])
-  in
-  { cq_source = source; cq_target = target; cq_restrict = restrict }
+  Hom.encode
+    (List.map
+       (fun (a : Cq.atom) -> Instance.fact a.rel (List.map value a.args))
+       positive)
+    d
 
 let cq_zero_split q d =
   let zero_ary, positive =
@@ -175,9 +122,7 @@ let certain_cq_via_btw ?decomposition q d =
   if not zero_ok then false
   else if positive = [] then true
   else begin
-    let { cq_source = source; cq_target = target; cq_restrict = restrict } =
-      cq_hom_encode positive d
-    in
+    let { Hom.source; target; restrict; _ } = cq_hom_encode positive d in
     let decomposition =
       match decomposition with
       | Some dec -> dec
@@ -201,9 +146,7 @@ let certain_cq_via_components ?(jobs = 1)
   if not zero_ok then `False
   else if positive = [] then `True
   else begin
-    let { cq_source = source; cq_target = target; cq_restrict = restrict } =
-      cq_hom_encode positive d
-    in
+    let { Hom.source; target; restrict; _ } = cq_hom_encode positive d in
     let config =
       Certdb_csp.Engine.Config.make ~limits ~restrict ()
     in
@@ -229,9 +172,7 @@ let certain_cq_via_sat_b ?limits ?symmetry q d =
   if not zero_ok then `False
   else if positive = [] then `True
   else begin
-    let { cq_source = source; cq_target = target; cq_restrict = restrict } =
-      cq_hom_encode positive d
-    in
+    let { Hom.source; target; restrict; _ } = cq_hom_encode positive d in
     let config = Engine.Config.make ?limits ~restrict () in
     Engine.decision_of_outcome
       (Sat_backend.satisfiable ~config ?symmetry ~source ~target ())
@@ -246,9 +187,7 @@ let certain_cq_dimacs ?symmetry q d =
   if q.Cq.head <> [] then
     invalid_arg "Certain.certain_cq_dimacs: Boolean query only";
   let zero_ok, positive = cq_zero_split q d in
-  let { cq_source = source; cq_target = target; cq_restrict = restrict } =
-    cq_hom_encode positive d
-  in
+  let { Hom.source; target; restrict; _ } = cq_hom_encode positive d in
   let comments =
     [ Printf.sprintf "certdb Boolean-CQ certainty; zero_ok=%b" zero_ok ]
   in

@@ -139,7 +139,7 @@ let contained q1 q2 =
 
 let equivalent q1 q2 = contained q1 q2 && contained q2 q1
 
-let minimize q =
+let minimize_b ?limits q =
   (* freeze: head variables to distinguished constants, body variables to
      nulls; minimize = take the core; read the atoms back *)
   let head_pairs = List.map (fun x -> (x, Value.fresh_const ())) q.head in
@@ -164,7 +164,6 @@ let minimize q =
       (fun acc a -> Instance.add_fact acc a.rel (List.map term_value a.args))
       Instance.empty q.atoms
   in
-  let core = Core_instance.core inst in
   let back v =
     match List.find_opt (fun (_, c) -> Value.equal c v) head_pairs with
     | Some (x, _) -> Fo.Var x
@@ -173,13 +172,16 @@ let minimize q =
       | Value.Null i -> Fo.Var (Printf.sprintf "m%d" i)
       | Value.Const _ -> Fo.Val v)
   in
-  let atoms =
-    List.map
-      (fun (f : Instance.fact) ->
-        (f.rel, List.map back (Array.to_list f.args)))
-      (Instance.facts core)
+  let read_back core =
+    make ~head:q.head
+      (List.map
+         (fun (f : Instance.fact) ->
+           (f.rel, List.map back (Array.to_list f.args)))
+         (Instance.facts core))
   in
-  make ~head:q.head atoms
+  Certdb_csp.Engine.map_outcome read_back (Core_instance.core_b ?limits inst)
+
+let minimize q = Option.get (Certdb_csp.Solver.definitive (minimize_b q))
 
 let pp ppf q =
   let pp_atom ppf a =

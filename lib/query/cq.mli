@@ -49,4 +49,9 @@ val equivalent : t -> t -> bool
     number of atoms. *)
 val minimize : t -> t
 
+(** [minimize_b ?limits q] — {!minimize} with every hom test of the core
+    computation under [limits] ({!Core_instance.core_b}). *)
+val minimize_b :
+  ?limits:Certdb_csp.Engine.Limits.t -> t -> t Certdb_csp.Engine.outcome
+
 val pp : Format.formatter -> t -> unit

@@ -1,58 +1,30 @@
 open Certdb_values
+module Engine = Certdb_csp.Engine
 
-(* h(D) ⊆ D for an endomorphism h, so iterating [apply h] yields a
-   decreasing chain of subinstances; its limit is the image of the
-   idempotent power of h. *)
-let iterate_image h d =
-  let rec go d =
-    let d' = Instance.apply h d in
-    if Instance.equal d' d then d else go d'
+(* [d] is not a core iff some endomorphism misses a fact [f], i.e. iff
+   [d → d − {f}] for some [f]; its image is then a strictly smaller
+   instance hom-equivalent to [d].  One pass over the facts suffices: a
+   fact that [d] cannot drop cannot be dropped by an image of [d] either
+   (compose the two homs).  A fact without nulls is fixed by every
+   endomorphism, so only facts with nulls are tried.  Each test runs
+   under [limits]; the first one that trips stops the computation. *)
+let core_b ?limits d =
+  let rec shrink d = function
+    | [] -> Engine.Sat d
+    | (f : Instance.fact) :: rest when not (Instance.mem d f) -> shrink d rest
+    | f :: rest -> (
+      let without =
+        Instance.filter (fun g -> Instance.compare_fact f g <> 0) d
+      in
+      match Hom.find_b ?limits d without with
+      | Engine.Sat h -> shrink (Instance.apply h d) rest
+      | Engine.Unsat -> shrink d rest
+      | Engine.Unknown r -> Engine.Unknown r)
   in
-  go d
+  shrink d
+    (List.filter
+       (fun (f : Instance.fact) -> Array.exists Value.is_null f.args)
+       (Instance.facts d))
 
-(* Find an endomorphism whose idempotent image is strictly smaller.  For
-   every pair of distinct facts (f, g) of the same relation we enumerate
-   the endomorphisms extending the unifier of f into g; if D is not a core
-   it has a proper retraction r, and r extends such a unifier for any fact
-   f outside r(D), so the search is complete. *)
-let shrinking_step d =
-  let n = Instance.cardinal d in
-  let result = ref None in
-  let try_seed seed =
-    Hom.iter_seeded ~init:seed d d (fun h ->
-        let image = iterate_image h d in
-        if Instance.cardinal image < n then begin
-          result := Some (image, h);
-          `Stop
-        end
-        else `Continue)
-  in
-  let fs = Instance.facts d in
-  List.iter
-    (fun (f : Instance.fact) ->
-      if !result = None then
-        List.iter
-          (fun (g : Instance.fact) ->
-            if
-              !result = None
-              && String.equal f.rel g.rel
-              && Instance.compare_fact f g <> 0
-            then
-              match Valuation.unify_arrays Valuation.empty f.args g.args with
-              | Some seed -> try_seed seed
-              | None -> ())
-          fs)
-    fs;
-  !result
-
-let is_core d = Option.is_none (shrinking_step d)
-
-let core_with_retraction d =
-  let rec go d retraction =
-    match shrinking_step d with
-    | None -> (d, retraction)
-    | Some (image, h) -> go image (Valuation.compose retraction h)
-  in
-  go d Valuation.empty
-
-let core d = fst (core_with_retraction d)
+let core d = Option.get (Certdb_csp.Solver.definitive (core_b d))
+let is_core d = Instance.cardinal (core d) = Instance.cardinal d

@@ -4,9 +4,12 @@
     glbs). *)
 
 val is_core : Instance.t -> bool
-
 val core : Instance.t -> Instance.t
 
-(** [core_with_retraction d] also returns the valuation mapping [d] onto
-    the core. *)
-val core_with_retraction : Instance.t -> Instance.t * Certdb_values.Valuation.t
+(** [core_b ?limits d] — the core, computed by hom tests [d → d − {f}]
+    that each run under [limits].  [Sat c] is the core; [Unknown r]
+    reports the limit that tripped first.  Never [Unsat]. *)
+val core_b :
+  ?limits:Certdb_csp.Engine.Limits.t ->
+  Instance.t ->
+  Instance.t Certdb_csp.Engine.outcome

@@ -1,12 +1,10 @@
 open Certdb_values
-module Obs = Certdb_obs.Obs
-module Trace = Certdb_obs.Trace
 module Engine = Certdb_csp.Engine
-
-let searches = Obs.counter "rel.hom.searches"
-let nodes = Obs.counter "rel.hom.nodes"
-let candidate_checks = Obs.counter "rel.hom.candidate_checks"
-let solutions = Obs.counter "rel.hom.solutions"
+module Solver = Certdb_csp.Solver
+module Structure = Certdb_csp.Structure
+module Domains = Certdb_csp.Domains
+module Int_map = Structure.Int_map
+module Int_set = Structure.Int_set
 
 let is_hom h d d' =
   List.for_all
@@ -14,150 +12,131 @@ let is_hom h d d' =
       Instance.mem d' { f with args = Valuation.apply_array h f.args })
     (Instance.facts d)
 
-(* Backtracking over source facts with dynamic fewest-candidates-first
-   ordering.  [init] seeds the valuation (used by core computation and by
-   tests that pin specific bindings). *)
-let search ?(budget = Engine.Budget.unlimited) ?(init = Valuation.empty)
-    ?(onto = false) d d' on_solution =
-  let source_facts = Instance.facts d in
-  let target_facts = Instance.facts d' in
-  (* index the target by relation once: the candidate computation runs at
-     every node of the search tree *)
-  let by_rel = Hashtbl.create 8 in
-  List.iter
-    (fun (g : Instance.fact) ->
-      Hashtbl.replace by_rel g.rel
-        (g :: (Option.value ~default:[] (Hashtbl.find_opt by_rel g.rel))))
-    (List.rev target_facts);
-  let candidates h (f : Instance.fact) =
-    List.filter_map
-      (fun (g : Instance.fact) ->
-        Obs.incr candidate_checks;
-        Option.map
-          (fun h' -> (g, h'))
-          (Valuation.extend_match h f.args g.args))
-      (Option.value ~default:[] (Hashtbl.find_opt by_rel f.rel))
+type encoding = {
+  source : Structure.t;
+  target : Structure.t;
+  restrict : Domains.t;
+  src_values : Value.t array;
+  tgt_values : Value.t array;
+}
+
+(* Target nodes are numbered in the order of the active domain.  The
+   target half of an encoding depends on [d'] alone, so a caller testing
+   many sources against one [d'] builds it once (see [exists_into]). *)
+type target = {
+  structure : Structure.t;
+  values : Value.t array;
+  ids : int Value.Map.t;
+}
+
+let target d' =
+  let values =
+    Array.of_list (Value.Set.elements (Instance.active_domain d'))
   in
-  let exception Stop in
-  let check_onto covered =
-    (not onto)
-    || List.for_all (fun g -> List.mem g covered) target_facts
+  let ids =
+    snd
+      (Array.fold_left
+         (fun (i, m) v -> (i + 1, Value.Map.add v i m))
+         (0, Value.Map.empty) values)
   in
-  let rec go h remaining covered =
-    Obs.incr nodes;
-    Engine.Budget.tick_node budget;
-    match remaining with
-    | [] ->
-      Obs.incr solutions;
-      if check_onto covered && on_solution h = `Stop then raise Stop
-    | _ ->
-      (* pick the remaining fact with fewest unifiable targets *)
-      let scored =
-        List.map (fun f -> (f, candidates h f)) remaining
-      in
-      let best, cands =
-        List.fold_left
-          (fun (bf, bc) (f, c) ->
-            if List.length c < List.length bc then (f, c) else (bf, bc))
-          (List.hd scored) (List.tl scored)
-      in
-      let rest = List.filter (fun f -> Instance.compare_fact f best <> 0) remaining in
-      if cands = [] then Engine.Budget.tick_backtrack budget;
-      List.iter
-        (fun ((g : Instance.fact), h') -> go h' rest (g :: covered))
-        cands
+  {
+    structure =
+      Structure.make
+        ~nodes:(List.init (Array.length values) (fun i -> (i, None)))
+        ~tuples:
+          (List.map
+             (fun (f : Instance.fact) ->
+               (f.rel, [ Array.map (fun v -> Value.Map.find v ids) f.args ]))
+             (Instance.facts d'));
+    values;
+    ids;
+  }
+
+(* Source nodes are numbered in order of first occurrence along [facts].
+   A constant is pinned to itself, which is the empty set when it is
+   missing from adom(d'); every null ranges over all of adom(d'). *)
+let encode_onto t facts =
+  let ids = Hashtbl.create 16 in
+  let values = ref [] in
+  let id_of v =
+    match Hashtbl.find_opt ids v with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids in
+      Hashtbl.replace ids v i;
+      values := v :: !values;
+      i
   in
-  Obs.incr searches;
-  Trace.with_span "rel.hom.search" (fun () ->
-      try go init source_facts [] with Stop -> ())
+  let tuples =
+    List.map
+      (fun (f : Instance.fact) -> (f.rel, [ Array.map id_of f.args ]))
+      facts
+  in
+  let src_values = Array.of_list (List.rev !values) in
+  let restrict =
+    Domains.of_list
+      (List.concat
+         (List.mapi
+            (fun i v ->
+              if Value.is_null v then []
+              else
+                match Value.Map.find_opt v t.ids with
+                | Some j -> [ (i, Int_set.singleton j) ]
+                | None -> [ (i, Int_set.empty) ])
+            (Array.to_list src_values)))
+  in
+  {
+    source =
+      Structure.make
+        ~nodes:(List.init (Array.length src_values) (fun i -> (i, None)))
+        ~tuples;
+    target = t.structure;
+    restrict;
+    src_values;
+    tgt_values = t.values;
+  }
 
-let restrict_to_nulls d h =
-  let ns = Instance.nulls d in
-  List.fold_left
-    (fun acc (n, v) ->
-      if Value.Set.mem n ns then Valuation.bind acc n v else acc)
-    Valuation.empty (Valuation.bindings h)
+let encode facts d' = encode_onto (target d') facts
 
-let find_seeded ?init d d' =
-  let found = ref None in
-  search ?init d d' (fun h ->
-      found := Some (restrict_to_nulls d h);
-      `Stop);
-  !found
+let valuation e h =
+  Int_map.fold
+    (fun i j acc ->
+      let v = e.src_values.(i) in
+      if Value.is_null v then Valuation.bind acc v e.tgt_values.(j) else acc)
+    h Valuation.empty
 
-let find d d' = find_seeded d d'
-let exists d d' = Option.is_some (find d d')
+let config ?(limits = Engine.Limits.unlimited) e =
+  Engine.Config.make ~limits ~restrict:e.restrict ()
 
-let find_b ?(limits = Engine.Limits.unlimited) d d' =
-  Engine.Budget.run limits (fun budget ->
-      let found = ref None in
-      search ~budget d d' (fun h ->
-          found := Some (restrict_to_nulls d h);
-          `Stop);
-      !found)
+let find_b ?limits d d' =
+  let e = encode (Instance.facts d) d' in
+  Engine.map_outcome (valuation e)
+    (Engine.solve ~config:(config ?limits e) ~source:e.source
+       ~target:e.target ())
+
+let satisfiable ?limits e =
+  Engine.satisfiable ~config:(config ?limits e) ~source:e.source
+    ~target:e.target ()
 
 let exists_b ?limits d d' =
-  Engine.decision_of_outcome (find_b ?limits d d')
+  Engine.decision_of_outcome
+    (satisfiable ?limits (encode (Instance.facts d) d'))
 
-let find_onto d d' =
-  let found = ref None in
-  search ~onto:true d d' (fun h ->
-      found := Some (restrict_to_nulls d h);
-      `Stop);
-  !found
+let find d d' = Solver.definitive (find_b d d')
 
-let exists_onto d d' = Option.is_some (find_onto d d')
+let exists_into d' =
+  let t = target d' in
+  fun d ->
+    Option.is_some
+      (Solver.definitive (satisfiable (encode_onto t (Instance.facts d))))
 
-let find_onto_b ?(limits = Engine.Limits.unlimited) d d' =
-  Engine.Budget.run limits (fun budget ->
-      let found = ref None in
-      search ~budget ~onto:true d d' (fun h ->
-          found := Some (restrict_to_nulls d h);
-          `Stop);
-      !found)
+let exists d d' = exists_into d' d
 
-let exists_onto_b ?limits d d' =
-  Engine.decision_of_outcome (find_onto_b ?limits d d')
-
-let iter d d' f = search d d' (fun h -> f (restrict_to_nulls d h))
-
-let iter_seeded ?init d d' f =
-  search ?init d d' (fun h -> f (restrict_to_nulls d h))
+let iter d d' f =
+  let e = encode (Instance.facts d) d' in
+  Solver.iter_homs ~restrict:e.restrict ~source:e.source ~target:e.target
+    (fun h -> f (valuation e h))
 
 let count d d' =
-  (* distinct homomorphisms on the nulls of [d]; the fact-indexed search can
-     reach the same valuation along different fact orders, so deduplicate *)
-  let seen = Hashtbl.create 16 in
-  iter d d' (fun h ->
-      let key = List.map (fun (n, v) -> (n, v)) (Valuation.bindings h) in
-      if not (Hashtbl.mem seen key) then Hashtbl.add seen key ();
-      `Continue);
-  Hashtbl.length seen
-
-(* An endomorphism that identifies some fact [f] with a different fact [g]:
-   seeds for core folding. *)
-let endomorphism_folding d =
-  let fs = Instance.facts d in
-  let rec pairs = function
-    | [] -> None
-    | (f : Instance.fact) :: rest ->
-      let attempt (g : Instance.fact) =
-        if
-          String.equal f.rel g.rel
-          && Instance.compare_fact f g <> 0
-        then
-          match Valuation.unify_arrays Valuation.empty f.args g.args with
-          | Some seed ->
-            let found = ref None in
-            search ~init:seed d d (fun h ->
-                found := Some (restrict_to_nulls d h);
-                `Stop);
-            !found
-          | None -> None
-        else None
-      in
-      (match List.find_map attempt fs with
-      | Some h -> Some h
-      | None -> pairs rest)
-  in
-  pairs fs
+  let e = encode (Instance.facts d) d' in
+  Solver.count_homs ~restrict:e.restrict ~source:e.source ~target:e.target ()

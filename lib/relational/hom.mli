@@ -1,6 +1,10 @@
 (** Database homomorphisms between naïve instances: maps on nulls (identity
     on constants) sending every fact of the source into the target
-    (Section 2.1).  [D ⊑ D′] iff such a homomorphism exists (Prop. 3). *)
+    (Section 2.1).  [D ⊑ D′] iff such a homomorphism exists (Prop. 3).
+
+    Every search runs on {!Certdb_csp.Engine} through one encoding
+    ({!encode}): budgets, deadlines, cancellation, injected faults and the
+    [csp.solver.*] counters are the engine's. *)
 
 open Certdb_values
 module Engine = Certdb_csp.Engine
@@ -9,10 +13,33 @@ module Engine = Certdb_csp.Engine
     into [d']. *)
 val is_hom : Valuation.t -> Instance.t -> Instance.t -> bool
 
-(** [find d d'] searches for a homomorphism [d → d']. *)
+(** The hom problem [facts → d'] as a structure pair for the engine.
+    Source node [i] stands for the value [src_values.(i)] (numbered by
+    first occurrence along the fact list), target node [j] for
+    [tgt_values.(j)] (the active domain of [d'], in order).  Nodes are
+    unlabeled; [restrict] pins each constant to itself (the empty set
+    when it is missing from [d']).  0-ary facts become 0-ary tuples, which the
+    engine checks before branching. *)
+type encoding = {
+  source : Certdb_csp.Structure.t;
+  target : Certdb_csp.Structure.t;
+  restrict : Certdb_csp.Domains.t;
+  src_values : Value.t array;
+  tgt_values : Value.t array;
+}
+
+val encode : Instance.fact list -> Instance.t -> encoding
+
+(** [find d d'] searches for a homomorphism [d → d'].
+    @raise Certdb_obs.Fault.Injected when an armed fault crashes the
+    search (likewise {!exists}, {!iter}, {!count}). *)
 val find : Instance.t -> Instance.t -> Valuation.t option
 
 val exists : Instance.t -> Instance.t -> bool
+
+(** [exists_into d'] is [fun d -> exists d d'], with the target half of
+    the encoding built once for every source it is applied to. *)
+val exists_into : Instance.t -> Instance.t -> bool
 
 (** [find_b ?limits d d'] — the budgeted search.  [Sat h] carries a
     witness, [Unsat] means the search space was exhausted, and
@@ -26,41 +53,14 @@ val find_b :
 val exists_b :
   ?limits:Engine.Limits.t -> Instance.t -> Instance.t -> Engine.decision
 
-(** [find_onto d d'] searches for a homomorphism whose fact image is all of
-    [d'] — the CWA ordering's witness ([D ⊑cwa D′]). *)
-val find_onto : Instance.t -> Instance.t -> Valuation.t option
-
-val exists_onto : Instance.t -> Instance.t -> bool
-
-val find_onto_b :
-  ?limits:Engine.Limits.t ->
-  Instance.t ->
-  Instance.t ->
-  Valuation.t Engine.outcome
-
-val exists_onto_b :
-  ?limits:Engine.Limits.t -> Instance.t -> Instance.t -> Engine.decision
-
-(** [iter d d' f] enumerates homomorphisms until [f] returns [`Stop].  Only
-    bindings of nulls occurring in [d] are reported. *)
+(** [iter d d' f] enumerates the homomorphisms until [f] returns
+    [`Stop].  Only bindings of nulls occurring in [d] are reported. *)
 val iter :
-  Instance.t -> Instance.t -> (Valuation.t -> [ `Continue | `Stop ]) -> unit
-
-val count : Instance.t -> Instance.t -> int
-
-(** [iter_seeded ?init d d' f] is [iter] starting from the partial valuation
-    [init]. *)
-val iter_seeded :
-  ?init:Valuation.t ->
   Instance.t ->
   Instance.t ->
   (Valuation.t -> [ `Continue | `Stop ]) ->
   unit
 
-(** [find_seeded ?init d d'] is [find] starting from the partial valuation
-    [init] (pinning chosen null bindings). *)
-val find_seeded : ?init:Valuation.t -> Instance.t -> Instance.t -> Valuation.t option
-
-(** [endomorphism_folding d] finds, if any, an endomorphism of [d] that
-    identifies two distinct facts (the seed of core folding). *)
-val endomorphism_folding : Instance.t -> Valuation.t option
+(** [count d d'] — the number of homomorphisms, as maps on the nulls of
+    [d]. *)
+val count : Instance.t -> Instance.t -> int

@@ -34,8 +34,13 @@ let plotkin_leq d d' =
        (fun g -> List.exists (fun f -> fact_leq f g) (Instance.facts d))
        (Instance.facts d')
 
-let cwa_leq d d' = Hom.exists_onto d d'
-let cwa_leq_b ?limits d d' = Hom.exists_onto_b ?limits d d'
+let onto ?limits d d' =
+  let e = Hom.encode (Instance.facts d) d' in
+  Solver.find_onto_hom ?limits ~restrict:e.restrict ~source:e.source
+    ~target:e.target ()
+
+let cwa_leq d d' = Option.is_some (Solver.definitive (onto d d'))
+let cwa_leq_b ?limits d d' = Engine.decision_of_outcome (onto ?limits d d')
 
 let hall_condition d d' =
   (* left vertices: facts of d'; right: facts of d; edge when the d-fact is

@@ -2,6 +2,7 @@ open Certdb_values
 module Cq = Certdb_query.Cq
 module Fo = Certdb_query.Fo
 module Instance = Certdb_relational.Instance
+module Engine = Certdb_csp.Engine
 module String_map = Map.Make (String)
 
 let default_budget = 50_000
@@ -128,8 +129,7 @@ let canonical_body ~budget head_index atoms =
   | () -> Option.map (String.concat ";") !best
   | exception Budget_exceeded -> None
 
-let cq_key ?(budget = default_budget) q =
-  let q = Cq.minimize q in
+let core_key ~budget q =
   (* head variables are pinned to their first head position: the head of
      an equivalent query must expose the same variable pattern *)
   let head_index =
@@ -151,6 +151,12 @@ let cq_key ?(budget = default_budget) q =
   Option.map
     (fun body -> Printf.sprintf "cq:[%s]|%s" head_sig body)
     (canonical_body ~budget head_index atoms)
+
+let cq_key ?(budget = default_budget) q =
+  (* each hom test of the core computation gets the whole budget *)
+  match Cq.minimize_b ~limits:(Engine.Limits.make ~nodes:budget ()) q with
+  | Engine.Sat core -> core_key ~budget core
+  | Engine.Unsat | Engine.Unknown _ -> None
 
 (* ---- database fingerprints ------------------------------------------ *)
 

@@ -13,10 +13,12 @@
     checked both ways in [test_service.ml]).
 
     Canonicalisation of a pathological query (many interchangeable
-    atoms) can branch; the search carries a node budget and gives up
-    with [None] — the service then counts a cache bypass and evaluates
-    the query directly, so an adversarial query shape can cost at most
-    the budget, never a blowup.
+    atoms) can branch; the search carries a node budget, and so does
+    each hom test of the minimization ({!Cq.minimize_b} runs one test per
+    atom with a non-head variable); either giving up yields [None] — the service
+    then counts a cache bypass and evaluates the query directly.  An
+    adversarial query of [n] atoms therefore costs at most [n + 1] times
+    the budget in search nodes, never a blowup.
 
     {b Database fingerprints.}  [db_fingerprint] is a stable content
     hash: nulls are renumbered by increasing id (invariant under the
@@ -28,12 +30,15 @@
     apart (they would only cost a duplicate cache line, never a wrong
     answer). *)
 
-(** Search budget (canonicalisation tree nodes) before [cq_key] gives
-    up; {!cq_key}'s default is 50_000. *)
+(** Search budget before [cq_key] gives up: canonicalisation tree nodes,
+    and engine nodes for each hom test of the core computation (the
+    budget is per test, not shared across tests); {!cq_key}'s default is
+    50_000. *)
 val default_budget : int
 
 (** [cq_key ?budget q] — the canonical key of [q]'s hom-equivalence
-    class, or [None] if canonicalisation exceeded [budget]. *)
+    class, or [None] if minimization or canonicalisation exceeded
+    [budget]. *)
 val cq_key : ?budget:int -> Certdb_query.Cq.t -> string option
 
 (** [db_fingerprint d] — 16 hex digits, stable across loads of the same

@@ -333,6 +333,34 @@ let test_certain_cq_degrade_survives_permanent_crash () =
   | `Lower_bound false -> ()
   | _ -> Alcotest.fail "expected the trivially sound `Lower_bound false"
 
+(* the unlimited shims have no limit to trip, so an injected crash is
+   the only Unknown they can meet: it must escape as the fault itself,
+   on the engine shims and on every hom layer encoded onto them *)
+let test_unlimited_shims_reraise_fault () =
+  let raises name f =
+    match Fault.with_armed [ ("csp.search.node", Fault.Every 1) ] f with
+    | _ -> Alcotest.failf "%s: expected Fault.Injected" name
+    | exception Fault.Injected "csp.search.node" -> ()
+  in
+  let src = triangle and tgt = clique 3 in
+  raises "find_hom" (fun () ->
+      ignore (Solver.find_hom ~source:src ~target:tgt ()));
+  raises "exists_hom" (fun () ->
+      ignore (Solver.exists_hom ~source:src ~target:tgt ()));
+  raises "iter_homs" (fun () ->
+      Solver.iter_homs ~source:src ~target:tgt (fun _ -> `Continue));
+  raises "count_homs" (fun () ->
+      ignore (Solver.count_homs ~source:src ~target:tgt ()));
+  let d = Instance.of_list [ ("R", [ [ Value.null 7201; c 1 ] ]) ] in
+  let d' = Instance.of_list [ ("R", [ [ c 2; c 1 ] ]) ] in
+  raises "Hom.exists" (fun () -> ignore (Certdb_relational.Hom.exists d d'));
+  raises "Hom.count" (fun () -> ignore (Certdb_relational.Hom.count d d'));
+  let g =
+    Certdb_gdm.Gdb.make ~nodes:[ (0, "a", [ Value.null 7202 ]) ] ~tuples:[]
+  in
+  let g' = Certdb_gdm.Gdb.make ~nodes:[ (0, "a", [ c 1 ]) ] ~tuples:[] in
+  raises "Ghom.exists" (fun () -> ignore (Certdb_gdm.Ghom.exists g g'))
+
 module Constraints = Certdb_exchange.Constraints
 
 (* the chase fault point: chase_b converts an injected step crash into
@@ -433,6 +461,8 @@ let () =
           Alcotest.test_case "degrade survives permanent crash" `Quick
             test_certain_cq_degrade_survives_permanent_crash;
           Alcotest.test_case "chase fault point" `Quick test_chase_fault_point;
+          Alcotest.test_case "unlimited shims re-raise fault" `Quick
+            test_unlimited_shims_reraise_fault;
         ] );
       ( "fault injection",
         [

@@ -14,7 +14,8 @@ module Canon = Certdb_service.Canon
 module Cache = Certdb_service.Cache
 module Server = Certdb_service.Server
 module Wire = Certdb_service.Wire
-module Json = Certdb_obs.Obs.Json
+module Obs = Certdb_obs.Obs
+module Json = Obs.Json
 
 let check = Alcotest.(check bool)
 
@@ -125,6 +126,52 @@ let test_canon_budget () =
     (Canon.cq_key ~budget:2 (clique 4) = None);
   check "default budget canonicalises the clique" true
     (Canon.cq_key (clique 4) <> None)
+
+let test_canon_core_budget () =
+  (* the bidirectional 6-clique is a core with 720 automorphisms: every
+     hom test of its minimization is a refutation, and each one runs
+     under the canonicalisation budget *)
+  let ids = List.init 6 Fun.id in
+  let q =
+    Cq.boolean
+      (List.concat_map
+         (fun a ->
+           List.filter_map
+             (fun b -> if a <> b then Some ("E", [ var a; var b ]) else None)
+             ids)
+         ids)
+  in
+  let limits = Certdb_csp.Engine.Limits.make ~nodes:20 () in
+  check "core search trips the node budget" true
+    (Cq.minimize_b ~limits q
+    = Certdb_csp.Engine.Unknown Certdb_csp.Engine.Node_budget);
+  check "starved budget returns None" true (Canon.cq_key ~budget:20 q = None);
+  check "default budget keys the clique" true (Canon.cq_key q <> None)
+
+let test_canon_core_budget_per_test () =
+  (* the budget bounds each hom test of the minimization on its own: the
+     bidirectional 5-clique runs 20 symmetric refutations, and half of
+     their total engine nodes is enough for every one of them *)
+  let ids = List.init 5 Fun.id in
+  let q =
+    Cq.boolean
+      (List.concat_map
+         (fun a ->
+           List.filter_map
+             (fun b -> if a <> b then Some ("E", [ var a; var b ]) else None)
+             ids)
+         ids)
+  in
+  let decisions = Obs.counter "csp.solver.decisions" in
+  let before = Obs.counter_value decisions in
+  ignore (Cq.minimize q);
+  let total = Obs.counter_value decisions - before in
+  check "the core computation branches" true (total >= 20);
+  let limits = Certdb_csp.Engine.Limits.make ~nodes:(total / 2) () in
+  check "half the total budget minimizes" true
+    (match Cq.minimize_b ~limits q with
+    | Certdb_csp.Engine.Sat core -> List.length core.Cq.atoms = 20
+    | _ -> false)
 
 let test_canon_head_vars () =
   (* head variables are pinned: ans(x):-R(x,y) and ans(y):-R(y,x) are
@@ -460,6 +507,10 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_canon_redundant;
           QCheck_alcotest.to_alcotest qcheck_canon_sound;
           Alcotest.test_case "budget gives up" `Quick test_canon_budget;
+          Alcotest.test_case "core budget gives up" `Quick
+            test_canon_core_budget;
+          Alcotest.test_case "core budget is per hom test" `Quick
+            test_canon_core_budget_per_test;
           Alcotest.test_case "head variables pinned" `Quick
             test_canon_head_vars;
           Alcotest.test_case "db fingerprints" `Quick test_fingerprint_stable;
