@@ -170,16 +170,16 @@ let core_cmd =
 
 (* certain: CQ concrete syntax "ans(x,y) :- R(x,z), S(z,y)", shared with
    the batch and serve wire format *)
-let parse_cq_result = Certdb_service.Wire.parse_cq_result
+module Wire = Certdb_service.Wire
 
 let parse_cq s =
-  match parse_cq_result s with
+  match Wire.parse_cq_result s with
   | Ok q -> q
   | Error msg ->
     Printf.eprintf "query parse error: %s\n" msg;
     exit 2
 
-(* shared retry/budget flags (certain --degrade, batch) *)
+(* shared retry/budget flags (certain, batch, serve) *)
 let max_attempts_arg =
   Arg.(
     value & opt int 1
@@ -196,7 +196,8 @@ let escalate_arg =
         ~doc:"Per-retry budget multiplier (attempt i runs under budget x \
               K^(i-1)).")
 
-let validate_policy max_attempts escalate =
+(* the one place the CLI builds a retry policy *)
+let policy_of_flags max_attempts escalate =
   if max_attempts < 1 then begin
     Printf.eprintf "--max-attempts must be >= 1\n";
     exit 2
@@ -204,7 +205,8 @@ let validate_policy max_attempts escalate =
   if escalate < 1.0 then begin
     Printf.eprintf "--escalate must be >= 1.0\n";
     exit 2
-  end
+  end;
+  Certdb_csp.Resilient.Policy.make ~max_attempts ~escalation:escalate ()
 
 (* shared solver-backend choice (certain, batch, serve) *)
 module Sat_backend = Certdb_sat.Backend
@@ -225,8 +227,9 @@ let backend_arg =
           "Solver backend for Boolean certainty: csp (backtracking hom \
            search, the default), sat (CNF + CDCL with symmetry breaking \
            over interchangeable nulls), or auto (route per instance on the \
-           planner's certificates).  Whatever the primary backend, budget \
-           exhaustion crosses to the other one before degrading.")
+           planner's certificates).  On the SAT route, budget exhaustion \
+           crosses to the CSP engine before degrading; the CSP ladder \
+           degrades directly.")
 
 let certain_cmd =
   let run query degrade explain jobs backend nodes backtracks timeout_ms
@@ -235,6 +238,10 @@ let certain_cmd =
       Printf.eprintf "--jobs must be >= 1\n";
       exit 2
     end;
+    let policy = policy_of_flags max_attempts escalate in
+    let limits =
+      Certdb_csp.Engine.Limits.make ?nodes ?backtracks ?timeout_ms ()
+    in
     let d = parse_instance_arg d in
     let q = parse_cq query in
     (* --explain: root a trace around the evaluation and print its span
@@ -243,51 +250,36 @@ let certain_cmd =
     let code, tid =
       Trace.with_trace "certdb.certain" @@ fun tid ->
       let code =
-    if not degrade then begin
-      (* the planner routes on the query's certificates: non-Boolean
-         CQs/UCQs to naive evaluation (Theorem 4), Boolean CQs to the
-         cheapest sound decision procedure (acyclic join / bounded-width
-         DP / hom ladder) — the routed answer equals naive evaluation's *)
-      if q.Certdb_query.Cq.head <> [] then begin
-        let u = Certdb_query.Ucq.make [ q ] in
-        print_instance (Certdb_analysis.Plan.certain_answers u d);
-        0
-      end
-      else begin
-        let b =
-          match Certdb_analysis.Plan.certain ~jobs ~backend q d with
-          | `Exact b | `Lower_bound b -> b
-        in
-        print_instance
-          (if b then Instance.add_fact Instance.empty "ans" []
-           else Instance.empty);
-        0
-      end
-    end
-    else if q.Certdb_query.Cq.head <> [] then begin
-      Printf.eprintf
-        "--degrade applies to Boolean queries (empty head): the graded \
-         answer is a single certified truth value\n";
-      2
-    end
-    else begin
-      validate_policy max_attempts escalate;
-      let limits =
-        Certdb_csp.Engine.Limits.make ?nodes ?backtracks ?timeout_ms ()
-      in
-      let policy =
-        Certdb_csp.Resilient.Policy.make ~max_attempts ~escalation:escalate ()
-      in
-      match
-        Certdb_query.Certain.certain_cq_resilient ~policy ~limits ~backend q d
-      with
-      | `Exact b ->
-        Printf.printf "exact: %b\n" b;
-        if b then 0 else 1
-      | `Lower_bound b ->
-        Printf.printf "lower-bound: %b\n" b;
-        if b then 0 else 1
-    end
+        (* the planner routes on the query's certificates: non-Boolean
+           CQs/UCQs to naive evaluation (Theorem 4), Boolean CQs to the
+           cheapest sound decision procedure; --degrade only chooses how
+           the graded answer is printed *)
+        if q.Certdb_query.Cq.head <> [] then
+          if degrade then begin
+            Printf.eprintf "--degrade %s\n" Wire.boolean_only;
+            2
+          end
+          else begin
+            let u = Certdb_query.Ucq.make [ q ] in
+            print_instance (Certdb_analysis.Plan.certain_answers u d);
+            0
+          end
+        else
+          match
+            Certdb_analysis.Plan.certain ~policy ~limits ~jobs ~backend q d
+          with
+          | `Exact b when degrade ->
+            Printf.printf "exact: %b\n" b;
+            if b then 0 else 1
+          | `Lower_bound b when degrade ->
+            Printf.printf "lower-bound: %b\n" b;
+            if b then 0 else 1
+          | `Exact b | `Lower_bound b ->
+            (* ans() only when the answer certifies truth *)
+            print_instance
+              (if b then Instance.add_fact Instance.empty "ans" []
+               else Instance.empty);
+            0
       in
       (code, tid)
     in
@@ -307,10 +299,10 @@ let certain_cmd =
       value & flag
       & info [ "degrade" ]
           ~doc:
-            "Boolean query only: decide certainty by the budgeted Prop. 2 \
-             hom check with retries, degrading to sound naive evaluation \
-             ('lower-bound: ...') instead of reporting unknown when every \
-             attempt trips its budget.")
+            "Boolean query only: print the planner's graded answer, \
+             'exact: B' or, when every attempt tripped its budget, the \
+             sound naive lower bound 'lower-bound: B'; exit 1 unless it \
+             certifies truth.")
   in
   let explain =
     Arg.(
@@ -352,8 +344,8 @@ let certain_cmd =
   Cmd.v
     (Cmd.info "certain"
        ~doc:
-         "Certain answers of a conjunctive query by naive evaluation; with \
-          --degrade, graded Boolean certainty that never answers unknown.")
+         "Certain answers of a conjunctive query through the planner; with \
+          --degrade, the graded Boolean answer, never unknown.")
     (with_stats
        Term.(
          const run $ query $ degrade $ explain $ jobs $ backend_arg $ nodes
@@ -659,24 +651,23 @@ let tree_member_cmd =
      {"op":"certain","query":"ans() :- R(_x,_y)","d":"R(1,_u)"}
 
    Optional fields: "id" (echoed; defaults to the line index),
-   "node_budget", "backtrack_budget", "timeout_ms".  Output is JSONL in
-   input order regardless of --jobs, one of status sat / unsat / unknown
-   (with the tripped limit as "reason") / error. *)
+   "node_budget", "backtrack_budget", "timeout_ms", and "backend" on
+   certain lines.  Output is JSONL in input order regardless of --jobs,
+   one of status sat / unsat / unknown / error.  leq and member run
+   under the retry ladder of --max-attempts / --escalate, and an unknown
+   carries the tripped limit as "reason".  A certain line must be
+   Boolean and is decided by the planner, as certain and serve decide
+   it: a lower bound from the degrade rung is "grade":"lower-bound",
+   with status sat when it certifies truth and unknown otherwise. *)
 module Json = Obs.Json
 module Engine = Certdb_csp.Engine
-module Resilient = Certdb_csp.Resilient
-module Wire = Certdb_service.Wire
 module Server = Certdb_service.Server
 module Supervisor = Certdb_service.Supervisor
 module Client = Certdb_service.Client
 
 let batch_cmd =
   let run jobs max_attempts escalate on_error backend file =
-    validate_policy max_attempts escalate;
-    let policy =
-      Resilient.Policy.make ~max_attempts ~escalation:escalate
-        ~restart_seed:None ~propagate_first:false ()
-    in
+    let policy = policy_of_flags max_attempts escalate in
     let cancel, failure_policy =
       match on_error with
       | `Continue -> (None, Engine.Batch.Continue)
@@ -824,11 +815,8 @@ let serve_cmd =
       max_attempts escalate nodes backtracks timeout_ms slow_ms metrics_file
       metrics_interval_ms trace_buffer preload conns queue_capacity
       request_timeout_ms max_line_bytes backlog retry_after_ms =
-    validate_policy max_attempts escalate;
+    let policy = policy_of_flags max_attempts escalate in
     Option.iter Trace.set_capacity trace_buffer;
-    let policy =
-      Resilient.Policy.make ~max_attempts ~escalation:escalate ()
-    in
     let default_limits = Engine.Limits.make ?nodes ?backtracks ?timeout_ms () in
     let config =
       Server.Config.make

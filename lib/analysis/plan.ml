@@ -163,8 +163,7 @@ let certain ?policy ?limits ?(jobs = 1) ?width_threshold ?fds ?backend
         (* CDCL primary, CSP fallback rung, naïve degrade — same graded
            contract as the hom ladder, so a SAT route can never weaken
            an answer *)
-        Certain.certain_cq_resilient ?policy ?limits
-          ~backend:Sat_choice.Sat q d)
+        Certain.certain_cq_resilient ?policy ?limits ~backend:`Sat q d)
 
 let certain_answers u d =
   count_route Naive_eval;

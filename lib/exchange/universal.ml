@@ -1,6 +1,7 @@
 open Certdb_gdm
 open Certdb_relational
 module Obs = Certdb_obs.Obs
+module Trace = Certdb_obs.Trace
 
 let chase_steps = Obs.counter "exchange.chase.steps"
 let chase_facts = Obs.counter "exchange.chase.facts"
@@ -8,7 +9,7 @@ let chases = Obs.counter "exchange.chase.runs"
 
 let canonical_solution mapping source =
   Obs.incr chases;
-  Obs.with_span "exchange.chase" @@ fun () ->
+  Trace.with_span "exchange.chase" @@ fun () ->
   List.fold_left
     (fun acc piece ->
       Obs.incr chase_steps;

@@ -258,9 +258,8 @@ let now_ms () = !clock_ms ()
    several domains at once): counters are [Atomic.t], so concurrent
    increments from worker domains never lose events and per-domain counts
    add up; registry creation, timer samples and resets take a global
-   mutex (they are rare compared to counter bumps); the span stack is
-   domain-local storage, so spans opened on one domain never interleave
-   with another domain's stack. *)
+   mutex (they are rare compared to counter bumps).  Spans live in
+   Trace, which records each one into the timer of its name. *)
 
 type counter = { c_name : string; c_value : int Atomic.t }
 type gauge = { g_name : string; mutable g_value : float }
@@ -371,53 +370,6 @@ type timer_stats = {
   p99_ms : float;
 }
 
-(* Spans: a domain-local stack of open intervals.  Completing a span feeds
-   the timer registered under the span's (label-decorated) name. *)
-
-type span = { sp_timer : timer; sp_start : float; sp_id : int }
-
-let span_stack : span list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let span_ids = Atomic.make 0
-let span_depth () = List.length !(Domain.DLS.get span_stack)
-
-let span_name name labels =
-  match labels with
-  | None | Some [] -> name
-  | Some kvs ->
-    let rendered =
-      String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) kvs)
-    in
-    name ^ "{" ^ rendered ^ "}"
-
-let enter_span ?labels name =
-  let sp =
-    { sp_timer = timer (span_name name labels); sp_start = now_ms ();
-      sp_id = Atomic.fetch_and_add span_ids 1 }
-  in
-  let stack = Domain.DLS.get span_stack in
-  stack := sp :: !stack;
-  sp
-
-let exit_span sp =
-  record_ms sp.sp_timer (now_ms () -. sp.sp_start);
-  (* tolerate mis-paired exits: pop up to and including this span if it is
-     still open, leave the stack alone otherwise *)
-  let rec drop = function
-    | s :: rest when s.sp_id = sp.sp_id -> Some rest
-    | _ :: rest -> drop rest
-    | [] -> None
-  in
-  let stack = Domain.DLS.get span_stack in
-  match drop !stack with
-  | Some rest -> stack := rest
-  | None -> ()
-
-let with_span ?labels name f =
-  let sp = enter_span ?labels name in
-  Fun.protect ~finally:(fun () -> exit_span sp) f
-
 (* Snapshots *)
 
 type metrics = {
@@ -467,18 +419,17 @@ let snapshot () =
   }
 
 let reset () =
-  (locked @@ fun () ->
-   Hashtbl.iter (fun _ c -> Atomic.set c.c_value 0) counters;
-   Hashtbl.iter (fun _ g -> g.g_value <- 0.) gauges;
-   Hashtbl.iter
-     (fun _ t ->
-       t.t_count <- 0;
-       t.t_total <- 0.;
-       t.t_min <- infinity;
-       t.t_max <- neg_infinity;
-       Array.fill t.t_buckets 0 n_buckets 0)
-     timers);
-  Domain.DLS.get span_stack := []
+  locked @@ fun () ->
+  Hashtbl.iter (fun _ c -> Atomic.set c.c_value 0) counters;
+  Hashtbl.iter (fun _ g -> g.g_value <- 0.) gauges;
+  Hashtbl.iter
+    (fun _ t ->
+      t.t_count <- 0;
+      t.t_total <- 0.;
+      t.t_min <- infinity;
+      t.t_max <- neg_infinity;
+      Array.fill t.t_buckets 0 n_buckets 0)
+    timers
 
 let find_counter m name = List.assoc_opt name m.counters
 let find_gauge m name = List.assoc_opt name m.gauges

@@ -1,6 +1,5 @@
 (** Zero-dependency observability: a process-wide registry of named
-    counters, gauges and histogram timers, plus lightweight nested spans
-    (clock start/stop with labels).  Everything the solver, hom-search,
+    counters, gauges and histogram timers.  Everything the solver, hom-search,
     chase and query-evaluation hot paths want to count lives here, and
     [snapshot] turns the registry into an immutable value with
     pretty-printing and hand-rolled JSON rendering (no opam deps beyond
@@ -17,7 +16,8 @@
     The registry is domain-safe: counters are atomic (increments from the
     [Csp.Engine.Batch] worker domains never lose events, so per-domain
     counters add up in the final snapshot), registry creation and timer
-    samples are mutex-guarded, and the span stack is domain-local. *)
+    samples are mutex-guarded.  Timed regions are [Trace.with_span] spans,
+    which feed the timer of the span's name. *)
 
 (** Minimal JSON document model with rendering and parsing — enough for
     the metrics snapshot, the bench trajectory files and the [certdb
@@ -103,24 +103,6 @@ type timer_stats = {
   p95_ms : float;  (** 95th-percentile estimate, same construction *)
   p99_ms : float;  (** 99th-percentile estimate, same construction *)
 }
-
-(** {1 Spans}
-
-    A span is a named clock interval; spans nest, and each completed span
-    records its duration into the timer registered under the span's name
-    (with rendered [labels] appended as [name{k=v,...}]). *)
-
-type span
-
-val enter_span : ?labels:(string * string) list -> string -> span
-val exit_span : span -> unit
-
-(** [with_span name f] wraps [f] in a span; the duration is recorded even
-    when [f] raises. *)
-val with_span : ?labels:(string * string) list -> string -> (unit -> 'a) -> 'a
-
-(** Current nesting depth of open spans (0 outside any span). *)
-val span_depth : unit -> int
 
 (** {1 Snapshots} *)
 

@@ -124,7 +124,8 @@ let close_frame fr stack =
       domain = (Domain.self () :> int);
       kind = Span;
     };
-  (* tolerate mis-paired exits, like Obs.exit_span *)
+  (* tolerate mis-paired exits: pop up to and including this frame if
+     it is still open, leave the stack alone otherwise *)
   let rec drop = function
     | f :: rest when f.f_id = fr.f_id -> Some rest
     | _ :: rest -> drop rest

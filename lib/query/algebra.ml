@@ -1,6 +1,7 @@
 open Certdb_values
 open Certdb_relational
 module Obs = Certdb_obs.Obs
+module Trace = Certdb_obs.Trace
 
 let ops = Obs.counter "query.algebra.ops"
 let out_tuples = Obs.counter "query.algebra.tuples"
@@ -113,7 +114,7 @@ let rec eval_set q d =
       (eval_set q d) Tuple_set.empty
 
 let eval q d =
-  Obs.with_span "query.algebra.eval" @@ fun () ->
+  Trace.with_span "query.algebra.eval" @@ fun () ->
   let result = Tuple_set.elements (eval_set q d) in
   Obs.add out_tuples (List.length result);
   result

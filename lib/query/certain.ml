@@ -206,24 +206,19 @@ let outcome_of_decision = function
   | `Unknown r -> Engine.Unknown r
 
 let certain_cq_resilient ?policy ?(limits = Engine.Limits.unlimited)
-    ?(backend = Sat_backend.Csp) q d =
+    ?(backend = `Csp) q d =
   Obs.incr certain_checks;
   let csp limits = outcome_of_decision (certain_cq_via_hom_b ~limits q d) in
   let sat limits = outcome_of_decision (certain_cq_via_sat_b ~limits q d) in
   let r =
     match backend with
-    | Sat_backend.Csp ->
+    | `Csp ->
       Resilient.run ?policy ~limits (fun ~attempt:_ limits -> csp limits)
-    | Sat_backend.Sat ->
+    | `Sat ->
       (* SAT primary; if every CDCL attempt trips (or crashes), retry
          once on the CSP engine before degrading *)
       Resilient.run ?policy ~fallback:("csp", csp) ~limits
         (fun ~attempt:_ limits -> sat limits)
-    | Sat_backend.Auto ->
-      (* without a planner certificate, Auto means: CSP first (the
-         default engine), cross to SAT on exhaustion *)
-      Resilient.run ?policy ~fallback:("sat", sat) ~limits
-        (fun ~attempt:_ limits -> csp limits)
   in
   match r.Resilient.outcome with
   | Engine.Sat () ->

@@ -117,11 +117,12 @@ val certain_cq_dimacs : ?symmetry:bool -> Cq.t -> Instance.t -> string
     is in fact exact, but the resilient API certifies only the sound
     direction, the guarantee that generalizes to the gdm/xml regimes).
 
-    [backend] picks the primary solver and its escalation partner:
-    [Csp] (default) runs the CSP ladder exactly as before; [Sat] runs
-    the CDCL backend with a CSP fallback rung on exhaustion; [Auto]
-    runs CSP with a SAT fallback rung.  Crossing backends never flips a
-    definitive answer (the fallback only runs on [Unknown]).  Results:
+    [backend] picks the primary solver: [`Csp] (default) runs the CSP
+    ladder; [`Sat] runs the CDCL backend with a CSP fallback rung on
+    exhaustion.  Crossing backends never flips a definitive answer (the
+    fallback only runs on [Unknown]).  Choosing between the two per
+    query is the planner's job ([Certdb_analysis.Plan.certain]), which
+    is the one caller outside tests.  Results:
 
     - [`Exact b] — the hom search settled it: [b] is the certain answer;
     - [`Lower_bound true] — budgets exhausted, but naïve evaluation
@@ -137,7 +138,7 @@ val certain_cq_dimacs : ?symmetry:bool -> Cq.t -> Instance.t -> string
 val certain_cq_resilient :
   ?policy:Certdb_csp.Resilient.Policy.t ->
   ?limits:Certdb_csp.Engine.Limits.t ->
-  ?backend:Certdb_sat.Backend.choice ->
+  ?backend:[ `Csp | `Sat ] ->
   Cq.t ->
   Instance.t ->
   [ `Exact of bool | `Lower_bound of bool ]

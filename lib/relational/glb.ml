@@ -1,12 +1,13 @@
 open Certdb_values
 module Obs = Certdb_obs.Obs
+module Trace = Certdb_obs.Trace
 
 let pairs = Obs.counter "rel.glb.pairs"
 let merged_facts = Obs.counter "rel.glb.merged_facts"
 
 let pair d d' =
   Obs.incr pairs;
-  Obs.with_span "rel.glb.pair" @@ fun () ->
+  Trace.with_span "rel.glb.pair" @@ fun () ->
   let reg = Merge.create () in
   let result =
     List.fold_left

@@ -143,22 +143,29 @@ type pending = {
   p_scoped : string option;  (* where a lower bound is stored *)
 }
 
-(* Cache lookup order: the plain key first — an exact answer cached by
-   anyone is valid under any budget — then, for budgeted requests, the
-   budget-scoped key, so a degraded answer is only reused by requests
-   imposing the same budget. *)
-let prepare t entry ~limits ~policy ~backend ~no_cache q =
+(* The one cache lookup.  [canon ()] gives the query's canonical key
+   ([None]: canonicalisation gave up, so the request bypasses the cache)
+   and is only called when the cache is consulted; [query ()] gives the
+   query itself, only needed on a miss.  Lookup order: the plain key
+   first — an exact answer cached by anyone is valid under any budget —
+   then, for budgeted requests, the budget-scoped key, so a degraded
+   answer is only reused by requests imposing the same budget. *)
+let find_or_prepare t entry ~limits ~policy ~backend ~no_cache ~canon ~query
+    =
   let todo plain scoped =
-    `Todo
-      {
-        p_entry = entry;
-        p_limits = limits;
-        p_policy = policy;
-        p_q = q;
-        p_backend = backend;
-        p_plain = plain;
-        p_scoped = scoped;
-      }
+    Result.map
+      (fun q ->
+        `Todo
+          {
+            p_entry = entry;
+            p_limits = limits;
+            p_policy = policy;
+            p_q = q;
+            p_backend = backend;
+            p_plain = plain;
+            p_scoped = scoped;
+          })
+      (query ())
   in
   match t.cache with
   | None -> todo None None
@@ -166,21 +173,22 @@ let prepare t entry ~limits ~policy ~backend ~no_cache q =
     Cache.bypass cache;
     todo None None
   | Some cache -> (
-    match Canon.cq_key ~budget:t.config.Config.canon_budget q with
-    | None ->
+    match canon () with
+    | Error _ as e -> e
+    | Ok None ->
       Cache.bypass cache;
       todo None None
-    | Some ck -> (
+    | Ok (Some ck) -> (
       let key = entry.fingerprint ^ "|" ^ ck in
       let scoped =
         if Engine.Limits.is_unlimited limits then None
         else Some (key ^ "|" ^ limits_sig ~backend limits policy)
       in
       match Cache.find cache key with
-      | Some (a, _) -> `Hit a
+      | Some (a, _) -> Ok (`Hit a)
       | None -> (
         match Option.bind scoped (Cache.find cache) with
-        | Some (a, _) -> `Hit a
+        | Some (a, _) -> Ok (`Hit a)
         | None -> todo (Some key) scoped)))
 
 (* search-effort attribution for [explain]: the solver counters are
@@ -224,137 +232,71 @@ let store t p a ~cost_ms =
       Cache.add cache k ~footprint ~cost_ms a
     | _ -> ())
 
+(* the one policy override: a request's [max_attempts] *)
+let policy_with t max_attempts =
+  match max_attempts with
+  | None -> t.config.Config.policy
+  | Some n ->
+    { t.config.Config.policy with Resilient.Policy.max_attempts = max 1 n }
+
 let eval_query t ~db ?limits ?max_attempts ?backend ?(no_cache = false) q =
   let limits = Option.value limits ~default:t.config.Config.default_limits in
-  let policy =
-    match max_attempts with
-    | None -> t.config.Config.policy
-    | Some n ->
-      { t.config.Config.policy with Resilient.Policy.max_attempts = max 1 n }
-  in
+  let policy = policy_with t max_attempts in
   let backend = Option.value backend ~default:t.config.Config.backend in
+  let canon () = Ok (Canon.cq_key ~budget:t.config.Config.canon_budget q) in
   match lookup t db with
   | Error _ as e -> e
   | Ok entry -> (
-    match prepare t entry ~limits ~policy ~backend ~no_cache q with
-    | `Hit a -> Ok ((a, true) : answer * bool)
-    | `Todo p ->
+    match
+      find_or_prepare t entry ~limits ~policy ~backend ~no_cache ~canon
+        ~query:(fun () -> Ok q)
+    with
+    | Error _ as e -> e
+    | Ok (`Hit a) -> Ok ((a, true) : answer * bool)
+    | Ok (`Todo p) ->
       let a, cost_ms = compute_pending ~jobs:t.config.Config.jobs p in
       store t p a ~cost_ms;
       Ok (a, false))
 
 (* ---- request handling ----------------------------------------------- *)
 
-let or_opt a b = match a with Some _ -> a | None -> b
-
-let request_limits t j =
-  let d = t.config.Config.default_limits in
-  Engine.Limits.make
-    ?nodes:(or_opt (Wire.int_field "node_budget" j) d.Engine.Limits.nodes)
-    ?backtracks:
-      (or_opt (Wire.int_field "backtrack_budget" j) d.Engine.Limits.backtracks)
-    ?timeout_ms:
-      (or_opt (Wire.float_field "timeout_ms" j) d.Engine.Limits.timeout_ms)
-    ?cancel:d.Engine.Limits.cancel ()
-
-let request_policy t j =
-  match Wire.int_field "max_attempts" j with
-  | None -> t.config.Config.policy
-  | Some n ->
-    { t.config.Config.policy with Resilient.Policy.max_attempts = max 1 n }
-
-let request_backend t j =
-  match Wire.str_field "backend" j with
-  | None -> Ok t.config.Config.backend
-  | Some s -> (
-    match Sat_backend.choice_of_string s with
-    | Some b -> Ok b
-    | None ->
-      Error
-        (Printf.sprintf "backend: %S is not one of %s" s
-           (String.concat "/" Sat_backend.choice_names)))
-
 (* Parse the query-shaped fields of [j] and run the cache lookup.  The
    canonical key of the request's query text comes from the [memo] LRU
    when the same text was served before, so the hit path skips CQ
    parsing, core computation and the canonical-labeling search; the
-   query is only parsed when an evaluation (or a fresh canonicalisation)
-   actually needs it. *)
+   query is parsed at most once, and only when an evaluation (or a
+   fresh canonicalisation) actually needs it. *)
 let prepare_request t j =
-  match Wire.str_field "db" j with
-  | None -> Error "missing field \"db\""
-  | Some db -> (
-    match Wire.str_field "query" j with
-    | None -> Error "missing field \"query\""
-    | Some qs -> (
-      match lookup t db with
-      | Error m -> Error m
-      | Ok entry -> (
-        match request_backend t j with
-        | Error m -> Error m
-        | Ok backend -> (
-        let limits = request_limits t j in
-        let policy = request_policy t j in
-        let no_cache =
-          Option.value (Wire.bool_field "no_cache" j) ~default:false
-        in
-        let parse () =
-          match Wire.parse_cq_result qs with
-          | Ok q -> Ok q
-          | Error m -> Error ("query: " ^ m)
-        in
-        let todo ?q plain scoped =
-          match (match q with Some q -> Ok q | None -> parse ()) with
-          | Error _ as e -> e
-          | Ok q ->
-            Ok
-              (`Todo
-                 {
-                   p_entry = entry;
-                   p_limits = limits;
-                   p_policy = policy;
-                   p_q = q;
-                   p_backend = backend;
-                   p_plain = plain;
-                   p_scoped = scoped;
-                 })
-        in
-        match (t.cache, t.memo) with
-        | Some cache, _ when no_cache ->
-          Cache.bypass cache;
-          todo None None
-        | Some cache, Some memo -> (
-          let ck =
-            match Cache.find memo qs with
-            | Some (ck, _) -> Ok (ck, None)
-            | None -> (
-              match parse () with
-              | Error _ as e -> e
-              | Ok q ->
-                let ck =
-                  Canon.cq_key ~budget:t.config.Config.canon_budget q
-                in
-                Cache.add memo qs ~cost_ms:0.0 ck;
-                Ok (ck, Some q))
-          in
-          match ck with
-          | Error _ as e -> e
-          | Ok (None, q) ->
-            Cache.bypass cache;
-            todo ?q None None
-          | Ok (Some ck, q) -> (
-            let key = entry.fingerprint ^ "|" ^ ck in
-            let scoped =
-              if Engine.Limits.is_unlimited limits then None
-              else Some (key ^ "|" ^ limits_sig ~backend limits policy)
-            in
-            match Cache.find cache key with
-            | Some (a, _) -> Ok (`Hit a)
-            | None -> (
-              match Option.bind scoped (Cache.find cache) with
-              | Some (a, _) -> Ok (`Hit a)
-              | None -> todo ?q (Some key) scoped)))
-        | _ -> todo None None))))
+  let field k =
+    Option.to_result (Wire.str_field k j)
+      ~none:(Printf.sprintf "missing field %S" k)
+  in
+  let ( let* ) = Result.bind in
+  let* db = field "db" in
+  let* qs = field "query" in
+  let* entry = lookup t db in
+  let* backend = Wire.backend_of_json ~default:t.config.Config.backend j in
+  let limits =
+    Wire.limits_of_json ~default:t.config.Config.default_limits j
+  in
+  let policy = policy_with t (Wire.int_field "max_attempts" j) in
+  let no_cache = Option.value (Wire.bool_field "no_cache" j) ~default:false in
+  let parsed =
+    lazy (Result.map_error (( ^ ) "query: ") (Wire.parse_cq_result qs))
+  in
+  let query () = Lazy.force parsed in
+  let canon () =
+    match Option.bind t.memo (fun memo -> Cache.find memo qs) with
+    | Some (ck, _) -> Ok ck
+    | None ->
+      Result.map
+        (fun q ->
+          let ck = Canon.cq_key ~budget:t.config.Config.canon_budget q in
+          Option.iter (fun memo -> Cache.add memo qs ~cost_ms:0.0 ck) t.memo;
+          ck)
+        (query ())
+  in
+  find_or_prepare t entry ~limits ~policy ~backend ~no_cache ~canon ~query
 
 let answer_fields ?latency_ms answer ~cached =
   let base =

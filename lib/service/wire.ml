@@ -109,12 +109,29 @@ let float_field k j =
 let bool_field k j =
   match Json.member k j with Some (Json.Bool b) -> Some b | _ -> None
 
-let limits_of_json ?cancel j =
-  Engine.Limits.make
-    ?nodes:(int_field "node_budget" j)
-    ?backtracks:(int_field "backtrack_budget" j)
-    ?timeout_ms:(float_field "timeout_ms" j)
-    ?cancel ()
+let limits_of_json ?cancel ?(default = Engine.Limits.unlimited) j =
+  let ( |? ) v d = match v with Some _ -> v | None -> d in
+  {
+    Engine.Limits.nodes = int_field "node_budget" j |? default.nodes;
+    backtracks = int_field "backtrack_budget" j |? default.backtracks;
+    timeout_ms = float_field "timeout_ms" j |? default.timeout_ms;
+    cancel = cancel |? default.cancel;
+  }
+
+let backend_of_json ?(default = Sat_backend.Csp) j =
+  match str_field "backend" j with
+  | None -> Ok default
+  | Some s -> (
+    match Sat_backend.choice_of_string s with
+    | Some b -> Ok b
+    | None ->
+      Error
+        (Printf.sprintf "backend: %S is not one of %s" s
+           (String.concat "/" Sat_backend.choice_names)))
+
+let boolean_only =
+  "applies to Boolean queries (empty head): the graded answer is a single \
+   certified truth value"
 
 (* response rows *)
 
@@ -270,23 +287,19 @@ let describe_exn = function
 
 (* batch tasks *)
 
-type work = {
-  w_limits : Engine.Limits.t;
-  w_run :
-    Engine.Limits.t ->
-    [ `Sat of (string * Json.t) list | `Unsat | `Unknown of Engine.reason ];
-  w_fallback :
-    (string
-    * (Engine.Limits.t ->
-      [ `Sat of (string * Json.t) list | `Unsat | `Unknown of Engine.reason ]))
-    option;
-}
+type work =
+  | Retried of
+      Engine.Limits.t * (Engine.Limits.t -> (string * Json.t) list Engine.outcome)
+  | Certain of {
+      limits : Engine.Limits.t;
+      backend : Sat_backend.choice;
+      q : Certdb_query.Cq.t;
+      d : Instance.t;
+    }
 
 type task = string * string * (work, string) result
 
-let work ?fallback limits run = { w_limits = limits; w_run = run; w_fallback = fallback }
-
-let parse_task ?cancel ?(backend = Sat_backend.Csp) idx line =
+let parse_task ?cancel ?backend idx line =
   match Json.of_string line with
   | exception Json.Parse_error m ->
     ("line-" ^ string_of_int idx, "?", Error ("json: " ^ m))
@@ -294,129 +307,94 @@ let parse_task ?cancel ?(backend = Sat_backend.Csp) idx line =
     let id = Option.value (str_field "id" j) ~default:(string_of_int idx) in
     let op = Option.value (str_field "op" j) ~default:"?" in
     let limits = limits_of_json ?cancel j in
+    let field k =
+      Option.to_result (str_field k j)
+        ~none:(Printf.sprintf "missing field %S" k)
+    in
     let instance k =
-      match str_field k j with
-      | None -> Error (Printf.sprintf "missing field %S" k)
-      | Some s -> (
-        match parse_instance_result s with
-        | Ok d -> Ok d
-        | Error m -> Error (Printf.sprintf "%s: parse error: %s" k m))
+      Result.bind (field k) (fun s ->
+          Result.map_error
+            (Printf.sprintf "%s: parse error: %s" k)
+            (parse_instance_result s))
     in
     let ( let* ) = Result.bind in
-    (* each op is a closure over the problem taking the (possibly
-       escalated) limits of the current attempt *)
     let work =
       match op with
       | "leq" ->
         let* d1 = instance "d1" in
         let* d2 = instance "d2" in
         Ok
-          (work limits (fun limits ->
-               match Hom.find_b ~limits d1 d2 with
-               | Engine.Sat h ->
-                 `Sat
-                   [
-                     ( "witness",
-                       Json.String
-                         (Format.asprintf "%a" Certdb_values.Valuation.pp h) );
-                   ]
-               | Engine.Unsat -> `Unsat
-               | Engine.Unknown r -> `Unknown r))
+          (Retried
+             ( limits,
+               fun limits ->
+                 match Hom.find_b ~limits d1 d2 with
+                 | Engine.Sat h ->
+                   Engine.Sat
+                     [
+                       ( "witness",
+                         Json.String
+                           (Format.asprintf "%a" Certdb_values.Valuation.pp h)
+                       );
+                     ]
+                 | Engine.Unsat -> Engine.Unsat
+                 | Engine.Unknown r -> Engine.Unknown r ))
       | "member" ->
         let* d = instance "d" in
         let* r = instance "r" in
         Ok
-          (work limits (fun limits ->
-               match Semantics.mem_b ~limits r d with
-               | `True -> `Sat []
-               | `False -> `Unsat
-               | `Unknown reason -> `Unknown reason))
-      | "certain" -> (
+          (Retried
+             ( limits,
+               fun limits ->
+                 match Semantics.mem_b ~limits r d with
+                 | `True -> Engine.Sat []
+                 | `False -> Engine.Unsat
+                 | `Unknown reason -> Engine.Unknown reason ))
+      | "certain" ->
         let* d = instance "d" in
-        let* backend =
-          (* per-line override of the stream-level default *)
-          match str_field "backend" j with
-          | None -> Ok backend
-          | Some s -> (
-            match Sat_backend.choice_of_string s with
-            | Some b -> Ok b
-            | None ->
-              Error
-                (Printf.sprintf "backend: %S is not one of %s" s
-                   (String.concat "/" Sat_backend.choice_names)))
-        in
-        match str_field "query" j with
-        | None -> Error "missing field \"query\""
-        | Some qs -> (
-          match parse_cq_result qs with
-          | Error m -> Error ("query: " ^ m)
-          | Ok q ->
-            let of_decision = function
-              | `True -> `Sat []
-              | `False -> `Unsat
-              | `Unknown reason -> `Unknown reason
-            in
-            let csp limits =
-              of_decision (Certdb_query.Certain.certain_cq_via_hom_b ~limits q d)
-            in
-            let sat limits =
-              of_decision (Certdb_query.Certain.certain_cq_via_sat_b ~limits q d)
-            in
-            (* the primary backend; the other one is the ladder's
-               cross-backend fallback rung.  [Auto] asks the planner's
-               certificates which solver fits this query. *)
-            let sat_primary =
-              match backend with
-              | Sat_backend.Csp -> false
-              | Sat_backend.Sat -> true
-              | Sat_backend.Auto -> (
-                match
-                  (Certdb_analysis.Plan.route_cq ~backend:Sat_backend.Auto q)
-                    .route
-                with
-                | Certdb_analysis.Plan.Sat_backend _ -> true
-                | _ -> false)
-            in
-            Ok
-              (if sat_primary then work ~fallback:("csp", csp) limits sat
-               else if backend = Sat_backend.Csp then work limits csp
-               else work ~fallback:("sat", sat) limits csp)))
+        let* backend = backend_of_json ?default:backend j in
+        let* qs = field "query" in
+        let* q = Result.map_error (( ^ ) "query: ") (parse_cq_result qs) in
+        if q.Certdb_query.Cq.head <> [] then Error ("certain " ^ boolean_only)
+        else Ok (Certain { limits; backend; q; d })
       | other -> Error (Printf.sprintf "unknown op %S" other)
     in
     (id, op, work)
+
+let status s = ("status", Json.String s)
 
 let run_task ~policy (idx, (id, op, work)) =
   let fields =
     match work with
     | Error msg -> error_fields msg
-    | Ok { w_limits = limits; w_run = f; w_fallback } -> (
-      let lift f limits =
-        match f limits with
-        | `Sat extra -> Engine.Sat extra
-        | `Unsat -> Engine.Unsat
-        | `Unknown reason -> Engine.Unknown reason
-      in
-      let fallback =
-        Option.map (fun (name, f) -> (name, lift f)) w_fallback
-      in
-      match
-        Resilient.run ~policy ?fallback ~limits (fun ~attempt:_ limits ->
-            lift f limits)
-      with
+    | Ok (Retried (limits, f)) -> (
+      match Resilient.run ~policy ~limits (fun ~attempt:_ -> f) with
       | r ->
         let base =
           match r.Resilient.outcome with
-          | Engine.Sat extra -> ("status", Json.String "sat") :: extra
-          | Engine.Unsat -> [ ("status", Json.String "unsat") ]
+          | Engine.Sat extra -> status "sat" :: extra
+          | Engine.Unsat -> [ status "unsat" ]
           | Engine.Unknown reason ->
             [
-              ("status", Json.String "unknown");
+              status "unknown";
               ("reason", Json.String (Engine.reason_to_string reason));
             ]
         in
         if policy.Resilient.Policy.max_attempts > 1 then
           base @ [ ("attempts", Json.Int r.Resilient.attempts) ]
         else base
+      | exception e -> error_fields (describe_exn e))
+    | Ok (Certain { limits; backend; q; d }) -> (
+      (* the planner's ladder is the only ladder: no outer retry *)
+      match
+        Certdb_analysis.Plan.certain ~policy ~limits ~jobs:1 ~backend q d
+      with
+      | `Exact true -> [ status "sat" ]
+      | `Exact false -> [ status "unsat" ]
+      | `Lower_bound b ->
+        [
+          status (if b then "sat" else "unknown");
+          ("grade", Json.String "lower-bound");
+        ]
       | exception e -> error_fields (describe_exn e))
   in
   row ~idx ~id ~op fields

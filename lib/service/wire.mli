@@ -35,10 +35,26 @@ val float_field : string -> Json.t -> float option
 
 val bool_field : string -> Json.t -> bool option
 
-(** [limits_of_json ?cancel j] — per-request admission: the
+(** [limits_of_json ?cancel ?default j] — per-request admission: the
     [node_budget], [backtrack_budget] and [timeout_ms] fields of a
-    request object, absent fields meaning unlimited. *)
-val limits_of_json : ?cancel:Engine.Cancel.t -> Json.t -> Engine.Limits.t
+    request object override the matching fields of [default] (default:
+    unlimited); [cancel], when given, replaces [default]'s token.  The
+    one limits parser of [certdb batch] and [certdb serve]. *)
+val limits_of_json :
+  ?cancel:Engine.Cancel.t -> ?default:Engine.Limits.t -> Json.t -> Engine.Limits.t
+
+(** [backend_of_json ?default j] — the request's ["backend"] field
+    (["csp"|"sat"|"auto"]), or [default] (default [Csp]) when absent;
+    an unknown name is [Error msg]. *)
+val backend_of_json :
+  ?default:Certdb_sat.Backend.choice ->
+  Json.t ->
+  (Certdb_sat.Backend.choice, string) result
+
+(** ["applies to Boolean queries (empty head): ..."] — the refusal every
+    graded-certainty front end gives a non-Boolean query, prefixed with
+    its own name. *)
+val boolean_only : string
 
 (** {1 Response rows} *)
 
@@ -59,36 +75,21 @@ val describe_exn : exn -> string
 
 (** {1 Batch tasks} *)
 
-(** A parsed batch line: the request's own limits, a closure solving
-    the problem under the (possibly escalated) limits of the current
-    attempt, and an optional named cross-backend fallback the retry
-    ladder runs when every primary attempt trips. *)
-type work = {
-  w_limits : Engine.Limits.t;
-  w_run :
-    Engine.Limits.t ->
-    [ `Sat of (string * Json.t) list | `Unsat | `Unknown of Engine.reason ];
-  w_fallback :
-    (string
-    * (Engine.Limits.t ->
-      [ `Sat of (string * Json.t) list | `Unsat | `Unknown of Engine.reason ]))
-    option;
-}
+(** A parsed batch line, ready to run: [leq] and [member] under the
+    {!Certdb_csp.Resilient} retry ladder, [certain] as one
+    {!Certdb_analysis.Plan.certain} call. *)
+type work
 
 (** [(id, op, work-or-parse-error)] *)
 type task = string * string * (work, string) result
 
 (** [parse_task ?cancel ?backend idx line] parses one JSONL batch
     request ([op] ∈ [leq] / [member] / [certain]).  Any parse failure —
-    bad JSON, missing field, unknown op — is [Error msg], never an
-    exception.  [cancel] is threaded into the task's limits so a
-    fail-fast trip aborts in-flight searches.
-
-    [backend] (default [Csp]) picks the solver for [certain] tasks; a
-    per-line ["backend": "csp"|"sat"|"auto"] field overrides it.
-    [Sat] makes the CDCL backend primary with a CSP fallback rung;
-    [Auto] consults {!Certdb_analysis.Plan.route_cq}'s certificates;
-    [Csp] behaves exactly as before (no fallback). *)
+    bad JSON, missing field, unknown op, a non-Boolean [certain] query —
+    is [Error msg], never an exception.  [cancel] is threaded into the
+    task's limits so a fail-fast trip aborts in-flight searches.
+    [backend] is the stream's default for [certain] tasks; a per-line
+    ["backend"] field overrides it ({!backend_of_json}). *)
 val parse_task :
   ?cancel:Engine.Cancel.t ->
   ?backend:Certdb_sat.Backend.choice ->
@@ -96,11 +97,15 @@ val parse_task :
   string ->
   task
 
-(** [run_task ~policy (idx, task)] runs a parsed task under the
-    {!Certdb_csp.Resilient} retry ladder — crossing to the task's
-    fallback backend on exhaustion, if it has one — and renders the
-    response row ([status] ∈ [sat] / [unsat] / [unknown] / [error],
-    plus [attempts] when the policy retries). *)
+(** [run_task ~policy (idx, task)] runs a parsed task and renders its
+    response row.  [leq] / [member] run under {!Certdb_csp.Resilient.run}
+    with [policy]: [status] ∈ [sat] / [unsat] / [unknown] (with the
+    tripped limit as [reason]), plus [attempts] when the policy retries.
+    [certain] goes through the planner exactly as [certdb serve] does,
+    with [policy] as its ladder's policy: [`Exact b] is [sat]/[unsat];
+    [`Lower_bound true] is [sat] and [`Lower_bound false] is [unknown],
+    both with ["grade":"lower-bound"].  A raised exception is an
+    [error] row. *)
 val run_task :
   policy:Certdb_csp.Resilient.Policy.t -> int * task -> Json.t
 

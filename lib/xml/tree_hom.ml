@@ -1,6 +1,7 @@
 open Certdb_csp
 open Certdb_gdm
 module Obs = Certdb_obs.Obs
+module Trace = Certdb_obs.Trace
 
 let searches = Obs.counter "xml.tree_hom.searches"
 
@@ -17,14 +18,14 @@ let effective_restrict ~require_root ~restrict _d' =
 
 let find ?(require_root = false) ?restrict t t' =
   Obs.incr searches;
-  Obs.with_span "xml.tree_hom.find" @@ fun () ->
+  Trace.with_span "xml.tree_hom.find" @@ fun () ->
   let d = Tree.to_gdb t and d' = Tree.to_gdb t' in
   let restrict = effective_restrict ~require_root ~restrict d' in
   Ghom.find ?restrict d d'
 
 let find_b ?(require_root = false) ?restrict ?limits t t' =
   Obs.incr searches;
-  Obs.with_span "xml.tree_hom.find" @@ fun () ->
+  Trace.with_span "xml.tree_hom.find" @@ fun () ->
   let d = Tree.to_gdb t and d' = Tree.to_gdb t' in
   let restrict = effective_restrict ~require_root ~restrict d' in
   Ghom.find_b ?restrict ?limits d d'

@@ -308,7 +308,7 @@ let test_certain_sat_crash_crosses_to_csp () =
   let before = counter_value "csp.resilient.crossed" in
   let answer =
     Fault.with_armed [ ("csp.sat.conflict", Fault.Every 1) ] @@ fun () ->
-    Certain.certain_cq_resilient ~backend:Backend.Sat triangle_cq k2
+    Certain.certain_cq_resilient ~backend:`Sat triangle_cq k2
   in
   (* every CDCL attempt crashed; the CSP rung still settles it exactly *)
   check "exact despite sat crash" true (answer = `Exact false);
@@ -323,6 +323,14 @@ let test_certain_backends_never_flip () =
         (Certain.certain_cq_resilient ~backend triangle_cq k2 = `Exact false);
       check "triangle/k3 true" true
         (Certain.certain_cq_resilient ~backend triangle_cq k3 = `Exact true))
+    [ `Csp; `Sat ];
+  (* Auto is the planner's choice between the two *)
+  List.iter
+    (fun backend ->
+      check "planned triangle/k2 false" true
+        (Plan.certain ~backend triangle_cq k2 = `Exact false);
+      check "planned triangle/k3 true" true
+        (Plan.certain ~backend triangle_cq k3 = `Exact true))
     [ Backend.Csp; Backend.Sat; Backend.Auto ]
 
 (* --- the planner's SAT route --- *)

@@ -304,6 +304,117 @@ let qcheck_cached_equals_fresh =
       (* twice through the cached server: miss then (typically) hit *)
       answer_eq (eval cached) f && answer_eq (eval cached) f)
 
+(* One request, three front ends: [Plan.certain], serve's [query] verb on
+   a cacheless server, and a batch [certain] row must give the same
+   graded answer for every backend, unbudgeted or under a zero node
+   budget with one attempt. *)
+module Plan = Certdb_analysis.Plan
+module Backend = Certdb_sat.Backend
+module Resilient = Certdb_csp.Resilient
+module Engine = Certdb_csp.Engine
+
+let front_end_db =
+  "R(1,2); R(2,1); R(2,3); R(3,2); R(1,3); R(3,1); R(4,_u); S(1)"
+
+let cq_text atoms =
+  let term = function
+    | Fo.Var x -> "_" ^ x
+    | Fo.Val v -> Format.asprintf "%a" Value.pp v
+  in
+  "ans() :- "
+  ^ String.concat ", "
+      (List.map
+         (fun (rel, args) ->
+           rel ^ "(" ^ String.concat "," (List.map term args) ^ ")")
+         atoms)
+
+let graded_of_batch_row row =
+  match (Wire.str_field "status" row, Wire.str_field "grade" row) with
+  | Some "sat", None -> Ok (`Exact true)
+  | Some "unsat", None -> Ok (`Exact false)
+  | Some "sat", Some "lower-bound" -> Ok (`Lower_bound true)
+  | Some "unknown", Some "lower-bound" -> Ok (`Lower_bound false)
+  | _ -> Error (Json.to_string row)
+
+let graded_of_serve_row row =
+  match (Wire.str_field "grade" row, Json.member "certain" row) with
+  | Some "exact", Some (Json.Bool b) -> Ok (`Exact b)
+  | Some "lower-bound", Some (Json.Bool b) -> Ok (`Lower_bound b)
+  | _ -> Error (Json.to_string row)
+
+let qcheck_front_ends_agree =
+  let server =
+    Server.create
+      ~config:(Server.Config.make ~cache_capacity:0 ~jobs:1 ())
+      ()
+  in
+  (match Server.load server ~name:"d" ~source:front_end_db with
+  | Ok _ -> ()
+  | Error m -> failwith m);
+  let d = Result.get_ok (Wire.parse_instance_result front_end_db) in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneof
+           [
+             list_size (int_range 1 8) gen_atom;
+             (* dense and loop-free over 4 variables: often a 4-clique,
+                which only the hom ladder answers and the triangle
+                refutes *)
+             list_size (int_range 8 12)
+               (map2
+                  (fun a k -> ("R", [ var a; var ((a + 1 + k) mod 4) ]))
+                  (int_range 0 3) (int_range 0 2));
+           ])
+        (oneofl [ Backend.Csp; Backend.Sat; Backend.Auto ])
+        bool)
+  in
+  let print (atoms, backend, budgeted) =
+    Printf.sprintf "%s backend=%s budgeted=%b" (cq_text atoms)
+      (Backend.choice_to_string backend)
+      budgeted
+  in
+  QCheck.Test.make ~count:300 ~name:"front ends agree"
+    (QCheck.make ~print gen) (fun (atoms, backend, budgeted) ->
+      let text = cq_text atoms in
+      let q = Result.get_ok (Wire.parse_cq_result text) in
+      let limits, policy, budget_fields =
+        if budgeted then
+          ( Engine.Limits.make ~nodes:0 (),
+            Resilient.Policy.make ~max_attempts:1 (),
+            [ ("node_budget", Json.Int 0); ("max_attempts", Json.Int 1) ] )
+        else (Engine.Limits.unlimited, Resilient.Policy.default, [])
+      in
+      let request op fields =
+        Json.to_string
+          (Json.Obj
+             ([
+                ("op", Json.String op);
+                ("query", Json.String text);
+                ("backend", Json.String (Backend.choice_to_string backend));
+              ]
+             @ fields @ budget_fields))
+      in
+      let planned = Plan.certain ~policy ~limits ~backend q d in
+      let served =
+        graded_of_serve_row
+          (fst
+             (Server.handle_line server ~idx:0
+                (request "query" [ ("db", Json.String "d") ])))
+      in
+      let batched =
+        graded_of_batch_row
+          (Wire.run_task ~policy
+             ( 0,
+               Wire.parse_task 0
+                 (request "certain" [ ("d", Json.String front_end_db) ]) ))
+      in
+      match (served, batched) with
+      | Ok s, Ok b when s = planned && b = planned -> true
+      | Ok _, Ok _ -> QCheck.Test.fail_report "front ends disagree"
+      | Error row, _ | _, Error row ->
+        QCheck.Test.fail_reportf "unexpected row %s" row)
+
 let test_server_hit_on_renamed () =
   let s = mk_server () in
   let q1 = Cq.boolean [ ("R", [ var 0; var 1 ]); ("R", [ var 1; var 0 ]) ] in
@@ -527,6 +638,7 @@ let () =
       ( "server",
         [
           QCheck_alcotest.to_alcotest qcheck_cached_equals_fresh;
+          QCheck_alcotest.to_alcotest qcheck_front_ends_agree;
           Alcotest.test_case "hit on renamed query" `Quick
             test_server_hit_on_renamed;
           Alcotest.test_case "no cache, no hits" `Quick

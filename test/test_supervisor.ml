@@ -15,7 +15,6 @@ module Supervisor = Certdb_service.Supervisor
 module Client = Certdb_service.Client
 
 let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
 (* ---- harness --------------------------------------------------------- *)
@@ -129,38 +128,56 @@ let test_stale_socket_recovery () =
   check "unlinked" false (Sys.file_exists path)
 
 (* ≥2 concurrent clients: responses interleave across connections but
-   stay ordered within each (index 0,1,2 and the pinned ids, in order) *)
+   stay ordered within each (index 0,1,2 and the pinned ids, in order).
+   Alcotest is not domain-safe, so each client domain only collects its
+   rows (id and index, or what it read instead) and every check runs
+   after both joins. *)
 let test_concurrent_clients_ordered () =
   with_server ~config:(Supervisor.Config.make ~conns:2 ()) (fun path ->
+      let ids k = List.init 3 (fun i -> Printf.sprintf "c%d_%d" k i) in
       let client k =
         let fd = raw_connect path in
         Fun.protect
           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
           (fun () ->
-            let ids = List.init 3 (fun i -> Printf.sprintf "c%d_%d" k i) in
             (* pipelined: all three requests before any read *)
             List.iter
               (fun id ->
-                send fd
-                  (Json.to_string
-                     (Json.Obj
-                        [
-                          ("id", Json.String id); ("op", Json.String "ping");
-                        ])))
-              ids;
+                ignore
+                  (Wire.write_line fd
+                     (Json.to_string
+                        (Json.Obj
+                           [
+                             ("id", Json.String id); ("op", Json.String "ping");
+                           ]))))
+              (ids k);
             let reader = Wire.Fd_reader.create fd in
-            List.iteri
-              (fun i id ->
-                let row = read_row reader in
-                check_str "per-connection order" id (str_field "id" row);
-                check_int "per-connection index" i
-                  (Option.get (Wire.int_field "index" row)))
-              ids)
+            List.map
+              (fun _ ->
+                match
+                  Wire.Fd_reader.read_line ~timeout_ms:5000.0
+                    ~max:Wire.default_max_line_bytes reader
+                with
+                | `Line l ->
+                  let row = Json.of_string l in
+                  (Wire.str_field "id" row, Wire.int_field "index" row)
+                | _ -> (None, None))
+              (ids k))
       in
       let d1 = Domain.spawn (fun () -> client 1) in
       let d2 = Domain.spawn (fun () -> client 2) in
-      Domain.join d1;
-      Domain.join d2)
+      let rows1 = Domain.join d1 in
+      let rows2 = Domain.join d2 in
+      List.iter
+        (fun (k, rows) ->
+          List.iteri
+            (fun i (id, (got_id, got_index)) ->
+              Alcotest.(check (option string))
+                "per-connection order" (Some id) got_id;
+              Alcotest.(check (option int)) "per-connection index" (Some i)
+                got_index)
+            (List.combine (ids k) rows))
+        [ (1, rows1); (2, rows2) ])
 
 (* a client that hangs up right after sending (the response write hits
    EPIPE / a closed peer) costs that connection only *)
