@@ -208,6 +208,37 @@ let policy_of_flags max_attempts escalate =
   end;
   Certdb_csp.Resilient.Policy.make ~max_attempts ~escalation:escalate ()
 
+(* shared search budget flags (certain, serve) *)
+let limits_term =
+  let doc what =
+    what
+    ^ " Applies to each attempt of the retry ladder, measured from the \
+       start of that search; for serve, the default for requests that \
+       set none."
+  in
+  let nodes =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "node-budget" ] ~docv:"N" ~doc:(doc "Search node budget."))
+  in
+  let backtracks =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "backtrack-budget" ] ~docv:"N" ~doc:(doc "Backtrack budget."))
+  in
+  let timeout_ms =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "timeout-ms" ] ~docv:"MS" ~doc:(doc "Wall-clock budget."))
+  in
+  Term.(
+    const (fun nodes backtracks timeout_ms ->
+        Certdb_csp.Engine.Limits.make ?nodes ?backtracks ?timeout_ms ())
+    $ nodes $ backtracks $ timeout_ms)
+
 (* shared solver-backend choice (certain, batch, serve) *)
 module Sat_backend = Certdb_sat.Backend
 
@@ -232,16 +263,12 @@ let backend_arg =
            degrades directly.")
 
 let certain_cmd =
-  let run query degrade explain jobs backend nodes backtracks timeout_ms
-      max_attempts escalate d =
+  let run query degrade explain jobs backend limits max_attempts escalate d =
     if jobs < 1 then begin
       Printf.eprintf "--jobs must be >= 1\n";
       exit 2
     end;
     let policy = policy_of_flags max_attempts escalate in
-    let limits =
-      Certdb_csp.Engine.Limits.make ?nodes ?backtracks ?timeout_ms ()
-    in
     let d = parse_instance_arg d in
     let q = parse_cq query in
     (* --explain: root a trace around the evaluation and print its span
@@ -321,25 +348,6 @@ let certain_cmd =
              routed to the components plan solves its independent \
              subqueries on $(docv) domains.")
   in
-  let nodes =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "node-budget" ] ~docv:"N" ~doc:"Search node budget per attempt.")
-  in
-  let backtracks =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "backtrack-budget" ] ~docv:"N"
-          ~doc:"Backtrack budget per attempt.")
-  in
-  let timeout_ms =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "timeout-ms" ] ~docv:"MS" ~doc:"Wall-clock deadline per attempt.")
-  in
   let d = instance_pos ~pos:0 ~doc:"Incomplete instance." in
   Cmd.v
     (Cmd.info "certain"
@@ -348,8 +356,8 @@ let certain_cmd =
           --degrade, the graded Boolean answer, never unknown.")
     (with_stats
        Term.(
-         const run $ query $ degrade $ explain $ jobs $ backend_arg $ nodes
-         $ backtracks $ timeout_ms $ max_attempts_arg $ escalate_arg $ d))
+         const run $ query $ degrade $ explain $ jobs $ backend_arg
+         $ limits_term $ max_attempts_arg $ escalate_arg $ d))
 
 (* chase *)
 let split_arrow s =
@@ -812,12 +820,11 @@ let start_metrics_writer ~path ~interval_ms =
 
 let serve_cmd =
   let run socket cache_capacity no_cache canon_budget jobs backend
-      max_attempts escalate nodes backtracks timeout_ms slow_ms metrics_file
+      max_attempts escalate default_limits slow_ms metrics_file
       metrics_interval_ms trace_buffer preload conns queue_capacity
       request_timeout_ms max_line_bytes backlog retry_after_ms =
     let policy = policy_of_flags max_attempts escalate in
     Option.iter Trace.set_capacity trace_buffer;
-    let default_limits = Engine.Limits.make ?nodes ?backtracks ?timeout_ms () in
     let config =
       Server.Config.make
         ~cache_capacity:(if no_cache then 0 else cache_capacity)
@@ -948,27 +955,6 @@ let serve_cmd =
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:"Worker domains for the batch verb.")
   in
-  let nodes =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "node-budget" ] ~docv:"N"
-          ~doc:"Default per-request search node budget.")
-  in
-  let backtracks =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "backtrack-budget" ] ~docv:"N"
-          ~doc:"Default per-request backtrack budget.")
-  in
-  let timeout_ms =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "timeout-ms" ] ~docv:"MS"
-          ~doc:"Default per-request wall-clock deadline.")
-  in
   let preload =
     Arg.(
       value
@@ -1021,8 +1007,7 @@ let serve_cmd =
     (with_stats
        Term.(
          const run $ socket $ cache_capacity $ no_cache $ canon_budget $ jobs
-         $ backend_arg $ max_attempts_arg $ escalate_arg $ nodes $ backtracks
-         $ timeout_ms
+         $ backend_arg $ max_attempts_arg $ escalate_arg $ limits_term
          $ slow_ms $ metrics_file $ metrics_interval_ms $ trace_buffer
          $ preload $ conns $ queue_capacity $ request_timeout_ms
          $ max_line_bytes $ backlog $ retry_after_ms))

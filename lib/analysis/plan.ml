@@ -2,6 +2,7 @@ open Certdb_query
 module Obs = Certdb_obs.Obs
 module Trace = Certdb_obs.Trace
 module Sat_choice = Certdb_sat.Backend
+module Decider = Certdb_csp.Decider
 
 let plan_naive = Obs.counter "query.plan.naive_eval"
 let plan_acyclic = Obs.counter "query.plan.acyclic_join"
@@ -140,6 +141,12 @@ let certain ?policy ?limits ?(jobs = 1) ?width_threshold ?fds ?backend
   if q.head <> [] then invalid_arg "Plan.certain: Boolean query only";
   let dec = route_cq ?width_threshold ?fds ?backend q in
   count_route dec.route;
+  (* the search routes differ only in the decider pair they hand the one
+     ladder; CDCL crosses to the CSP engine on exhaustion, so a SAT route
+     can never weaken an answer *)
+  let ladder ?fallback decider =
+    Certain.certain_cq_resilient ?policy ?limits ?fallback decider q d
+  in
   (* the route label on this span is what [explain:true] surfaces; it
      always matches the query.plan.* counter bumped just above *)
   Trace.with_span "query.plan"
@@ -149,21 +156,10 @@ let certain ?policy ?limits ?(jobs = 1) ?width_threshold ?fds ?backend
       | Naive_eval -> assert false (* Boolean queries never route here *)
       | Acyclic_join | Bounded_width _ ->
         `Exact (Certain.certain_cq_via_btw q d)
-      | Components _ -> (
-        (* each component is an independent hom instance; a tripped limit
-           falls back to the resilient ladder rather than surfacing
-           [`Unknown] *)
-        match Certain.certain_cq_via_components ~jobs ?limits q d with
-        | `True -> `Exact true
-        | `False -> `Exact false
-        | `Unknown _ -> Certain.certain_cq_resilient ?policy ?limits q d)
-      | Hom_ladder -> Certain.certain_cq_resilient ?policy ?limits q d
       | Fd_naive _ -> `Exact (Certain.certain_cq_via_naive q d)
-      | Sat_backend _ ->
-        (* CDCL primary, CSP fallback rung, naïve degrade — same graded
-           contract as the hom ladder, so a SAT route can never weaken
-           an answer *)
-        Certain.certain_cq_resilient ?policy ?limits ~backend:`Sat q d)
+      | Components _ -> ladder (Decider.components ~jobs)
+      | Hom_ladder -> ladder Decider.engine
+      | Sat_backend _ -> ladder ~fallback:Decider.engine (Sat_choice.decider ()))
 
 let certain_answers u d =
   count_route Naive_eval;

@@ -12,7 +12,8 @@
     - cyclic, wide, but ≥ 2 connected components in the atoms-share-a-
       variable graph → [Components c]: split the tableau into independent
       hom instances, solve each (in parallel on [jobs] domains when
-      asked) and conjoin ({!Certdb_csp.Engine.Components});
+      asked) and conjoin ({!Certdb_csp.Engine.Components}), under the
+      same retry ladder as [Hom_ladder];
     - cyclic, wide, but some query relation carries a {e certainly
       satisfied key FD} (checked by the caller with {!Fd.check} and
       passed via [?fds]) → [Fd_naive]: that relation is key-determined
@@ -34,7 +35,8 @@
     when budgets are imposed and exhausted).  Chosen routes are counted
     by [query.plan.naive_eval] / [query.plan.acyclic_join] /
     [query.plan.bounded_width] / [query.plan.components] /
-    [query.plan.hom_ladder] / [query.plan.fd_naive]. *)
+    [query.plan.hom_ladder] / [query.plan.fd_naive] /
+    [query.plan.sat]. *)
 
 type route =
   | Naive_eval
@@ -73,13 +75,14 @@ val route_cq :
 
 (** [certain ?policy ?limits ?jobs ?width_threshold q d] — Boolean CQ
     certainty through the planner.  Acyclic and bounded-width routes
-    answer [`Exact] directly; the components route solves the tableau's
-    connected components independently on [jobs] domains (default 1) and
-    falls back to the resilient ladder if a budget trips; the hom ladder
-    behaves exactly like {!Certdb_query.Certain.certain_cq_resilient}
-    (unlimited [limits] always yield [`Exact]); a [Sat_backend] route
-    runs the CDCL backend under the same ladder with a CSP fallback
-    rung, so crossing backends never weakens an answer.
+    answer [`Exact] directly from the unbudgeted DP, and [Fd_naive] from
+    naïve evaluation.  The three search routes make one call to
+    {!Certdb_query.Certain.certain_cq_resilient}, each with its own
+    decider pair: [Components] runs {!Certdb_csp.Decider.components} on
+    [jobs] domains (default 1), [Hom_ladder] the bitset engine, and
+    [Sat_backend] the CDCL decider with the bitset engine as its
+    fallback, so crossing solvers never weakens an answer.  Unlimited
+    [limits] always yield [`Exact].
     @raise Invalid_argument on a non-Boolean query. *)
 val certain :
   ?policy:Certdb_csp.Resilient.Policy.t ->

@@ -141,8 +141,8 @@ let propagation_certificate (config : Config.t) ~source ~target =
        restriction, so the work done on rung one is not thrown away *)
     `Restrict (Domains.of_map pruned)
 
-let ladder ~engine_call ?(policy = Policy.default) ?fallback
-    ?(config = Config.default) ~source ~target () =
+let ladder ~engine_call ?(policy = Policy.default) ?(config = Config.default)
+    ~source ~target () =
   Obs.incr runs;
   Trace.with_span "csp.resilient.ladder" (fun () ->
       annotated
@@ -161,25 +161,30 @@ let ladder ~engine_call ?(policy = Policy.default) ?fallback
               { config with Config.restrict = Some restrict }
             | `Restrict_unchanged -> config
           in
-          (* the fallback inherits the AC-3-pruned restriction: rung
-             one's certificate work transfers across backends *)
-          let fallback =
-            Option.map
-              (fun (name, call) ->
-                (name, fun limits -> call ~config:{ config with limits }))
-              fallback
-          in
-          retry ?fallback policy ~limits:config.Config.limits
-            (fun ~attempt limits ->
+          retry policy ~limits:config.Config.limits (fun ~attempt limits ->
               let config = attempt_config policy ~attempt ~limits config in
               engine_call ~config ~source ~target ())))
 
-let solve ?policy ?fallback ?config ~source ~target () =
+let solve ?policy ?config ~source ~target () =
   ladder ~engine_call:(fun ~config ~source ~target () ->
       Engine.solve ~config ~source ~target ())
-    ?policy ?fallback ?config ~source ~target ()
+    ?policy ?config ~source ~target ()
 
-let satisfiable ?policy ?fallback ?config ~source ~target () =
+let satisfiable ?policy ?config ~source ~target () =
   ladder ~engine_call:(fun ~config ~source ~target () ->
       Engine.satisfiable ~config ~source ~target ())
-    ?policy ?fallback ?config ~source ~target ()
+    ?policy ?config ~source ~target ()
+
+type graded = [ `Exact of bool | `Lower_bound of bool ]
+
+let graded ~exact ~degraded ~exhausted r =
+  match r.outcome with
+  | Engine.Sat _ ->
+    Obs.incr exact;
+    `Exact true
+  | Engine.Unsat ->
+    Obs.incr exact;
+    `Exact false
+  | Engine.Unknown _ ->
+    Obs.incr degraded;
+    exhausted ()

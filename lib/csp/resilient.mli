@@ -17,15 +17,14 @@
       seed explores a different prefix of the search tree, so an attempt
       that got stuck under one ordering may finish instantly under
       another);
-    + {b cross-backend fallback} — when every attempt trips and a
-      [?fallback] backend was supplied (e.g. the SAT backend of
-      [Certdb_sat], or the CSP engine when SAT was primary), run it
-      once under the fully escalated limits; a definitive answer gets
-      rung [Fallback name], an [Unknown] keeps the primary's outcome;
+    + {b cross-backend fallback} — {!run} only: when every attempt
+      trips and a [?fallback] was supplied (the CSP engine when CDCL was
+      primary, see [Certain.certain_cq_resilient]), run it once under
+      the fully escalated limits; a definitive answer gets rung
+      [Fallback name], an [Unknown] keeps the primary's outcome;
     + {b degrade} — if every attempt trips, the final [Unknown] is
       reported with rung {!Exhausted}; domain layers (certain answers)
-      then fall back to a sound under-approximation — see
-      [Certain.certain_cq_resilient] and friends.
+      then turn it into a graded answer with {!graded}.
 
     Invariant (qcheck-checked in [test_resilient.ml]): no policy ever
     converts a definitive [Sat]/[Unsat] into anything else — a
@@ -118,14 +117,10 @@ val run :
   (attempt:int -> Engine.Limits.t -> 'a Engine.outcome) ->
   'a run
 
-(** [solve ?policy ?fallback ?config ~source ~target ()] — the full
-    ladder over {!Engine.solve}.  [config.limits] is the attempt-1
-    budget.  The [fallback] backend receives the config it should run
-    under — escalated limits plus the AC-3-pruned restriction from the
-    propagation rung, so certificate work transfers across backends. *)
+(** [solve ?policy ?config ~source ~target ()] — the full ladder over
+    {!Engine.solve}.  [config.limits] is the attempt-1 budget. *)
 val solve :
   ?policy:Policy.t ->
-  ?fallback:string * (config:Engine.Config.t -> Engine.hom Engine.outcome) ->
   ?config:Engine.Config.t ->
   source:Structure.t ->
   target:Structure.t ->
@@ -135,9 +130,25 @@ val solve :
 (** Ladder over {!Engine.satisfiable}. *)
 val satisfiable :
   ?policy:Policy.t ->
-  ?fallback:string * (config:Engine.Config.t -> unit Engine.outcome) ->
   ?config:Engine.Config.t ->
   source:Structure.t ->
   target:Structure.t ->
   unit ->
   unit run
+
+(** A graded certain answer: [`Exact b] settles the question,
+    [`Lower_bound b] is what a layer can still certify once every
+    attempt tripped. *)
+type graded = [ `Exact of bool | `Lower_bound of bool ]
+
+(** [graded ~exact ~degraded ~exhausted r] — the ladder run of a
+    certainty layer as a graded answer: [Sat] is [`Exact true] and
+    [Unsat] is [`Exact false], both counted on [exact]; an [Unknown]
+    counts on [degraded] and answers [exhausted ()], the layer's own
+    sound reading of "no verdict within budget". *)
+val graded :
+  exact:Certdb_obs.Obs.counter ->
+  degraded:Certdb_obs.Obs.counter ->
+  exhausted:(unit -> graded) ->
+  'a run ->
+  graded

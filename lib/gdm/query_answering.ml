@@ -169,29 +169,19 @@ let certain_resilient ?policy ?(limits = Engine.Limits.unlimited)
     Obs.incr resilient_exact;
     `Exact (naive_holds db f)
   end
-  else if Logic.is_existential f then begin
-    let r =
-      Resilient.run ?policy ~limits (fun ~attempt:_ limits ->
-          match certain_existential_b ~limits db f with
-          | `True -> Engine.Sat ()
-          | `False -> Engine.Unsat
-          | `Unknown reason -> Engine.Unknown reason)
-    in
-    match r.Resilient.outcome with
-    | Engine.Sat () ->
-      Obs.incr resilient_exact;
-      `Exact true
-    | Engine.Unsat ->
-      Obs.incr resilient_exact;
-      `Exact false
-    | Engine.Unknown _ ->
-      Obs.incr resilient_degraded;
-      (* with negation in [f], evaluating one completion certifies only
-         refutation: false on a single image settles non-certainty, true
-         on it says nothing about the others *)
-      if not (Logic.holds (fresh_completion db) f) then `Exact false
-      else `Lower_bound false
-  end
+  else if Logic.is_existential f then
+    Resilient.run ?policy ~limits (fun ~attempt:_ limits ->
+        match certain_existential_b ~limits db f with
+        | `True -> Engine.Sat ()
+        | `False -> Engine.Unsat
+        | `Unknown reason -> Engine.Unknown reason)
+    |> Resilient.graded ~exact:resilient_exact ~degraded:resilient_degraded
+         ~exhausted:(fun () ->
+           (* with negation in [f], evaluating one completion certifies
+              only refutation: false on a single image settles
+              non-certainty, true on it says nothing about the others *)
+           if not (Logic.holds (fresh_completion db) f) then `Exact false
+           else `Lower_bound false)
   else begin
     Obs.incr resilient_exact;
     `Exact (on_unsupported db f)

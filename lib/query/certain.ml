@@ -56,34 +56,37 @@ let certain_existential q d =
 
 let certain_ucq = naive_eval_ucq
 
-let certain_cq_via_hom q d =
-  let tableau, _ = Cq.freeze q in
-  Ordering.leq tableau d
-
-let certain_cq_via_hom_b ?limits q d =
-  let tableau, _ = Cq.freeze q in
-  Ordering.leq_b ?limits tableau d
-
 let certain_cq_via_containment q d = Cq.contained (Cq.of_instance d) q
 let certain_cq_via_naive q d = Cq.holds q d
 
-(* {2 Bounded-treewidth route (Theorem 6 / Lemma 4)} *)
+(* {2 Prop. 2 as one hom instance, decided by any solver} *)
 
-module Structure = Certdb_csp.Structure
-module Bounded_tw = Certdb_csp.Bounded_tw
-module Treewidth = Certdb_csp.Treewidth
-module Int_set = Structure.Int_set
+module Engine = Certdb_csp.Engine
+module Decider = Certdb_csp.Decider
+module Resilient = Certdb_csp.Resilient
+module Sat_backend = Certdb_sat.Backend
 
-module Domains = Certdb_csp.Domains
+(* [D_Q ⊑ D] as an R-compatible hom problem, built once per call by
+   every Boolean-certainty route: the query's variables are frozen to
+   fresh nulls and its atoms with arguments go through [Hom.encode], so
+   source nodes are numbered by first occurrence in the query and
+   constants are pinned.  The DPs and the reference core ignore 0-ary
+   facts, so 0-ary atoms are checked against [d] directly: [settled] is
+   [Some b] when they, or an empty remainder, decide the query without a
+   search. *)
+type instance = { settled : bool option; hom : Hom.encoding Lazy.t }
 
-(* [D_Q ⊑ D] as an R-compatible hom problem — the shared encoding behind
-   the bounded-treewidth, component-parallel and SAT routes: the query's
-   variables are frozen to fresh nulls and the tableau, as an atom list,
-   goes through [Hom.encode], so source nodes are numbered by first
-   occurrence in the query.  Both DPs ignore 0-ary facts, so
-   propositional atoms are partitioned out for a direct check against
-   [d]. *)
-let cq_hom_encode positive d =
+let instance q d =
+  if q.Cq.head <> [] then invalid_arg "Certain: Boolean query only";
+  let zero_ary, positive =
+    List.partition (fun (a : Cq.atom) -> a.args = []) q.Cq.atoms
+  in
+  let zero_ok =
+    List.for_all
+      (fun (a : Cq.atom) ->
+        List.exists (fun t -> Array.length t = 0) (Instance.tuples d a.rel))
+      zero_ary
+  in
   let frozen = Hashtbl.create 16 in
   let value = function
     | Fo.Val v -> v
@@ -95,88 +98,65 @@ let cq_hom_encode positive d =
         Hashtbl.replace frozen x n;
         n)
   in
-  Hom.encode
-    (List.map
-       (fun (a : Cq.atom) -> Instance.fact a.rel (List.map value a.args))
-       positive)
-    d
+  {
+    settled =
+      (if not zero_ok then Some false
+       else if positive = [] then Some true
+       else None);
+    hom =
+      lazy
+        (Hom.encode
+           (List.map
+              (fun (a : Cq.atom) ->
+                Instance.fact a.rel (List.map value a.args))
+              positive)
+           d);
+  }
 
-let cq_zero_split q d =
-  let zero_ary, positive =
-    List.partition (fun (a : Cq.atom) -> a.args = []) q.Cq.atoms
-  in
-  let zero_ok =
-    List.for_all
-      (fun (a : Cq.atom) ->
-        List.exists (fun t -> Array.length t = 0) (Instance.tuples d a.rel))
-      zero_ary
-  in
-  (zero_ok, positive)
+let decide (decider : Decider.t) ~limits inst =
+  match inst.settled with
+  | Some true -> Engine.Sat ()
+  | Some false -> Engine.Unsat
+  | None ->
+    let { Hom.source; target; restrict; _ } = Lazy.force inst.hom in
+    decider.satisfiable (Engine.Config.make ~limits ~restrict ()) source target
+
+(* the one span of every Boolean-certainty route, labelled with the
+   solver that decides it *)
+let with_instance ~solver q d f =
+  Obs.incr certain_checks;
+  Trace.with_span "query.certain_cq" ~labels:[ ("solver", solver) ]
+  @@ fun () -> f (instance q d)
+
+let decide_cq ?(limits = Engine.Limits.unlimited) (decider : Decider.t) q d =
+  with_instance ~solver:decider.name q d (decide decider ~limits)
+
+let certain_cq_via_decider ?limits decider q d =
+  Engine.decision_of_outcome (decide_cq ?limits decider q d)
+
+let certain_cq_via_hom_b ?limits q d =
+  certain_cq_via_decider ?limits Decider.engine q d
+
+let certain_cq_via_sat_b ?limits ?symmetry q d =
+  certain_cq_via_decider ?limits (Sat_backend.decider ?symmetry ()) q d
+
+let certain_cq_via_hom q d =
+  Option.is_some (Certdb_csp.Solver.definitive (decide_cq Decider.engine q d))
+
+(* {2 Bounded-treewidth route (Theorem 6 / Lemma 4)} *)
 
 let certain_cq_via_btw ?decomposition q d =
-  if q.Cq.head <> [] then
-    invalid_arg "Certain.certain_cq_via_btw: Boolean query only";
-  Obs.incr certain_checks;
-  Trace.with_span "query.certain_btw" @@ fun () ->
-  let zero_ok, positive = cq_zero_split q d in
-  if not zero_ok then false
-  else if positive = [] then true
-  else begin
-    let { Hom.source; target; restrict; _ } = cq_hom_encode positive d in
+  with_instance ~solver:"btw" q d @@ fun inst ->
+  match inst.settled with
+  | Some b -> b
+  | None ->
+    let { Hom.source; target; restrict; _ } = Lazy.force inst.hom in
     let decomposition =
       match decomposition with
       | Some dec -> dec
-      | None -> fst (Treewidth.estimate source)
+      | None -> fst (Certdb_csp.Treewidth.estimate source)
     in
-    Bounded_tw.r_hom ~decomposition ~restrict ~source ~target ()
-  end
-
-(* The component-parallel route: a query with disconnected atom groups
-   (a cartesian-product query) decomposes into one hom instance per
-   connected component of the tableau; [Engine.Components] solves them
-   independently — on [jobs] domains when asked — and conjoins.  Always
-   budget-sound: [`Unknown] only when a limit trips. *)
-let certain_cq_via_components ?(jobs = 1)
-    ?(limits = Certdb_csp.Engine.Limits.unlimited) q d =
-  if q.Cq.head <> [] then
-    invalid_arg "Certain.certain_cq_via_components: Boolean query only";
-  Obs.incr certain_checks;
-  Trace.with_span "query.certain_components" @@ fun () ->
-  let zero_ok, positive = cq_zero_split q d in
-  if not zero_ok then `False
-  else if positive = [] then `True
-  else begin
-    let { Hom.source; target; restrict; _ } = cq_hom_encode positive d in
-    let config =
-      Certdb_csp.Engine.Config.make ~limits ~restrict ()
-    in
-    Certdb_csp.Engine.decision_of_outcome
-      (Certdb_csp.Engine.Components.satisfiable ~config ~jobs ~source
-         ~target ())
-  end
-
-(* {2 The SAT backend route} *)
-
-module Engine = Certdb_csp.Engine
-module Sat_backend = Certdb_sat.Backend
-
-(* Same reduction as the components/btw routes — the tableau as source,
-   the active domain as target, constants pinned by [restrict] — but
-   decided by CNF encoding + CDCL instead of backtracking search. *)
-let certain_cq_via_sat_b ?limits ?symmetry q d =
-  if q.Cq.head <> [] then
-    invalid_arg "Certain.certain_cq_via_sat_b: Boolean query only";
-  Obs.incr certain_checks;
-  Trace.with_span "query.certain_sat" @@ fun () ->
-  let zero_ok, positive = cq_zero_split q d in
-  if not zero_ok then `False
-  else if positive = [] then `True
-  else begin
-    let { Hom.source; target; restrict; _ } = cq_hom_encode positive d in
-    let config = Engine.Config.make ?limits ~restrict () in
-    Engine.decision_of_outcome
-      (Sat_backend.satisfiable ~config ?symmetry ~source ~target ())
-  end
+    Certdb_csp.Bounded_tw.r_hom ~decomposition ~restrict ~source ~target ()
 
 (* The same instance, exported as DIMACS CNF for external solvers.  The
    0-ary split is not expressible in clauses over the encoding's
@@ -184,62 +164,43 @@ let certain_cq_via_sat_b ?limits ?symmetry q d =
    comment; a [zero_ok=false] instance is unsatisfiable regardless of
    the clauses below it. *)
 let certain_cq_dimacs ?symmetry q d =
-  if q.Cq.head <> [] then
-    invalid_arg "Certain.certain_cq_dimacs: Boolean query only";
-  let zero_ok, positive = cq_zero_split q d in
-  let { Hom.source; target; restrict; _ } = cq_hom_encode positive d in
+  let inst = instance q d in
+  let { Hom.source; target; restrict; _ } = Lazy.force inst.hom in
   let comments =
-    [ Printf.sprintf "certdb Boolean-CQ certainty; zero_ok=%b" zero_ok ]
+    [
+      Printf.sprintf "certdb Boolean-CQ certainty; zero_ok=%b"
+        (inst.settled <> Some false);
+    ]
   in
   Sat_backend.dimacs ~restrict ?symmetry ~comments ~source ~target ()
 
 (* {2 Graceful degradation} *)
 
-module Resilient = Certdb_csp.Resilient
-
 let resilient_exact = Obs.counter "query.resilient.exact"
 let resilient_degraded = Obs.counter "query.resilient.degraded"
 
-let outcome_of_decision = function
-  | `True -> Engine.Sat ()
-  | `False -> Engine.Unsat
-  | `Unknown r -> Engine.Unknown r
-
 let certain_cq_resilient ?policy ?(limits = Engine.Limits.unlimited)
-    ?(backend = `Csp) q d =
-  Obs.incr certain_checks;
-  let csp limits = outcome_of_decision (certain_cq_via_hom_b ~limits q d) in
-  let sat limits = outcome_of_decision (certain_cq_via_sat_b ~limits q d) in
-  let r =
-    match backend with
-    | `Csp ->
-      Resilient.run ?policy ~limits (fun ~attempt:_ limits -> csp limits)
-    | `Sat ->
-      (* SAT primary; if every CDCL attempt trips (or crashes), retry
-         once on the CSP engine before degrading *)
-      Resilient.run ?policy ~fallback:("csp", csp) ~limits
-        (fun ~attempt:_ limits -> sat limits)
+    ?fallback (decider : Decider.t) q d =
+  with_instance ~solver:decider.name q d @@ fun inst ->
+  let fallback =
+    Option.map
+      (fun (f : Decider.t) -> (f.name, fun limits -> decide f ~limits inst))
+      fallback
   in
-  match r.Resilient.outcome with
-  | Engine.Sat () ->
-    Obs.incr resilient_exact;
-    `Exact true
-  | Engine.Unsat ->
-    Obs.incr resilient_exact;
-    `Exact false
-  | Engine.Unknown _ ->
-    (* every retry tripped: degrade to naïve evaluation, which is sound
-       for certain answers (Theorem 4) and never budgeted.  It is still
-       a hom-shaped evaluation, so a permanent injected crash at
-       csp.search.node would kill this last rung too — [false] is the
-       trivially sound floor, and the graded contract survives *)
-    Obs.incr resilient_degraded;
-    let lower =
-      match certain_cq_via_naive q d with
-      | b -> b
-      | exception Certdb_obs.Fault.Injected _ -> false
-    in
-    `Lower_bound lower
+  Resilient.run ?policy ?fallback ~limits (fun ~attempt:_ limits ->
+      decide decider ~limits inst)
+  |> Resilient.graded ~exact:resilient_exact ~degraded:resilient_degraded
+       ~exhausted:(fun () ->
+         (* every retry tripped: degrade to naïve evaluation, which is
+            sound for certain answers (Theorem 4) and never budgeted.  It
+            is still a hom-shaped evaluation, so a permanent injected
+            crash at csp.search.node would kill this last rung too —
+            [false] is the trivially sound floor, and the graded contract
+            survives *)
+         `Lower_bound
+           (match certain_cq_via_naive q d with
+           | b -> b
+           | exception Certdb_obs.Fault.Injected _ -> false))
 
 let certain_holds_cwa q d =
   Obs.incr certain_checks;

@@ -72,27 +72,43 @@ val possible_ucq : Ucq.t -> Instance.t -> Instance.t
     (provably equal to the enumeration semantics). *)
 val certain_ucq : Ucq.t -> Instance.t -> Instance.t
 
-(** {1 Prop. 2 — the three equivalent views for Boolean CQs} *)
+(** {1 Prop. 2 — the three equivalent views for Boolean CQs}
 
-(** [certain_cq_via_hom q d] — [D_Q ⊑ D]. *)
+    Every hom-shaped route below decides the same instance: the query's
+    variables frozen to fresh nulls and its atoms with arguments
+    encoded once by {!Hom.encode} (constants pinned to themselves), with
+    0-ary atoms checked against [d] directly.  They differ only in the
+    solver that decides it.  Each call counts on [query.certain_checks]
+    and runs in one [query.certain_cq] span labelled with the solver's
+    name.  All of them raise [Invalid_argument] on a non-Boolean query. *)
+
+(** [certain_cq_via_decider ?limits decider q d] — budgeted [D_Q ⊑ D]
+    decided by [decider] (default [limits]: unlimited): [`Unknown r]
+    when a limit of [limits] tripped, never a wrong [`True]/[`False]. *)
+val certain_cq_via_decider :
+  ?limits:Certdb_csp.Engine.Limits.t ->
+  Certdb_csp.Decider.t ->
+  Cq.t ->
+  Instance.t ->
+  Certdb_csp.Engine.decision
+
+(** [certain_cq_via_hom q d] — [D_Q ⊑ D] on the bitset engine, unlimited.
+    @raise Certdb_obs.Fault.Injected when an armed fault crashes the
+    search. *)
 val certain_cq_via_hom : Cq.t -> Instance.t -> bool
 
-(** Budgeted [D_Q ⊑ D] through the engine: [`Unknown r] when the hom
-    search tripped a limit of [limits], never a wrong [`True]/[`False]. *)
+(** {!certain_cq_via_decider} on {!Certdb_csp.Decider.engine}. *)
 val certain_cq_via_hom_b :
   ?limits:Certdb_csp.Engine.Limits.t ->
   Cq.t ->
   Instance.t ->
   Certdb_csp.Engine.decision
 
-(** Budgeted [D_Q ⊑ D] decided by the SAT backend
-    ({!Certdb_sat.Backend}): the tableau/active-domain hom instance is
-    encoded to CNF (selector + tuple-support variables, symmetry
-    breaking over interchangeable variables unless [symmetry:false])
-    and handed to the CDCL core under [limits] (conflict budget ≈
-    backtrack budget).  Agrees with {!certain_cq_via_hom_b} on every
-    definitive answer; [`Unknown r] when a limit trips.
-    @raise Invalid_argument on a non-Boolean query. *)
+(** {!certain_cq_via_decider} on the SAT backend's CDCL decider
+    ({!Certdb_sat.Backend.decider}): the instance is encoded to CNF
+    (selector + tuple-support variables, symmetry breaking over
+    interchangeable variables unless [symmetry:false]) and solved under
+    [limits] (conflict budget ≈ backtrack budget). *)
 val certain_cq_via_sat_b :
   ?limits:Certdb_csp.Engine.Limits.t ->
   ?symmetry:bool ->
@@ -104,27 +120,25 @@ val certain_cq_via_sat_b :
     instance in DIMACS format, for cross-checking against external
     solvers ([certdb sat dimacs]).  The 0-ary-fact precondition is
     reported in a [c] comment ([zero_ok=false] means the instance is
-    unsatisfiable irrespective of the clauses).
-    @raise Invalid_argument on a non-Boolean query. *)
+    unsatisfiable irrespective of the clauses). *)
 val certain_cq_dimacs : ?symmetry:bool -> Cq.t -> Instance.t -> string
 
-(** [certain_cq_resilient ?policy ?limits ?backend q d] — Boolean CQ
-    certainty that degrades instead of giving up.  The exact procedure
-    is the Prop. 2 hom check [D_Q ⊑ D] under the retry/escalation
-    ladder of {!Certdb_csp.Resilient}; if every attempt trips its
-    budget the answer degrades to naïve evaluation, which is {e sound}
-    for certain answers (Theorem 4 — for plain CQs over naïve tables it
-    is in fact exact, but the resilient API certifies only the sound
-    direction, the guarantee that generalizes to the gdm/xml regimes).
+(** [certain_cq_resilient ?policy ?limits ?fallback decider q d] —
+    Boolean CQ certainty that degrades instead of giving up.  The
+    instance is encoded once; [decider] then runs under the
+    retry/escalation ladder of {!Certdb_csp.Resilient.run}, and when
+    every attempt trips, [fallback] (if any) runs once under the fully
+    escalated limits (rung [fallback[<name>]]).  If that trips too, the
+    answer degrades to naïve evaluation, which is {e sound} for certain
+    answers (Theorem 4 — for plain CQs over naïve tables it is in fact
+    exact, but the resilient API certifies only the sound direction,
+    the guarantee that generalizes to the gdm/xml regimes).  Crossing
+    solvers never flips a definitive answer: the fallback only runs on
+    [Unknown].  Which decider pair a query gets is the planner's job
+    ([Certdb_analysis.Plan.certain]), the one caller outside tests.
+    Results:
 
-    [backend] picks the primary solver: [`Csp] (default) runs the CSP
-    ladder; [`Sat] runs the CDCL backend with a CSP fallback rung on
-    exhaustion.  Crossing backends never flips a definitive answer (the
-    fallback only runs on [Unknown]).  Choosing between the two per
-    query is the planner's job ([Certdb_analysis.Plan.certain]), which
-    is the one caller outside tests.  Results:
-
-    - [`Exact b] — the hom search settled it: [b] is the certain answer;
+    - [`Exact b] — a decider settled it: [b] is the certain answer;
     - [`Lower_bound true] — budgets exhausted, but naïve evaluation
       certifies the query {e is} certainly true;
     - [`Lower_bound false] — budgets exhausted and nothing certified:
@@ -138,41 +152,22 @@ val certain_cq_dimacs : ?symmetry:bool -> Cq.t -> Instance.t -> string
 val certain_cq_resilient :
   ?policy:Certdb_csp.Resilient.Policy.t ->
   ?limits:Certdb_csp.Engine.Limits.t ->
-  ?backend:[ `Csp | `Sat ] ->
+  ?fallback:Certdb_csp.Decider.t ->
+  Certdb_csp.Decider.t ->
   Cq.t ->
   Instance.t ->
   [ `Exact of bool | `Lower_bound of bool ]
 
 (** [certain_cq_via_btw ?decomposition q d] — [D_Q ⊑ D] by the
-    bounded-treewidth dynamic program of Theorem 6: the query's terms
-    become an unlabeled structure, [d]'s active domain the target, and
-    the candidate relation pins constants to themselves while leaving
-    variables free.  Polynomial for a fixed decomposition width (the
-    planner routes acyclic / low-width queries here); agrees with
-    {!certain_cq_via_hom} on every Boolean CQ.  When [decomposition] is
-    absent the better of the two {!Certdb_csp.Treewidth} heuristics is
-    used.
-    @raise Invalid_argument on a non-Boolean query. *)
+    bounded-treewidth dynamic program of Theorem 6 over the same
+    instance: the query's terms are the source structure, [d]'s active
+    domain the target, and the candidate relation pins constants to
+    themselves while leaving variables free.  Polynomial for a fixed
+    decomposition width (the planner routes acyclic / low-width queries
+    here); unbudgeted.  When [decomposition] is absent the better of the
+    two {!Certdb_csp.Treewidth} heuristics is used. *)
 val certain_cq_via_btw :
   ?decomposition:Certdb_csp.Treewidth.t -> Cq.t -> Instance.t -> bool
-
-(** [certain_cq_via_components ?jobs ?limits q d] — [D_Q ⊑ D] by
-    connected-component decomposition: the tableau is split into the
-    connected components of its Gaifman graph (a cartesian-product query
-    yields several), each component is solved as an independent hom
-    instance on the shared target — in parallel on [jobs] domains when
-    [jobs > 1] — and the outcomes conjoined ({!Certdb_csp.Engine.Components}).
-    Shares the CQ→hom encoding (constants pinned, variables and null
-    literals free) with {!certain_cq_via_btw}.  Budget-sound: [`Unknown]
-    only when a component trips a limit of [limits], never a wrong
-    [`True]/[`False].
-    @raise Invalid_argument on a non-Boolean query. *)
-val certain_cq_via_components :
-  ?jobs:int ->
-  ?limits:Certdb_csp.Engine.Limits.t ->
-  Cq.t ->
-  Instance.t ->
-  Certdb_csp.Engine.decision
 
 (** [certain_cq_via_containment q d] — [Q_D ⊆ Q]. *)
 val certain_cq_via_containment : Cq.t -> Instance.t -> bool

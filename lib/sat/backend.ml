@@ -27,6 +27,14 @@ let satisfiable ?(config = Engine.Config.default) ?symmetry ~source ~target ()
   let t = encode ~config ?symmetry ~source ~target () in
   Cnf.satisfiable ~limits:config.Engine.Config.limits t
 
+let decider ?symmetry () =
+  {
+    Certdb_csp.Decider.name = "sat";
+    satisfiable =
+      (fun config source target ->
+        satisfiable ~config ?symmetry ~source ~target ());
+  }
+
 module Recorded = Encode.Make (Dimacs.Recorder)
 
 let dimacs ?restrict ?symmetry ?(comments = []) ~source ~target () =

@@ -53,6 +53,9 @@ val satisfiable :
   unit ->
   unit Engine.outcome
 
+(** {!satisfiable} as a {!Certdb_csp.Decider.t} named ["sat"]. *)
+val decider : ?symmetry:bool -> unit -> Certdb_csp.Decider.t
+
 (** [dimacs ?restrict ?symmetry ?comments ~source ~target ()] — the
     instance's CNF in DIMACS format, with an encoding-stats comment
     line appended. *)

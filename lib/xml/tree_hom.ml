@@ -55,23 +55,13 @@ let resilient_exact = Obs.counter "xml.resilient.exact"
 let resilient_degraded = Obs.counter "xml.resilient.degraded"
 
 let leq_resilient ?policy ?(limits = Engine.Limits.unlimited) t t' =
-  let r =
-    Resilient.run ?policy ~limits (fun ~attempt:_ limits ->
-        find_b ~limits t t')
-  in
-  match r.Resilient.outcome with
-  | Engine.Sat _ ->
-    Obs.incr resilient_exact;
-    `Exact true
-  | Engine.Unsat ->
-    Obs.incr resilient_exact;
-    `Exact false
-  | Engine.Unknown _ ->
-    (* for tree hom existence the only positive certificate is a witness,
-       and the only negative one is exhaustion; once every retry trips
-       there is nothing sound left to certify *)
-    Obs.incr resilient_degraded;
-    `Lower_bound false
+  Resilient.run ?policy ~limits (fun ~attempt:_ limits -> find_b ~limits t t')
+  |> Resilient.graded ~exact:resilient_exact ~degraded:resilient_degraded
+       ~exhausted:(fun () ->
+         (* for tree hom existence the only positive certificate is a
+            witness, and the only negative one is exhaustion; once every
+            retry trips there is nothing sound left to certify *)
+         `Lower_bound false)
 
 let mem_resilient ?policy ?limits t' t =
   if not (Tree.is_complete t') then begin

@@ -340,6 +340,99 @@ let test_certain_answers_route () =
   check "agrees with Certain.certain_ucq" true
     (Instance.equal got (Certain.certain_ucq u d))
 
+(* --- certainty against its definition --- *)
+
+module Decider = Certdb_csp.Decider
+module Backend = Certdb_sat.Backend
+module Semantics = Certdb_relational.Semantics
+
+(* Boolean CQs over R/2, S/1 and the propositional P/0, with constants
+   from 1..4.  Atoms draw their variables from one of two disjoint pools,
+   so many queries are cartesian products; two thirds start with a
+   triangle, plain or symmetric, so that the planner's search routes
+   (components, hom ladder, SAT) are taken at width threshold 0. *)
+let definition_cq st =
+  let pools = [| [| "x"; "y"; "z" |]; [| "w" |] |] in
+  let atom () =
+    if Random.State.int st 6 = 0 then ("P", [])
+    else
+      let pool = pools.(Random.State.int st 2) in
+      let term () =
+        if Random.State.int st 5 = 0 then Fo.Val (c (1 + Random.State.int st 4))
+        else Fo.Var pool.(Random.State.int st (Array.length pool))
+      in
+      if Random.State.int st 3 = 0 then ("S", [ term () ])
+      else ("R", [ term (); term () ])
+  in
+  let edge a b = ("R", [ Fo.Var a; Fo.Var b ]) in
+  let triangle = [ edge "x" "y"; edge "y" "z"; edge "z" "x" ] in
+  let cycle =
+    match Random.State.int st 3 with
+    | 0 -> []
+    | 1 -> triangle
+    | _ -> triangle @ [ edge "y" "x"; edge "z" "y"; edge "x" "z" ]
+  in
+  Cq.boolean (cycle @ List.init (1 + Random.State.int st 4) (fun _ -> atom ()))
+
+(* at most 3 nulls and 4 constants *)
+let definition_instance st =
+  let value () =
+    if Random.State.int st 3 = 0 then Value.null (8200 + Random.State.int st 3)
+    else c (1 + Random.State.int st 4)
+  in
+  let facts n tuple = List.init (Random.State.int st n) (fun _ -> tuple ()) in
+  Instance.of_list
+    [
+      ("R", facts 9 (fun () -> [ value (); value () ]));
+      ("S", facts 3 (fun () -> [ value () ]));
+      ("P", facts 2 (fun () -> []));
+    ]
+
+(* certain(Q, D) by definition: Q holds in every completion of D over
+   its constants, the query's constants and one fresh constant per null *)
+let certain_by_definition q d =
+  let f = Cq.to_fo q in
+  List.for_all
+    (fun (_, world) -> Fo.holds world f)
+    (Semantics.sample_completions ~extra:(Fo.constants f) d)
+
+let qcheck_certain_matches_definition =
+  let print (q, d) =
+    Format.asprintf "%a over %a" Cq.pp q Instance.pp d
+  in
+  QCheck.Test.make ~count:500
+    ~name:"every decider and route matches the definition of certainty"
+    (QCheck.make ~print (fun st -> (definition_cq st, definition_instance st)))
+    (fun (q, d) ->
+      let expected = certain_by_definition q d in
+      let deciders =
+        [
+          Decider.engine; Decider.components ~jobs:1;
+          Decider.components ~jobs:2; Backend.decider ();
+          Backend.decider ~symmetry:false (); Decider.reference;
+        ]
+      in
+      List.iter
+        (fun (decider : Decider.t) ->
+          match Certain.certain_cq_via_decider decider q d with
+          | `True when expected -> ()
+          | `False when not expected -> ()
+          | _ -> QCheck.Test.fail_reportf "decider %s disagrees" decider.name)
+        deciders;
+      if Certain.certain_cq_via_btw q d <> expected then
+        QCheck.Test.fail_report "btw disagrees";
+      List.iter
+        (fun (backend, width_threshold) ->
+          match Plan.certain ~backend ~width_threshold q d with
+          | `Exact b when b = expected -> ()
+          | _ ->
+            QCheck.Test.fail_reportf "Plan.certain ~backend:%s disagrees"
+              (Backend.choice_to_string backend))
+        (List.concat_map
+           (fun b -> [ (b, 2); (b, 0) ])
+           [ Backend.Csp; Backend.Sat; Backend.Auto ]);
+      true)
+
 (* --- constraint certificates: FDs over nulls, independence, footprints --- *)
 
 let fd_r = Fd.fd ~rel:"R" ~lhs:[ 0 ] ~rhs:[ 1 ]
@@ -531,6 +624,7 @@ let () =
           Alcotest.test_case "routes" `Quick test_routes;
           QCheck_alcotest.to_alcotest qcheck_planner_agrees_with_oracle;
           QCheck_alcotest.to_alcotest qcheck_btw_agrees_with_hom;
+          QCheck_alcotest.to_alcotest qcheck_certain_matches_definition;
           Alcotest.test_case "certain_answers route" `Quick
             test_certain_answers_route;
           Alcotest.test_case "route counters exactly once" `Quick

@@ -239,7 +239,7 @@ let test_certain_cq_resilient_sound () =
      a zero budget the resilient path must degrade to that sound lower
      bound *)
   let d_loop = Instance.of_list [ ("R", [ [ c 1; c 2 ]; [ c 5; c 5 ] ]) ] in
-  (match Certain.certain_cq_resilient ~policy ~limits:tight cycle3_q d_loop with
+  (match Certain.certain_cq_resilient ~policy ~limits:tight Decider.engine cycle3_q d_loop with
   | `Lower_bound b ->
     check "lower bound is sound" true
       ((not b) || Certain.certain_cq_via_hom cycle3_q d_loop);
@@ -248,15 +248,15 @@ let test_certain_cq_resilient_sound () =
   (* 2-cycle instance: an odd cycle has no hom into it, the certain
      answer is false; the degraded answer must not claim true *)
   let d2 = Instance.of_list [ ("R", [ [ c 1; c 2 ]; [ c 2; c 1 ] ]) ] in
-  (match Certain.certain_cq_resilient ~policy ~limits:tight cycle3_q d2 with
+  (match Certain.certain_cq_resilient ~policy ~limits:tight Decider.engine cycle3_q d2 with
   | `Lower_bound b | `Exact b ->
     check "never claims an uncertain true" true
       ((not b) || Certain.certain_cq_via_hom cycle3_q d2));
   (* unlimited: exact, agreeing with the oracle on both instances *)
-  (match Certain.certain_cq_resilient cycle3_q d_loop with
+  (match Certain.certain_cq_resilient Decider.engine cycle3_q d_loop with
   | `Exact true -> ()
   | _ -> Alcotest.fail "unlimited on the loop instance must be `Exact true");
-  match Certain.certain_cq_resilient cycle3_q d2 with
+  match Certain.certain_cq_resilient Decider.engine cycle3_q d2 with
   | `Exact false -> ()
   | _ -> Alcotest.fail "unlimited on the 2-cycle must be `Exact false"
 
@@ -328,7 +328,8 @@ let test_certain_cq_degrade_survives_permanent_crash () =
   Fault.with_armed [ ("csp.search.node", Fault.Every 1) ] @@ fun () ->
   let d = Instance.of_list [ ("R", [ [ c 5; c 5 ] ]) ] in
   match
-    Certain.certain_cq_resilient ~policy:Resilient.Policy.no_retry cycle3_q d
+    Certain.certain_cq_resilient ~policy:Resilient.Policy.no_retry Decider.engine
+      cycle3_q d
   with
   | `Lower_bound false -> ()
   | _ -> Alcotest.fail "expected the trivially sound `Lower_bound false"

@@ -13,6 +13,7 @@ module Cdcl = Certdb_sat.Solver.Cdcl
 module Dimacs = Certdb_sat.Dimacs
 module Encode = Certdb_sat.Encode
 module Backend = Certdb_sat.Backend
+module Decider = Certdb_csp.Decider
 module Instance = Certdb_relational.Instance
 module Cq = Certdb_query.Cq
 module Certain = Certdb_query.Certain
@@ -308,7 +309,8 @@ let test_certain_sat_crash_crosses_to_csp () =
   let before = counter_value "csp.resilient.crossed" in
   let answer =
     Fault.with_armed [ ("csp.sat.conflict", Fault.Every 1) ] @@ fun () ->
-    Certain.certain_cq_resilient ~backend:`Sat triangle_cq k2
+    Certain.certain_cq_resilient ~fallback:Decider.engine (Backend.decider ())
+      triangle_cq k2
   in
   (* every CDCL attempt crashed; the CSP rung still settles it exactly *)
   check "exact despite sat crash" true (answer = `Exact false);
@@ -318,12 +320,14 @@ let test_certain_sat_crash_crosses_to_csp () =
 
 let test_certain_backends_never_flip () =
   List.iter
-    (fun backend ->
+    (fun (decider, fallback) ->
       check "triangle/k2 false" true
-        (Certain.certain_cq_resilient ~backend triangle_cq k2 = `Exact false);
+        (Certain.certain_cq_resilient ?fallback decider triangle_cq k2
+        = `Exact false);
       check "triangle/k3 true" true
-        (Certain.certain_cq_resilient ~backend triangle_cq k3 = `Exact true))
-    [ `Csp; `Sat ];
+        (Certain.certain_cq_resilient ?fallback decider triangle_cq k3
+        = `Exact true))
+    [ (Decider.engine, None); (Backend.decider (), Some Decider.engine) ];
   (* Auto is the planner's choice between the two *)
   List.iter
     (fun backend ->
