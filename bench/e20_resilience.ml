@@ -1,20 +1,20 @@
 (* E20 — the Resilient retry/escalation ladder: how many of a family of
    budget-starved hom searches each policy settles, at what cost.  Every
-   instance runs under the same tight per-attempt node budget; policies
-   differ in attempts, escalation factor, and whether retries use seeded
-   randomized restarts.  Definitive answers are checked against the
+   instance runs the bitset engine's decider under the same tight
+   attempt-1 node budget through [Resilient.run]; the policies differ in
+   attempts and escalation.  Definitive answers are checked against the
    unlimited engine, so a policy can only trade "unknown" for work —
    never for a wrong answer (the Resilient invariant). *)
 
 module Engine = Certdb_csp.Engine
 module Resilient = Certdb_csp.Resilient
 module Structure = Certdb_csp.Structure
-module Config = Certdb_csp.Engine.Config
+module Decider = Certdb_csp.Decider
 module Obs = Certdb_obs.Obs
 
 (* adversarial-ish random digraph pairs: dense-enough sources into
    sparser targets, so a fair share of instances are Unsat with a large
-   refutation tree — exactly where budgets trip and restarts matter *)
+   refutation tree — exactly where budgets trip and escalation matters *)
 let instances n =
   List.init n (fun i ->
       let st = Random.State.make [| 0xe20; i |] in
@@ -37,23 +37,17 @@ let budget = 10 (* per-attempt node budget: starves a big minority *)
 let policies =
   [
     ("no-retry", Resilient.Policy.no_retry);
-    ( "escalate x4",
-      Resilient.Policy.make ~max_attempts:3 ~escalation:4.0 ~restart_seed:None
-        ~propagate_first:false () );
-    ( "escalate+restarts",
-      Resilient.Policy.make ~max_attempts:3 ~escalation:4.0
-        ~propagate_first:false () );
-    ( "full ladder",
-      Resilient.Policy.make ~max_attempts:3 ~escalation:4.0 () );
+    ("escalate x4", Resilient.Policy.make ~max_attempts:3 ~escalation:4.0 ());
   ]
 
 let run_policy policy pairs =
   List.map
     (fun (source, target) ->
-      let config =
-        Config.make ~limits:(Engine.Limits.make ~nodes:budget ()) ()
-      in
-      Resilient.satisfiable ~policy ~config ~source ~target ())
+      Resilient.run ~policy ~limits:(Engine.Limits.make ~nodes:budget ())
+        (fun limits ->
+          Decider.engine.satisfiable
+            (Engine.Config.make ~limits ())
+            source target))
     pairs
 
 let run () =
@@ -109,6 +103,6 @@ let micro () =
     [
       ( "e20/no-retry",
         fun () -> ignore (run_policy Resilient.Policy.no_retry pairs) );
-      ( "e20/full-ladder",
+      ( "e20/escalate-x4",
         fun () -> ignore (run_policy Resilient.Policy.default pairs) );
     ]

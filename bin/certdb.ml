@@ -193,8 +193,8 @@ let escalate_arg =
   Arg.(
     value & opt float 4.0
     & info [ "escalate" ] ~docv:"K"
-        ~doc:"Per-retry budget multiplier (attempt i runs under budget x \
-              K^(i-1)).")
+        ~doc:"Per-retry budget multiplier (attempt i runs under node and \
+              backtrack budgets x K^(i-1); the timeout is not scaled).")
 
 (* the one place the CLI builds a retry policy *)
 let policy_of_flags max_attempts escalate =
@@ -210,29 +210,37 @@ let policy_of_flags max_attempts escalate =
 
 (* shared search budget flags (certain, serve) *)
 let limits_term =
-  let doc what =
+  let serve = " For serve, the default for requests that set none." in
+  let budget what =
     what
-    ^ " Applies to each attempt of the retry ladder, measured from the \
-       start of that search; for serve, the default for requests that \
-       set none."
+    ^ " Attempt 1 of the retry ladder runs under it, and attempt i under \
+       it x K^(i-1) (see --escalate)."
+    ^ serve
   in
   let nodes =
     Arg.(
       value
       & opt (some int) None
-      & info [ "node-budget" ] ~docv:"N" ~doc:(doc "Search node budget."))
+      & info [ "node-budget" ] ~docv:"N" ~doc:(budget "Search node budget."))
   in
   let backtracks =
     Arg.(
       value
       & opt (some int) None
-      & info [ "backtrack-budget" ] ~docv:"N" ~doc:(doc "Backtrack budget."))
+      & info [ "backtrack-budget" ] ~docv:"N"
+          ~doc:(budget "Backtrack budget."))
   in
   let timeout_ms =
     Arg.(
       value
       & opt (some float) None
-      & info [ "timeout-ms" ] ~docv:"MS" ~doc:(doc "Wall-clock budget."))
+      & info [ "timeout-ms" ] ~docv:"MS"
+          ~doc:
+            ("Wall-clock budget: one deadline for the retry ladder, \
+              counted from its start.  Every attempt, and the SAT route's \
+              fallback, runs with the time left; once none is left, \
+              nothing more starts."
+            ^ serve))
   in
   Term.(
     const (fun nodes backtracks timeout_ms ->
@@ -258,9 +266,9 @@ let backend_arg =
           "Solver backend for Boolean certainty: csp (backtracking hom \
            search, the default), sat (CNF + CDCL with symmetry breaking \
            over interchangeable nulls), or auto (route per instance on the \
-           planner's certificates).  On the SAT route, budget exhaustion \
-           crosses to the CSP engine before degrading; the CSP ladder \
-           degrades directly.")
+           planner's certificates).  On the SAT route, an exhausted ladder \
+           crosses to the CSP engine within the time left; the CSP ladder \
+           answers its lower bound directly.")
 
 let certain_cmd =
   let run query degrade explain jobs backend limits max_attempts escalate d =
@@ -327,9 +335,9 @@ let certain_cmd =
       & info [ "degrade" ]
           ~doc:
             "Boolean query only: print the planner's graded answer, \
-             'exact: B' or, when every attempt tripped its budget, the \
-             sound naive lower bound 'lower-bound: B'; exit 1 unless it \
-             certifies truth.")
+             'exact: B' or, when every attempt tripped its budget or the \
+             deadline passed, 'lower-bound: false' (no witness within \
+             budget); exit 1 unless it certifies truth.")
   in
   let explain =
     Arg.(
@@ -665,8 +673,8 @@ let tree_member_cmd =
    under the retry ladder of --max-attempts / --escalate, and an unknown
    carries the tripped limit as "reason".  A certain line must be
    Boolean and is decided by the planner, as certain and serve decide
-   it: a lower bound from the degrade rung is "grade":"lower-bound",
-   with status sat when it certifies truth and unknown otherwise. *)
+   it: an exhausted ladder's lower bound is "grade":"lower-bound", with
+   status sat when it certifies truth and unknown otherwise. *)
 module Json = Obs.Json
 module Engine = Certdb_csp.Engine
 module Server = Certdb_service.Server

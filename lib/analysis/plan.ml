@@ -47,9 +47,9 @@ let count_route = function
 let default_width_threshold = 2
 
 (* A certainly-satisfied key FD on one of the query's relations: that
-   relation is key-determined in every completion, so the hom search has
-   no freedom there and plain naive evaluation (exact for Boolean CQs by
-   Prop. 2) is the cheap route. *)
+   relation is key-determined in every completion.  The FD is kept as
+   the route's certificate; the route itself runs the same budgeted hom
+   ladder as [Hom_ladder]. *)
 let key_fd_for (q : Cq.t) fds =
   List.find_opt
     (fun (f : Fd.fd) ->
@@ -156,9 +156,8 @@ let certain ?policy ?limits ?(jobs = 1) ?width_threshold ?fds ?backend
       | Naive_eval -> assert false (* Boolean queries never route here *)
       | Acyclic_join | Bounded_width _ ->
         `Exact (Certain.certain_cq_via_btw q d)
-      | Fd_naive _ -> `Exact (Certain.certain_cq_via_naive q d)
       | Components _ -> ladder (Decider.components ~jobs)
-      | Hom_ladder -> ladder Decider.engine
+      | Hom_ladder | Fd_naive _ -> ladder Decider.engine
       | Sat_backend _ -> ladder ~fallback:Decider.engine (Sat_choice.decider ()))
 
 let certain_answers u d =

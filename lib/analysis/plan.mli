@@ -17,8 +17,9 @@
     - cyclic, wide, but some query relation carries a {e certainly
       satisfied key FD} (checked by the caller with {!Fd.check} and
       passed via [?fds]) → [Fd_naive]: that relation is key-determined
-      in every completion, so plain naïve evaluation — exact for
-      Boolean CQs by Prop. 2 — is preferred over the hom machinery;
+      in every completion.  The FD is recorded as the route's
+      certificate; evaluation runs the same budgeted ladder as
+      [Hom_ladder];
     - under [~backend:Auto], cyclic + wide + dense (at least as many
       atoms as variables) + a class of ≥ 3 pairwise-interchangeable
       variables → [Sat_backend k]: encode to CNF and give it to
@@ -31,8 +32,8 @@
       under the {!Certdb_csp.Resilient} retry/escalation ladder.
 
     Routing never changes an answer, only its cost: every route decides
-    [D_Q ⊑ D] exactly (the ladder degrades to a sound lower bound only
-    when budgets are imposed and exhausted).  Chosen routes are counted
+    [D_Q ⊑ D] exactly (the ladder answers [`Lower_bound false] only when
+    budgets are imposed and exhausted).  Chosen routes are counted
     by [query.plan.naive_eval] / [query.plan.acyclic_join] /
     [query.plan.bounded_width] / [query.plan.components] /
     [query.plan.hom_ladder] / [query.plan.fd_naive] /
@@ -65,7 +66,7 @@ val route_to_string : route -> string
     satisfied} by the instance at hand; a key FD among them on a query
     relation enables the [Fd_naive] route for wide cyclic queries.
     Soundness does not depend on the certification — every route is
-    exact — only route quality does. *)
+    exact — only the recorded certificate does. *)
 val route_cq :
   ?width_threshold:int ->
   ?fds:Fd.fd list ->
@@ -75,14 +76,15 @@ val route_cq :
 
 (** [certain ?policy ?limits ?jobs ?width_threshold q d] — Boolean CQ
     certainty through the planner.  Acyclic and bounded-width routes
-    answer [`Exact] directly from the unbudgeted DP, and [Fd_naive] from
-    naïve evaluation.  The three search routes make one call to
-    {!Certdb_query.Certain.certain_cq_resilient}, each with its own
-    decider pair: [Components] runs {!Certdb_csp.Decider.components} on
-    [jobs] domains (default 1), [Hom_ladder] the bitset engine, and
-    [Sat_backend] the CDCL decider with the bitset engine as its
-    fallback, so crossing solvers never weakens an answer.  Unlimited
-    [limits] always yield [`Exact].
+    answer [`Exact] directly from the unbudgeted DP.  The search routes
+    make one call to {!Certdb_query.Certain.certain_cq_resilient}, each
+    with its own decider pair: [Components] runs
+    {!Certdb_csp.Decider.components} on [jobs] domains (default 1),
+    [Hom_ladder] and [Fd_naive] the bitset engine, and [Sat_backend] the
+    CDCL decider with the bitset engine as its fallback, so crossing
+    solvers never weakens an answer.  Every search route keeps the
+    ladder's one deadline, and an exhausted ladder answers
+    [`Lower_bound false].  Unlimited [limits] always yield [`Exact].
     @raise Invalid_argument on a non-Boolean query. *)
 val certain :
   ?policy:Certdb_csp.Resilient.Policy.t ->

@@ -161,28 +161,10 @@ module Budget = struct
 end
 
 module Config = struct
-  type var_order = Mrv | Lex | Seeded of int
-  type propagation = Forward_check | No_propagation
+  type t = { limits : Limits.t; restrict : Domains.t option }
 
-  type t = {
-    limits : Limits.t;
-    var_order : var_order;
-    propagation : propagation;
-    restrict : Domains.t option;
-  }
-
-  let default =
-    {
-      limits = Limits.unlimited;
-      var_order = Mrv;
-      propagation = Forward_check;
-      restrict = None;
-    }
-
-  let make ?(limits = Limits.unlimited) ?(var_order = Mrv)
-      ?(propagation = Forward_check) ?restrict () =
-    { limits; var_order; propagation; restrict }
-
+  let default = { limits = Limits.unlimited; restrict = None }
+  let make ?(limits = Limits.unlimited) ?restrict () = { limits; restrict }
   let with_restrict restrict t = { t with restrict = Some restrict }
 end
 
@@ -242,18 +224,6 @@ let initial_candidates ?restrict ~source ~target () =
     Int_map.empty (Structure.nodes source)
 
 exception Stop
-
-(* Fisher–Yates with an explicit PRNG state: restart policies rely on the
-   permutation being a pure function of the seed. *)
-let seeded_shuffle st l =
-  let a = Array.of_list l in
-  for i = Array.length a - 1 downto 1 do
-    let j = Random.State.int st (i + 1) in
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  done;
-  Array.to_list a
 
 (* {1 The compiled instance}
 
@@ -394,23 +364,23 @@ module Compiled = struct
     }
 end
 
-(* The budgeted backtracking core over the compiled instance.  Semantics
-   (variable/value order, MRV tie-breaking, forward-check pruning, budget
-   ticks) mirror {!Reference.run_search} exactly — the search tree and
-   the csp.solver.* counters it drives are preserved — but domains are
-   bitset rows with trail-based undo and support scans run over the
-   target's per-position tuple index instead of [Tuple_set] traversals.
+(* The budgeted backtracking core over the compiled instance: MRV
+   variable selection with forward checking, the engine's only search.
+   Its semantics (variable/value order, MRV tie-breaking, forward-check
+   pruning, budget ticks) mirror {!Reference.run_search} exactly — the
+   search tree and the csp.solver.* counters it drives are preserved —
+   but domains are bitset rows with trail-based undo and support scans
+   run over the target's per-position tuple index instead of
+   [Tuple_set] traversals.
 
    When [skip_free] is set, variables occurring in no constraint are
    excluded from branching (their only obligation is a non-empty
    candidate set, checked up front) and reported to [on_solution]. *)
-let run_search_compiled ~(config : Config.t) ~budget ~skip_free
-    (cp : Compiled.t) on_solution =
+let run_search_compiled ~budget ~skip_free (cp : Compiled.t) on_solution =
   let module Bitset = Domains.Bitset in
   let module Dense = Domains.Dense in
   Obs.incr searches;
   let nvars = cp.Compiled.nvars in
-  let raw v = cp.Compiled.csrc.Structure.node_ids.(v) in
   if not cp.Compiled.zero_ok then `Exhausted
   else if
     Array.exists (fun row -> Bitset.is_empty row) cp.Compiled.init
@@ -424,29 +394,11 @@ let run_search_compiled ~(config : Config.t) ~budget ~skip_free
       done;
       (!b, !f)
     in
-    let branch =
-      match config.var_order with
-      | Config.Seeded s ->
-        seeded_shuffle (Random.State.make [| s; 0x5eed |]) branch
-      | Config.Mrv | Config.Lex -> branch
-    in
     let order = Array.of_list branch in
     let n_branch = Array.length order in
     let m = Dense.create ~vars:(max 1 nvars) ~cap:cp.Compiled.cap in
     Array.iteri (fun v row -> Dense.set_row m v row) cp.Compiled.init;
     let assignment = Array.make (max 1 nvars) (-1) in
-    (* Seeded also perturbs the value order per variable, deterministically
-       in (seed, var), so two attempts with different seeds explore
-       genuinely different prefixes of the search tree. *)
-    let values_of v =
-      let vals = Dense.row_to_list m v in
-      match config.var_order with
-      | Config.Seeded s ->
-        seeded_shuffle (Random.State.make [| s; raw v; 0x5eed |]) vals
-      | Config.Mrv | Config.Lex -> vals
-    in
-    let fc = config.propagation = Config.Forward_check in
-    let mrv = config.var_order = Config.Mrv in
     (* trail bookkeeping: each decision saves a modified row at most once *)
     let stamp = ref 0 in
     let saved_stamp = Array.make (max 1 nvars) (-1) in
@@ -569,24 +521,16 @@ let run_search_compiled ~(config : Config.t) ~budget ~skip_free
         if on_solution assignment m free = `Stop then raise Stop
       end
       else begin
+        Obs.incr mrv_selects;
         let v =
-          if mrv then begin
-            Obs.incr mrv_selects;
-            let best = ref (-1) in
-            Array.iter
-              (fun v ->
-                if assignment.(v) < 0 then
-                  if !best < 0 || Dense.count m v < Dense.count m !best then
-                    best := v)
-              order;
-            !best
-          end
-          else begin
-            let rec first i =
-              if assignment.(order.(i)) < 0 then order.(i) else first (i + 1)
-            in
-            first 0
-          end
+          let best = ref (-1) in
+          Array.iter
+            (fun v ->
+              if assignment.(v) < 0 then
+                if !best < 0 || Dense.count m v < Dense.count m !best then
+                  best := v)
+            order;
+          !best
         in
         List.iter
           (fun b ->
@@ -607,8 +551,7 @@ let run_search_compiled ~(config : Config.t) ~budget ~skip_free
                   then begin
                     if not (check_full c) then ok := false
                   end
-                  else if fc then
-                    if not (propagate_cstr trail c v b) then ok := false)
+                  else if not (propagate_cstr trail c v b) then ok := false)
               cp.Compiled.by_var.(v);
             (try
                if !ok then go ()
@@ -627,7 +570,7 @@ let run_search_compiled ~(config : Config.t) ~budget ~skip_free
               !trail;
             assignment.(v) <- -1;
             decr n_assigned)
-          (values_of v)
+          (Dense.row_to_list m v)
       end
     in
     try
@@ -660,7 +603,7 @@ let solve ?(config = Config.default) ~source ~target () =
   Budget.run config.limits (fun budget ->
       let found = ref None in
       (match
-         run_search_compiled ~config ~budget ~skip_free:true cp
+         run_search_compiled ~budget ~skip_free:true cp
            (fun assignment m free_vars ->
              (* unconstrained variables: any label-compatible candidate
                 works, so extend greedily without search *)
@@ -688,7 +631,7 @@ let satisfiable ?(config = Config.default) ~source ~target () =
   Budget.run config.limits (fun budget ->
       let found = ref false in
       (match
-         run_search_compiled ~config ~budget ~skip_free:true cp
+         run_search_compiled ~budget ~skip_free:true cp
            (fun _ _ free_vars ->
              Obs.add exists_skipped_vars (List.length free_vars);
              found := true;
@@ -702,7 +645,7 @@ let iter ?(config = Config.default) ~source ~target f =
   let cp = Compiled.make ?restrict:config.restrict ~source ~target () in
   let budget = Budget.start config.limits in
   match
-    run_search_compiled ~config ~budget ~skip_free:false cp
+    run_search_compiled ~budget ~skip_free:false cp
       (fun assignment _ _ -> f (hom_of_assignment cp assignment))
   with
   | `Exhausted -> `Exhausted
@@ -726,10 +669,11 @@ let count ?(config = Config.default) ~source ~target () =
 
 (* {1 The reference core}
 
-   The pre-columnar map/set implementation, preserved verbatim: it is the
-   ablation baseline of bench e24, and the independent oracle the
-   property tests compare the bitset core against.  Same [Config.t], same
-   budget semantics, same counters. *)
+   The pre-columnar map/set implementation of the same MRV +
+   forward-checking search: it is the ablation baseline of bench e24,
+   and the independent oracle the property tests compare the bitset
+   core against.  Same [Config.t], same budget semantics, same
+   counters. *)
 
 module Reference = struct
   (* [supports target assignment c w b] iff some target tuple of [c.rel]
@@ -766,45 +710,25 @@ module Reference = struct
         List.partition (fun v -> Int_map.mem v by_var) all_vars
       else (all_vars, [])
     in
-    let branch_vars =
-      match config.var_order with
-      | Config.Seeded s ->
-        seeded_shuffle (Random.State.make [| s; 0x5eed |]) branch_vars
-      | Config.Mrv | Config.Lex -> branch_vars
-    in
-    let iter_values v f dom =
-      match config.var_order with
-      | Config.Seeded s ->
-        List.iter f
-          (seeded_shuffle
-             (Random.State.make [| s; v; 0x5eed |])
-             (Int_set.elements dom))
-      | Config.Mrv | Config.Lex -> Int_set.iter f dom
-    in
-    let fc = config.propagation = Config.Forward_check in
-    let mrv = config.var_order = Config.Mrv in
     let rec go assignment candidates unassigned =
       match unassigned with
       | [] ->
         Obs.incr solutions;
         if on_solution assignment candidates free_vars = `Stop then raise Stop
       | _ ->
+        Obs.incr mrv_selects;
         let v =
-          if mrv then begin
-            Obs.incr mrv_selects;
-            List.fold_left
-              (fun best v ->
-                let card v = Int_set.cardinal (Int_map.find v candidates) in
-                match best with
-                | None -> Some v
-                | Some b -> if card v < card b then Some v else best)
-              None unassigned
-            |> Option.get
-          end
-          else List.hd unassigned
+          List.fold_left
+            (fun best v ->
+              let card v = Int_set.cardinal (Int_map.find v candidates) in
+              match best with
+              | None -> Some v
+              | Some b -> if card v < card b then Some v else best)
+            None unassigned
+          |> Option.get
         in
         let rest = List.filter (fun w -> w <> v) unassigned in
-        iter_values v
+        Int_set.iter
           (fun b ->
             Budget.tick_node budget;
             Obs.incr decisions;
@@ -829,7 +753,6 @@ module Reference = struct
                       ok := false;
                       cands
                     end
-                  else if not fc then cands
                   else
                     Array.fold_left
                       (fun cands u ->

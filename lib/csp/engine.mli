@@ -4,15 +4,14 @@
     Every decision procedure of the paper — the information orderings of
     Prop. 9, membership (Prop. 8 / Theorem 6 via R-compatible
     homomorphisms), certain answers by naïve tableaux — bottoms out in
-    this search, so it is exposed as a configurable engine in the style
-    of CSP practice: a {!Config.t} bundles resource limits
-    ({!Limits.t}: node and backtrack budgets, a wall-clock deadline, a
-    {!Cancel.t} token another domain may trip), a variable-ordering
-    choice and a propagation level, and every search returns a
-    three-valued {!outcome} so that budget exhaustion is never conflated
-    with non-existence: [Sat h] carries a verified witness, [Unsat] is
-    only reported after the search space is exhausted, and [Unknown r]
-    says which limit tripped.
+    this search: one MRV + forward-checking backtracker, run under a
+    {!Config.t} that bundles resource limits ({!Limits.t}: node and
+    backtrack budgets, a wall-clock deadline, a {!Cancel.t} token
+    another domain may trip) with an optional candidate restriction.
+    Every search returns a three-valued {!outcome}, so budget exhaustion
+    is never conflated with non-existence: [Sat h] carries a verified
+    witness, [Unsat] is only reported after the search space is
+    exhausted, and [Unknown r] says which limit tripped.
 
     The search core runs over compiled instances: both structures'
     columnar views ({!Structure.columnar}), interned relation and label
@@ -76,7 +75,10 @@ module Limits : sig
   type t = {
     nodes : int option;  (** max branching decisions *)
     backtracks : int option;  (** max dead ends *)
-    timeout_ms : float option;  (** wall-clock, relative to search start *)
+    timeout_ms : float option;
+        (** wall-clock, relative to the start of the search; under
+            {!Resilient.run}, relative to the start of the run, one
+            deadline that every attempt and the fallback share *)
     cancel : Cancel.t option;
   }
 
@@ -130,41 +132,21 @@ module Budget : sig
   val run : Limits.t -> (t -> 'a option) -> 'a outcome
 end
 
-(** Search configuration. *)
+(** Search configuration: what a search may spend and which candidates it
+    may use.  The search itself is fixed — MRV variable selection with
+    forward checking — so there are no ordering or propagation knobs. *)
 module Config : sig
-  type var_order =
-    | Mrv  (** fewest remaining candidates first *)
-    | Lex
-    | Seeded of int
-        (** deterministic seeded permutation of the variable order and of
-            each variable's value order — the randomized-restart knob:
-            retrying an [Unknown] search under a fresh seed explores a
-            different prefix of the tree (see {!Resilient}) *)
-
-  type propagation =
-    | Forward_check  (** prune neighbor domains at every assignment *)
-    | No_propagation  (** check constraints only when fully assigned *)
-
   type t = {
     limits : Limits.t;
-    var_order : var_order;
-    propagation : propagation;
     restrict : Domains.t option;
         (** constrain the graph of the hom to a relation [R ⊆ A × B]
             (Theorem 6's R-compatible homomorphisms) *)
   }
 
-  (** MRV + forward checking, unlimited budget, no restriction. *)
+  (** Unlimited budget, no restriction. *)
   val default : t
 
-  val make :
-    ?limits:Limits.t ->
-    ?var_order:var_order ->
-    ?propagation:propagation ->
-    ?restrict:Domains.t ->
-    unit ->
-    t
-
+  val make : ?limits:Limits.t -> ?restrict:Domains.t -> unit -> t
   val with_restrict : Domains.t -> t -> t
 end
 
@@ -267,10 +249,10 @@ val count :
   unit ->
   int outcome
 
-(** The pre-columnar map/set search core, preserved verbatim: the
-    ablation baseline of bench e24 and the independent oracle of the
-    engine's property tests.  Same {!Config.t}, same budget semantics,
-    same counters — but persistent [Int_set] domains and [Tuple_set]
+(** The pre-columnar map/set search core — the same MRV + forward-checking
+    search — kept as the ablation baseline of bench e24 and the
+    independent oracle of the engine's property tests.  Same
+    {!Config.t}, same budget semantics, same counters — but persistent [Int_set] domains and [Tuple_set]
     support scans instead of bitsets, and 0-ary constraints are (still)
     silently ignored. *)
 module Reference : sig

@@ -170,7 +170,7 @@ let certain_resilient ?policy ?(limits = Engine.Limits.unlimited)
     `Exact (naive_holds db f)
   end
   else if Logic.is_existential f then
-    Resilient.run ?policy ~limits (fun ~attempt:_ limits ->
+    Resilient.run ?policy ~limits (fun limits ->
         match certain_existential_b ~limits db f with
         | `True -> Engine.Sat ()
         | `False -> Engine.Unsat

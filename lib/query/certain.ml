@@ -187,20 +187,15 @@ let certain_cq_resilient ?policy ?(limits = Engine.Limits.unlimited)
       (fun (f : Decider.t) -> (f.name, fun limits -> decide f ~limits inst))
       fallback
   in
-  Resilient.run ?policy ?fallback ~limits (fun ~attempt:_ limits ->
+  Resilient.run ?policy ?fallback ~limits (fun limits ->
       decide decider ~limits inst)
   |> Resilient.graded ~exact:resilient_exact ~degraded:resilient_degraded
        ~exhausted:(fun () ->
-         (* every retry tripped: degrade to naïve evaluation, which is
-            sound for certain answers (Theorem 4) and never budgeted.  It
-            is still a hom-shaped evaluation, so a permanent injected
-            crash at csp.search.node would kill this last rung too —
-            [false] is the trivially sound floor, and the graded contract
-            survives *)
-         `Lower_bound
-           (match certain_cq_via_naive q d with
-           | b -> b
-           | exception Certdb_obs.Fault.Injected _ -> false))
+         (* by Prop. 2 any further evaluation would ask the ladder's own
+            question with no budget left; a Boolean CQ's only positive
+            certificate is a witness, so nothing sound is left to
+            certify *)
+         `Lower_bound false)
 
 let certain_holds_cwa q d =
   Obs.incr certain_checks;

@@ -124,31 +124,27 @@ val certain_cq_via_sat_b :
 val certain_cq_dimacs : ?symmetry:bool -> Cq.t -> Instance.t -> string
 
 (** [certain_cq_resilient ?policy ?limits ?fallback decider q d] —
-    Boolean CQ certainty that degrades instead of giving up.  The
+    Boolean CQ certainty under a budget, as a graded answer.  The
     instance is encoded once; [decider] then runs under the
-    retry/escalation ladder of {!Certdb_csp.Resilient.run}, and when
-    every attempt trips, [fallback] (if any) runs once under the fully
-    escalated limits (rung [fallback[<name>]]).  If that trips too, the
-    answer degrades to naïve evaluation, which is {e sound} for certain
-    answers (Theorem 4 — for plain CQs over naïve tables it is in fact
-    exact, but the resilient API certifies only the sound direction,
-    the guarantee that generalizes to the gdm/xml regimes).  Crossing
-    solvers never flips a definitive answer: the fallback only runs on
-    [Unknown].  Which decider pair a query gets is the planner's job
+    retry/escalation ladder of {!Certdb_csp.Resilient.run}, which keeps
+    one deadline for every attempt, and when every attempt trips,
+    [fallback] (if any) runs once with the time left under the fully
+    escalated budgets (rung [fallback[<name>]]).  Crossing solvers never
+    flips a definitive answer: the fallback only runs on [Unknown].
+    Which decider pair a query gets is the planner's job
     ([Certdb_analysis.Plan.certain]), the one caller outside tests.
     Results:
 
     - [`Exact b] — a decider settled it: [b] is the certain answer;
-    - [`Lower_bound true] — budgets exhausted, but naïve evaluation
-      certifies the query {e is} certainly true;
-    - [`Lower_bound false] — budgets exhausted and nothing certified:
-      the query may or may not be certain.
+    - [`Lower_bound false] — the ladder was exhausted: no witness was
+      found within the budget, and the query may or may not be certain.
+      Nothing runs after the ladder: by Prop. 2 any further evaluation
+      would ask the ladder's own question without a budget.
 
     Never returns an [`Unknown], and never lets an injected crash
-    ([Certdb_obs.Fault.Injected]) escape: if the naïve fallback itself
-    crashes, the answer is the trivially sound [`Lower_bound false].
-    [query.resilient.exact] / [query.resilient.degraded] count which
-    rung answered. *)
+    ([Certdb_obs.Fault.Injected]) escape: a crashed attempt is an
+    [Unknown] like any other.  [query.resilient.exact] /
+    [query.resilient.degraded] count which grade was answered. *)
 val certain_cq_resilient :
   ?policy:Certdb_csp.Resilient.Policy.t ->
   ?limits:Certdb_csp.Engine.Limits.t ->

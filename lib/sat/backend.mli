@@ -33,9 +33,8 @@ module Cnf : sig
   val solver : t -> Solver.Cdcl.t
 end
 
-(** [solve ?config ~source ~target ()] — one-shot encode + CDCL solve.
-    Only [config.limits] and [config.restrict] apply ([var_order] and
-    [propagation] are CSP-engine knobs); outcomes use the same
+(** [solve ?config ~source ~target ()] — one-shot encode + CDCL solve
+    under [config.limits] and [config.restrict]; outcomes use the same
     three-valued contract, with [Sat h] a verified witness. *)
 val solve :
   ?config:Engine.Config.t ->

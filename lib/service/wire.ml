@@ -367,7 +367,7 @@ let run_task ~policy (idx, (id, op, work)) =
     match work with
     | Error msg -> error_fields msg
     | Ok (Retried (limits, f)) -> (
-      match Resilient.run ~policy ~limits (fun ~attempt:_ -> f) with
+      match Resilient.run ~policy ~limits f with
       | r ->
         let base =
           match r.Resilient.outcome with

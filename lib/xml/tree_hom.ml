@@ -55,7 +55,7 @@ let resilient_exact = Obs.counter "xml.resilient.exact"
 let resilient_degraded = Obs.counter "xml.resilient.degraded"
 
 let leq_resilient ?policy ?(limits = Engine.Limits.unlimited) t t' =
-  Resilient.run ?policy ~limits (fun ~attempt:_ limits -> find_b ~limits t t')
+  Resilient.run ?policy ~limits (fun limits -> find_b ~limits t t')
   |> Resilient.graded ~exact:resilient_exact ~degraded:resilient_degraded
        ~exhausted:(fun () ->
          (* for tree hom existence the only positive certificate is a

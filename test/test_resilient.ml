@@ -1,7 +1,8 @@
 (* Csp.Resilient: the retry/escalation ladder never corrupts definitive
    answers, recovers from every Unknown reason it can (budget, crash),
-   stops where it must (cancel), and the graded certain-answer layers
-   built on it degrade soundly against the unlimited oracles. *)
+   stops where it must (cancel, the run's one deadline), and the graded
+   certain-answer layers built on it degrade soundly against the
+   unlimited oracles. *)
 
 open Certdb_csp
 open Certdb_values
@@ -42,54 +43,38 @@ let random_structure seed =
 (* --- the ladder invariant: definitive answers agree with the naive
    oracle under any (tight) budget and any escalation policy --- *)
 
+(* the bitset engine under the ladder, with a witness to verify *)
+let solve ?policy ?fallback ~limits ~source ~target () =
+  Resilient.run ?policy ?fallback ~limits (fun limits ->
+      Engine.solve ~config:(Engine.Config.make ~limits ()) ~source ~target ())
+
 let qcheck_ladder_sound =
   QCheck.Test.make ~count:200
-    ~name:"Resilient.solve definitive answers agree with find_hom_naive"
+    ~name:"Resilient.run definitive answers agree with find_hom_naive"
     QCheck.(triple (int_range 0 5000) (int_range 0 5000) (int_range 1 8))
     (fun (s1, s2, nodes) ->
       let source = random_structure s1 and target = random_structure s2 in
       let naive = Solver.find_hom_naive ~source ~target () in
-      let config =
-        Engine.Config.make ~limits:(Engine.Limits.make ~nodes ()) ()
+      let r =
+        solve ~limits:(Engine.Limits.make ~nodes ()) ~source ~target ()
       in
-      let r = Resilient.solve ~config ~source ~target () in
       match r.Resilient.outcome with
       | Engine.Sat h ->
         Engine.is_hom ~source ~target h && Option.is_some naive
       | Engine.Unsat -> Option.is_none naive
       | Engine.Unknown _ -> r.Resilient.rung = Resilient.Exhausted)
 
-let qcheck_seeded_order_sound =
-  QCheck.Test.make ~count:200
-    ~name:"Seeded variable order agrees with find_hom_naive"
-    QCheck.(triple (int_range 0 5000) (int_range 0 5000) (int_range 0 100))
-    (fun (s1, s2, seed) ->
-      let source = random_structure s1 and target = random_structure s2 in
-      let naive = Solver.find_hom_naive ~source ~target () in
-      let config =
-        Engine.Config.make ~var_order:(Engine.Config.Seeded seed) ()
-      in
-      match Engine.solve ~config ~source ~target () with
-      | Engine.Unknown _ ->
-        QCheck.Test.fail_report "Unknown under an unlimited budget"
-      | Engine.Sat h ->
-        Engine.is_hom ~source ~target h && Option.is_some naive
-      | Engine.Unsat -> Option.is_none naive)
-
 (* --- one unit test per Unknown reason x ladder rung --- *)
 
-(* node budget trips attempt 1; x10 escalation recovers *)
+(* the triangle onto itself takes three decisions: a one-node budget
+   trips attempt 1, and x10 escalation recovers *)
 let test_recover_from_node_budget () =
   let policy =
     Resilient.Policy.make ~max_attempts:3 ~escalation:10.0 ()
   in
-  let config =
-    Engine.Config.make
-      ~limits:(Engine.Limits.make ~nodes:1 ())
-      ~propagation:Engine.Config.No_propagation ()
-  in
   let r =
-    Resilient.solve ~policy ~config ~source:triangle ~target:triangle ()
+    solve ~policy ~limits:(Engine.Limits.make ~nodes:1 ()) ~source:triangle
+      ~target:triangle ()
   in
   (match r.Resilient.outcome with
   | Engine.Sat h ->
@@ -99,63 +84,83 @@ let test_recover_from_node_budget () =
   check "settled by a retry" true
     (match r.Resilient.rung with Resilient.Search n -> n > 1 | _ -> false)
 
-(* backtrack budget trips attempt 1 on an Unsat instance; escalation
-   recovers the definitive Unsat *)
+(* backtrack budget trips attempt 1 on an Unsat instance (K4 has no hom
+   into K3, and forward checking still meets dead ends refuting it);
+   escalation recovers the definitive Unsat *)
 let test_recover_from_backtrack_budget () =
-  let policy =
-    Resilient.Policy.make ~max_attempts:4 ~escalation:50.0
-      ~propagate_first:false ()
-  in
-  let config =
-    Engine.Config.make
-      ~limits:(Engine.Limits.make ~backtracks:1 ())
-      ~propagation:Engine.Config.No_propagation ()
-  in
+  let policy = Resilient.Policy.make ~max_attempts:4 ~escalation:50.0 () in
   let r =
-    Resilient.solve ~policy ~config ~source:(clique 4) ~target:(clique 3) ()
+    solve ~policy ~limits:(Engine.Limits.make ~backtracks:1 ())
+      ~source:(clique 4) ~target:(clique 3) ()
   in
   check "Unsat recovered" true (r.Resilient.outcome = Engine.Unsat);
-  check "by a search rung" true
-    (match r.Resilient.rung with Resilient.Search _ -> true | _ -> false)
+  check "by a retry" true
+    (match r.Resilient.rung with Resilient.Search n -> n > 1 | _ -> false)
 
-(* the deadline is not escalated, so a hopeless timeout exhausts *)
-let test_deadline_exhausts () =
+(* A clock that only moves when an attempt says so: every attempt spends
+   [spend] ms and trips its node budget.  Records the timeout each
+   attempt and the fallback were handed. *)
+let with_fake_clock f =
   let now = ref 0. in
   Fun.protect
     ~finally:(fun () ->
       Obs.set_clock_ms (fun () -> Unix.gettimeofday () *. 1000.))
   @@ fun () ->
-  (* every clock poll advances fake time by a minute: any deadline has
-     already passed whenever the budget looks *)
-  Obs.set_clock_ms (fun () ->
-      now := !now +. 60_000.;
-      !now);
-  let policy =
-    Resilient.Policy.make ~max_attempts:3 ~propagate_first:false ()
-  in
-  let config =
-    Engine.Config.make ~limits:(Engine.Limits.make ~timeout_ms:1.0 ()) ()
-  in
+  Obs.set_clock_ms (fun () -> !now);
+  f now
+
+let spending now ~spend seen (l : Engine.Limits.t) =
+  seen := l.Engine.Limits.timeout_ms :: !seen;
+  now := !now +. spend;
+  Engine.Unknown Engine.Node_budget
+
+(* every later attempt and the fallback run with the time left before
+   the run's one deadline, never the full timeout again *)
+let test_attempts_share_one_deadline () =
+  with_fake_clock @@ fun now ->
+  let seen = ref [] and fallback_saw = ref [] in
+  let policy = Resilient.Policy.make ~max_attempts:3 () in
   let r =
-    Resilient.solve ~policy ~config ~source:(clique 7) ~target:(clique 6) ()
+    Resilient.run ~policy
+      ~fallback:("other", spending now ~spend:0. fallback_saw)
+      ~limits:(Engine.Limits.make ~nodes:1 ~timeout_ms:100. ())
+      (spending now ~spend:30. seen)
+  in
+  Alcotest.(check (list (option (float 1e-9))))
+    "attempts see 100, 70, 40 ms" [ Some 100.; Some 70.; Some 40. ]
+    (List.rev !seen);
+  Alcotest.(check (list (option (float 1e-9))))
+    "the fallback sees the last 10 ms" [ Some 10. ] !fallback_saw;
+  check "outcome keeps the primary's reason" true
+    (r.Resilient.outcome = Engine.Unknown Engine.Node_budget);
+  check "rung Exhausted" true (r.Resilient.rung = Resilient.Exhausted)
+
+(* once no time is left nothing more starts: neither a retry nor the
+   fallback, and the run reports the deadline *)
+let test_deadline_exhausts () =
+  with_fake_clock @@ fun now ->
+  let seen = ref [] and fallback_saw = ref [] in
+  let policy = Resilient.Policy.make ~max_attempts:3 () in
+  let r =
+    Resilient.run ~policy
+      ~fallback:("other", spending now ~spend:0. fallback_saw)
+      ~limits:(Engine.Limits.make ~timeout_ms:100. ())
+      (spending now ~spend:60. seen)
   in
   check "outcome is Unknown Deadline" true
     (r.Resilient.outcome = Engine.Unknown Engine.Deadline);
   check "rung Exhausted" true (r.Resilient.rung = Resilient.Exhausted);
-  Alcotest.(check int) "all attempts consumed" 3 r.Resilient.attempts
+  Alcotest.(check int) "two attempts started" 2 r.Resilient.attempts;
+  Alcotest.(check int) "fallback never started" 0 (List.length !fallback_saw)
 
 (* a tripped cancel token stays tripped: no retry, Exhausted at once *)
 let test_cancelled_never_retries () =
   let cancel = Engine.Cancel.create () in
   Engine.Cancel.cancel cancel;
-  let policy =
-    Resilient.Policy.make ~max_attempts:5 ~propagate_first:false ()
-  in
-  let config =
-    Engine.Config.make ~limits:(Engine.Limits.make ~cancel ()) ()
-  in
+  let policy = Resilient.Policy.make ~max_attempts:5 () in
   let r =
-    Resilient.solve ~policy ~config ~source:triangle ~target:triangle ()
+    solve ~policy ~limits:(Engine.Limits.make ~cancel ()) ~source:triangle
+      ~target:triangle ()
   in
   check "outcome is Unknown Cancelled" true
     (r.Resilient.outcome = Engine.Unknown Engine.Cancelled);
@@ -166,8 +171,9 @@ let test_cancelled_never_retries () =
    retry rung *)
 let test_recover_from_injected_crash () =
   Fault.with_armed [ ("csp.search.node", Fault.Nth 1) ] @@ fun () ->
-  let policy = Resilient.Policy.make ~propagate_first:false () in
-  let r = Resilient.solve ~policy ~source:triangle ~target:triangle () in
+  let r =
+    solve ~limits:Engine.Limits.unlimited ~source:triangle ~target:triangle ()
+  in
   (match r.Resilient.outcome with
   | Engine.Sat h ->
     check "witness verifies" true
@@ -180,27 +186,14 @@ let test_recover_from_injected_crash () =
 (* a permanent crash (every hit) exhausts the ladder with Crashed *)
 let test_permanent_crash_exhausts () =
   Fault.with_armed [ ("csp.search.node", Fault.Every 1) ] @@ fun () ->
-  let policy =
-    Resilient.Policy.make ~max_attempts:2 ~propagate_first:false ()
+  let policy = Resilient.Policy.make ~max_attempts:2 () in
+  let r =
+    solve ~policy ~limits:Engine.Limits.unlimited ~source:triangle
+      ~target:triangle ()
   in
-  let r = Resilient.solve ~policy ~source:triangle ~target:triangle () in
   check "Unknown (Crashed csp.search.node)" true
     (r.Resilient.outcome = Engine.Unknown (Engine.Crashed "csp.search.node"));
   check "rung Exhausted" true (r.Resilient.rung = Resilient.Exhausted)
-
-(* AC-3 wipeout: Unsat certified with zero search attempts *)
-let test_propagation_certificate () =
-  let target =
-    (* labelled target with no label matching the source's nodes *)
-    Structure.make ~nodes:[ (0, Some "b") ] ~tuples:[ ("E", [ [| 0; 0 |] ]) ]
-  in
-  let source =
-    Structure.make ~nodes:[ (0, Some "a") ] ~tuples:[ ("E", [ [| 0; 0 |] ]) ]
-  in
-  let r = Resilient.solve ~source ~target () in
-  check "Unsat" true (r.Resilient.outcome = Engine.Unsat);
-  check "rung Propagation" true (r.Resilient.rung = Resilient.Propagation);
-  Alcotest.(check int) "zero search attempts" 0 r.Resilient.attempts
 
 let test_scale_limits () =
   let policy = Resilient.Policy.make ~escalation:4.0 () in
@@ -210,7 +203,7 @@ let test_scale_limits () =
   let l3 = Resilient.scale_limits policy ~attempt:3 l in
   Alcotest.(check (option int)) "nodes x16" (Some 160) l3.Engine.Limits.nodes;
   Alcotest.(check (option int)) "backtracks x16" (Some 48) l3.Engine.Limits.backtracks;
-  check "deadline never scaled" true
+  check "timeout left to the ladder's deadline" true
     (l3.Engine.Limits.timeout_ms = Some 50.)
 
 (* --- graded certain answers: relational, gdm, xml --- *)
@@ -235,15 +228,13 @@ let test_certain_cq_resilient_sound () =
   let tight = Engine.Limits.make ~nodes:0 () in
   let policy = Resilient.Policy.no_retry in
   (* an instance with a loop: the 3-cycle query folds onto R(5,5), so
-     the certain answer is true and even naive evaluation sees it; with
-     a zero budget the resilient path must degrade to that sound lower
-     bound *)
+     the certain answer is true; with a zero budget no witness is found,
+     and nothing runs after the ladder, so the answer certifies
+     nothing *)
   let d_loop = Instance.of_list [ ("R", [ [ c 1; c 2 ]; [ c 5; c 5 ] ]) ] in
   (match Certain.certain_cq_resilient ~policy ~limits:tight Decider.engine cycle3_q d_loop with
   | `Lower_bound b ->
-    check "lower bound is sound" true
-      ((not b) || Certain.certain_cq_via_hom cycle3_q d_loop);
-    check "naive evaluation finds the loop witness" true b
+    check "no witness within budget certifies nothing" false b
   | `Exact _ -> Alcotest.fail "zero node budget cannot settle exactly");
   (* 2-cycle instance: an odd cycle has no hom into it, the certain
      answer is false; the degraded answer must not claim true *)
@@ -322,8 +313,8 @@ let test_leq_resilient_xml () =
   | `Lower_bound false -> ()
   | _ -> Alcotest.fail "expected `Lower_bound false under a dead budget"
 
-(* the degrade rung survives a permanent crash: even the naive fallback's
-   hom evaluation dies, and the answer is the trivially sound floor *)
+(* a permanent crash kills every attempt; the exhausted ladder answers
+   the sound floor and the fault never escapes *)
 let test_certain_cq_degrade_survives_permanent_crash () =
   Fault.with_armed [ ("csp.search.node", Fault.Every 1) ] @@ fun () ->
   let d = Instance.of_list [ ("R", [ [ c 5; c 5 ] ]) ] in
@@ -434,7 +425,6 @@ let () =
       ( "invariant",
         [
           QCheck_alcotest.to_alcotest qcheck_ladder_sound;
-          QCheck_alcotest.to_alcotest qcheck_seeded_order_sound;
         ] );
       ( "rungs",
         [
@@ -442,6 +432,8 @@ let () =
             test_recover_from_node_budget;
           Alcotest.test_case "backtrack budget recovered" `Quick
             test_recover_from_backtrack_budget;
+          Alcotest.test_case "attempts share one deadline" `Quick
+            test_attempts_share_one_deadline;
           Alcotest.test_case "deadline exhausts" `Quick test_deadline_exhausts;
           Alcotest.test_case "cancelled never retries" `Quick
             test_cancelled_never_retries;
@@ -449,8 +441,6 @@ let () =
             test_recover_from_injected_crash;
           Alcotest.test_case "permanent crash exhausts" `Quick
             test_permanent_crash_exhausts;
-          Alcotest.test_case "propagation certificate" `Quick
-            test_propagation_certificate;
           Alcotest.test_case "scale_limits" `Quick test_scale_limits;
         ] );
       ( "graded answers",

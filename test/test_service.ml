@@ -415,6 +415,68 @@ let qcheck_front_ends_agree =
       | Error row, _ | _, Error row ->
         QCheck.Test.fail_reportf "unexpected row %s" row)
 
+(* One deadline per request: the 10-clique query over the complete graph
+   K9 needs far longer than 100 ms to refute, so the ladder's first
+   attempt spends the whole timeout and nothing starts after it — no
+   retry and no unbudgeted last rung.  Each front end must answer the
+   empty lower bound well inside 500 ms of wall time. *)
+let clique_text n =
+  String.concat ", "
+    (List.concat
+       (List.init n (fun i ->
+            List.init (n - i - 1) (fun k ->
+                Printf.sprintf "E(_x%d,_x%d)" i (i + k + 1)))))
+
+let complete_graph_text n =
+  String.concat "; "
+    (List.concat
+       (List.init n (fun i ->
+            List.filter_map
+              (fun j ->
+                if i = j then None else Some (Printf.sprintf "E(%d,%d)" i j))
+              (List.init n Fun.id))))
+
+let test_starved_ladder_keeps_deadline () =
+  let text = "ans() :- " ^ clique_text 10 in
+  let db = complete_graph_text 9 in
+  let q = Result.get_ok (Wire.parse_cq_result text) in
+  let d = Result.get_ok (Wire.parse_instance_result db) in
+  let policy = Resilient.Policy.make ~max_attempts:3 () in
+  let limits = Engine.Limits.make ~timeout_ms:100. () in
+  let server =
+    Server.create
+      ~config:(Server.Config.make ~cache_capacity:0 ~jobs:1 ~policy ())
+      ()
+  in
+  (match Server.load server ~name:"d" ~source:db with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  let request op fields =
+    Json.to_string
+      (Json.Obj
+         ([ ("op", Json.String op); ("query", Json.String text) ]
+         @ fields
+         @ [ ("timeout_ms", Json.Float 100.); ("max_attempts", Json.Int 3) ]))
+  in
+  let timed name f =
+    let t0 = Unix.gettimeofday () in
+    let answer = f () in
+    let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+    check (name ^ " answers the empty lower bound") true
+      (answer = Ok (`Lower_bound false));
+    if ms >= 500. then Alcotest.failf "%s took %.0f ms (limit 500)" name ms
+  in
+  timed "Plan.certain" (fun () -> Ok (Plan.certain ~policy ~limits q d));
+  timed "serve query" (fun () ->
+      graded_of_serve_row
+        (fst
+           (Server.handle_line server ~idx:0
+              (request "query" [ ("db", Json.String "d") ]))));
+  timed "batch certain" (fun () ->
+      graded_of_batch_row
+        (Wire.run_task ~policy
+           (0, Wire.parse_task 0 (request "certain" [ ("d", Json.String db) ]))))
+
 let test_server_hit_on_renamed () =
   let s = mk_server () in
   let q1 = Cq.boolean [ ("R", [ var 0; var 1 ]); ("R", [ var 1; var 0 ]) ] in
@@ -639,6 +701,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_cached_equals_fresh;
           QCheck_alcotest.to_alcotest qcheck_front_ends_agree;
+          Alcotest.test_case "starved ladder keeps its deadline" `Quick
+            test_starved_ladder_keeps_deadline;
           Alcotest.test_case "hit on renamed query" `Quick
             test_server_hit_on_renamed;
           Alcotest.test_case "no cache, no hits" `Quick
