@@ -67,6 +67,90 @@ let strategies =
     ("always-naive", Certain.certain_cq_via_naive);
   ]
 
+(* The serve benchmark's slowest bounded-width keys: cycle-5 anchored at
+   constant [a], R(a,x0) plus the 5-cycle, over the "m2" instance of its
+   miss workload — a random digraph on 40 constants of out-degree 6 from
+   a fixed splitmix stream, plus 20 edges into 8 nulls. *)
+let splitmix s =
+  let s = ref (s land 0x3fffffffffffffff) in
+  fun bound ->
+    s := (!s + 0x1e3779b97f4a7c15) land 0x3fffffffffffffff;
+    let z = ref !s in
+    z := (!z lxor (!z lsr 30)) * 0x3f58476d1ce4e5b9 land 0x3fffffffffffffff;
+    z := (!z lxor (!z lsr 27)) * 0x14d049bb133111eb land 0x3fffffffffffffff;
+    z := !z lxor (!z lsr 31);
+    !z mod bound
+
+let m2_instance () =
+  let next = splitmix 0x3155 in
+  let c k = Value.int (1 + k) in
+  let edges =
+    List.concat_map
+      (fun a -> List.init 6 (fun _ -> [ c a; c (next 40) ]))
+      (List.init 40 Fun.id)
+  in
+  let null_edges =
+    List.init 20 (fun k -> [ c (next 40); Value.null (8300 + (k mod 8)) ])
+  in
+  Instance.of_list [ ("R", edges @ null_edges) ]
+
+let anchored_cycle5 a =
+  Cq.boolean
+    (("R", [ Fo.Val (Value.int a); var 0 ])
+    :: List.init 5 (fun i -> ("R", [ var i; var ((i + 1) mod 5) ])))
+
+(* The 5-cycle over the complete bipartite digraph K(n,n): odd, so no
+   homomorphism, and the engine must refute every placement of the cycle
+   while the DP fills three width-2 tables. *)
+let bipartite n =
+  let c = Value.int in
+  Instance.of_list
+    [
+      ( "R",
+        List.concat_map
+          (fun a ->
+            List.concat_map
+              (fun b -> [ [ c a; c (n + b) ]; [ c (n + b); c a ] ])
+              (List.init n Fun.id))
+          (List.init n Fun.id) );
+    ]
+
+(* DP against the bitset engine on the same instances: answers must
+   agree, and the DP's work on the serve benchmark's keys
+   (csp.btw.bag_assignments, deterministic) is the gauge CI bounds *)
+let dp_vs_engine () =
+  Bench_util.subsection "bounded-width DP against the bitset engine";
+  Bench_util.row "%-20s %-9s %-10s %-10s %-12s %-6s" "instance" "certain"
+    "dp(ms)" "engine(ms)" "bag-assign" "agree";
+  let m2 = m2_instance () in
+  let agreed = ref 0 and gauged = ref 0 in
+  List.iter
+    (fun (name, q, d, gauge) ->
+      let dp, work =
+        Bench_util.with_counter "csp.btw.bag_assignments" (fun () ->
+            Certain.certain_cq_via_btw q d)
+      in
+      let engine = Certain.certain_cq_via_hom_b q d in
+      let dp_ms =
+        Bench_util.time_ms_median (fun () -> Certain.certain_cq_via_btw q d)
+      in
+      let engine_ms =
+        Bench_util.time_ms_median (fun () -> Certain.certain_cq_via_hom_b q d)
+      in
+      if dp = engine then incr agreed;
+      if gauge then gauged := !gauged + work;
+      Bench_util.row "%-20s %-9b %-10.3f %-10.3f %-12d %-6s" name (dp = `True)
+        dp_ms engine_ms work
+        (if dp = engine then "yes" else "NO"))
+    [
+      ("cycle-5@1 / m2", anchored_cycle5 1, m2, true);
+      ("cycle-5@2 / m2", anchored_cycle5 2, m2, true);
+      ("cycle-5 / K(16,16)", cycle_q 5, bipartite 16, false);
+    ];
+  Obs.set_int (Obs.gauge "bench.btw.agreed") !agreed;
+  Obs.set_int (Obs.gauge "bench.btw.bag_assignments") !gauged;
+  if !agreed <> 3 then failwith "E21: the DP contradicted the bitset engine"
+
 let run () =
   Bench_util.banner
     "E21  Planner: certificate-driven routing vs fixed strategies";
@@ -102,7 +186,8 @@ let run () =
     (fun name ->
       Bench_util.row "  %-28s %d" name
         (Obs.counter_value (Obs.counter ("query.plan." ^ name))))
-    [ "naive_eval"; "acyclic_join"; "bounded_width"; "hom_ladder" ]
+    [ "naive_eval"; "acyclic_join"; "bounded_width"; "hom_ladder" ];
+  dp_vs_engine ()
 
 let micro () =
   let ds = instances 8 in

@@ -214,7 +214,9 @@ let limits_term =
   let budget what =
     what
     ^ " Attempt 1 of the retry ladder runs under it, and attempt i under \
-       it x K^(i-1) (see --escalate)."
+       it x K^(i-1) (see --escalate).  It counts the search's branching \
+       decisions, so it does not bound the acyclic and bounded-width \
+       routes, whose dynamic program makes none (--timeout-ms does)."
     ^ serve
   in
   let nodes =

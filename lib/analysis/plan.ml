@@ -154,8 +154,7 @@ let certain ?policy ?limits ?(jobs = 1) ?width_threshold ?fds ?backend
     (fun () ->
       match dec.route with
       | Naive_eval -> assert false (* Boolean queries never route here *)
-      | Acyclic_join | Bounded_width _ ->
-        `Exact (Certain.certain_cq_via_btw q d)
+      | Acyclic_join | Bounded_width _ -> ladder Decider.btw
       | Components _ -> ladder (Decider.components ~jobs)
       | Hom_ladder | Fd_naive _ -> ladder Decider.engine
       | Sat_backend _ -> ladder ~fallback:Decider.engine (Sat_choice.decider ()))

@@ -6,9 +6,12 @@
     and complete for the whole class by Theorem 4):
 
     - GYO-acyclic hypergraph → [Acyclic_join]: the Theorem 6 dynamic
-      program over a join-tree-shaped decomposition (polynomial);
+      program over a join-tree-shaped decomposition (polynomial), run as
+      an indexed join over the compiled instance
+      ({!Certdb_csp.Bounded_tw});
     - cyclic but width estimate ≤ threshold → [Bounded_width w]: same DP,
-      cost [O(bags · |adom|^(w+1))];
+      cost bounded by its consistent partial bag assignments, at worst
+      [O(bags · |adom|^(w+1))];
     - cyclic, wide, but ≥ 2 connected components in the atoms-share-a-
       variable graph → [Components c]: split the tableau into independent
       hom instances, solve each (in parallel on [jobs] domains when
@@ -33,7 +36,7 @@
 
     Routing never changes an answer, only its cost: every route decides
     [D_Q ⊑ D] exactly (the ladder answers [`Lower_bound false] only when
-    budgets are imposed and exhausted).  Chosen routes are counted
+    limits are imposed and exhausted).  Chosen routes are counted
     by [query.plan.naive_eval] / [query.plan.acyclic_join] /
     [query.plan.bounded_width] / [query.plan.components] /
     [query.plan.hom_ladder] / [query.plan.fd_naive] /
@@ -75,16 +78,18 @@ val route_cq :
   decision
 
 (** [certain ?policy ?limits ?jobs ?width_threshold q d] — Boolean CQ
-    certainty through the planner.  Acyclic and bounded-width routes
-    answer [`Exact] directly from the unbudgeted DP.  The search routes
-    make one call to {!Certdb_query.Certain.certain_cq_resilient}, each
-    with its own decider pair: [Components] runs
-    {!Certdb_csp.Decider.components} on [jobs] domains (default 1),
-    [Hom_ladder] and [Fd_naive] the bitset engine, and [Sat_backend] the
-    CDCL decider with the bitset engine as its fallback, so crossing
-    solvers never weakens an answer.  Every search route keeps the
-    ladder's one deadline, and an exhausted ladder answers
-    [`Lower_bound false].  Unlimited [limits] always yield [`Exact].
+    certainty through the planner: one call to
+    {!Certdb_query.Certain.certain_cq_resilient}, whose decider pair
+    depends on the route.  [Acyclic_join] and [Bounded_width] run the
+    Theorem 6 DP ({!Certdb_csp.Decider.btw}), which honours the
+    deadline and the cancel token of [limits] but not its node and
+    backtrack budgets; [Components] runs {!Certdb_csp.Decider.components}
+    on [jobs] domains (default 1); [Hom_ladder] and [Fd_naive] the
+    bitset engine; and [Sat_backend] the CDCL decider with the bitset
+    engine as its fallback, so crossing solvers never weakens an answer.
+    Every route keeps the ladder's one deadline, and an exhausted ladder
+    answers [`Lower_bound false].  Unlimited [limits] always yield
+    [`Exact].
     @raise Invalid_argument on a non-Boolean query. *)
 val certain :
   ?policy:Certdb_csp.Resilient.Policy.t ->

@@ -27,3 +27,13 @@ let reference =
       (fun config source target ->
         Engine.Reference.satisfiable ~config ~source ~target ());
   }
+
+let btw =
+  {
+    name = "btw";
+    satisfiable =
+      (fun config source target ->
+        Bounded_tw.satisfiable
+          ~decomposition:(fst (Treewidth.estimate source))
+          ~config ~source ~target ());
+  }

@@ -8,9 +8,11 @@
     the planner picked for the request — crossbow's "one instance
     builder, many solvers", as a record rather than a functor because
     the choice is made per request at run time.  Every decider honours
-    [config.limits] and [config.restrict] and answers with the engine's
-    three-valued outcome: [Sat ()] and [Unsat] are definitive, a tripped
-    limit is [Unknown].  The CDCL decider lives in [Certdb_sat.Backend],
+    [config.restrict] and the deadline and cancel token of
+    [config.limits], and every search decider its node and backtrack
+    budgets too ({!btw} makes no branching decisions to count).  Each
+    answers with the engine's three-valued outcome: [Sat ()] and [Unsat]
+    are definitive, a tripped limit is [Unknown].  The CDCL decider lives in [Certdb_sat.Backend],
     which depends on this library. *)
 
 type t = {
@@ -27,6 +29,14 @@ val engine : t
 (** Component-parallel solving ({!Engine.Components.satisfiable}) on
     [jobs] domains, named ["components"]. *)
 val components : jobs:int -> t
+
+(** The bounded-treewidth DP of Theorem 6 ({!Bounded_tw.satisfiable})
+    over the narrower of the two {!Treewidth} heuristics' decompositions
+    of the source, named ["btw"]: polynomial for a fixed width, so the
+    planner sends acyclic and low-width queries here.  It honours
+    [timeout_ms] and [cancel] only; node and backtrack budgets count the
+    engine's branching decisions and do not bound it. *)
+val btw : t
 
 (** The pre-columnar core ({!Engine.Reference.satisfiable}), named
     ["reference"]: a test oracle only.  It ignores 0-ary constraints. *)

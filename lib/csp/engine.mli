@@ -73,8 +73,10 @@ end
 (** Resource limits, all off by default. *)
 module Limits : sig
   type t = {
-    nodes : int option;  (** max branching decisions *)
-    backtracks : int option;  (** max dead ends *)
+    nodes : int option;
+        (** max branching decisions; the bounded-treewidth DP
+            ({!Bounded_tw.satisfiable}) makes none and ignores it *)
+    backtracks : int option;  (** max dead ends; likewise *)
     timeout_ms : float option;
         (** wall-clock, relative to the start of the search; under
             {!Resilient.run}, relative to the start of the run, one

@@ -143,20 +143,8 @@ let certain_cq_via_sat_b ?limits ?symmetry q d =
 let certain_cq_via_hom q d =
   Option.is_some (Certdb_csp.Solver.definitive (decide_cq Decider.engine q d))
 
-(* {2 Bounded-treewidth route (Theorem 6 / Lemma 4)} *)
-
-let certain_cq_via_btw ?decomposition q d =
-  with_instance ~solver:"btw" q d @@ fun inst ->
-  match inst.settled with
-  | Some b -> b
-  | None ->
-    let { Hom.source; target; restrict; _ } = Lazy.force inst.hom in
-    let decomposition =
-      match decomposition with
-      | Some dec -> dec
-      | None -> fst (Certdb_csp.Treewidth.estimate source)
-    in
-    Certdb_csp.Bounded_tw.r_hom ~decomposition ~restrict ~source ~target ()
+let certain_cq_via_btw ?limits q d =
+  certain_cq_via_decider ?limits Decider.btw q d
 
 (* The same instance, exported as DIMACS CNF for external solvers.  The
    0-ary split is not expressible in clauses over the encoding's

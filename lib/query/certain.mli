@@ -154,16 +154,19 @@ val certain_cq_resilient :
   Instance.t ->
   [ `Exact of bool | `Lower_bound of bool ]
 
-(** [certain_cq_via_btw ?decomposition q d] — [D_Q ⊑ D] by the
-    bounded-treewidth dynamic program of Theorem 6 over the same
-    instance: the query's terms are the source structure, [d]'s active
-    domain the target, and the candidate relation pins constants to
-    themselves while leaving variables free.  Polynomial for a fixed
-    decomposition width (the planner routes acyclic / low-width queries
-    here); unbudgeted.  When [decomposition] is absent the better of the
-    two {!Certdb_csp.Treewidth} heuristics is used. *)
+(** {!certain_cq_via_decider} on {!Certdb_csp.Decider.btw}: [D_Q ⊑ D]
+    by the bounded-treewidth dynamic program of Theorem 6 over the same
+    instance, with the query's terms as the source structure, [d]'s
+    active domain as the target, and constants pinned to themselves.
+    Polynomial for a fixed decomposition width (the planner routes
+    acyclic and low-width queries here).  Of [limits] it honours
+    [timeout_ms] and [cancel]; node and backtrack budgets do not bound
+    the DP. *)
 val certain_cq_via_btw :
-  ?decomposition:Certdb_csp.Treewidth.t -> Cq.t -> Instance.t -> bool
+  ?limits:Certdb_csp.Engine.Limits.t ->
+  Cq.t ->
+  Instance.t ->
+  Certdb_csp.Engine.decision
 
 (** [certain_cq_via_containment q d] — [Q_D ⊆ Q]. *)
 val certain_cq_via_containment : Cq.t -> Instance.t -> bool

@@ -271,6 +271,97 @@ let test_bounded_tw_empty_source () =
   check "empty source has hom" true
     (Bounded_tw.hom ~source:Structure.empty ~target:triangle ())
 
+(* The DP against the pre-columnar engine on random labelled instances:
+   relations of arity 0-3 with repeated variables, relations missing
+   from the target, disconnected sources (forest decompositions) and
+   random restrictions, over both heuristics' decompositions and an
+   optimal one.  The reference core ignores 0-ary constraints, so its
+   verdict is conjoined with the 0-ary facts' presence. *)
+let random_instance st =
+  let int n = Random.State.int st n in
+  let label () = match int 4 with 0 -> Some "a" | 1 -> Some "b" | _ -> None in
+  let rels = [ ("Z", 0); ("U", 1); ("R", 2); ("Q", 2); ("S", 3) ] in
+  let structure ~nodes ~facts ~keep =
+    let tuples =
+      List.filter_map
+        (fun (rel, arity) ->
+          if not (keep rel) then None
+          else
+            Some
+              ( rel,
+                List.init (facts arity) (fun _ ->
+                    Array.init arity (fun _ -> int nodes)) ))
+        rels
+    in
+    Structure.make ~nodes:(List.init nodes (fun v -> (v, label ()))) ~tuples
+  in
+  let sn = 1 + int 7 and tn = 1 + int 5 in
+  (* sparse sources: few facts, so isolated nodes and components are
+     common; denser targets *)
+  let source =
+    structure ~nodes:sn
+      ~facts:(fun arity -> if arity = 0 then int 2 else int 3)
+      ~keep:(fun _ -> true)
+  in
+  let target =
+    structure ~nodes:tn
+      ~facts:(fun arity -> if arity = 0 then int 2 else int (2 + (tn * tn)))
+      ~keep:(fun _ -> int 4 > 0)
+  in
+  let restrict =
+    Domains.of_list
+      (List.filter_map
+         (fun v ->
+           if int 3 > 0 then None
+           else
+             Some
+               ( v,
+                 IS.of_list
+                   (List.filter (fun _ -> int 3 > 0) (List.init tn Fun.id)) ))
+         (List.init sn Fun.id))
+  in
+  (source, target, restrict)
+
+let qcheck_bounded_tw_differential =
+  let print seed =
+    let source, target, _ = random_instance (Random.State.make [| seed |]) in
+    Format.asprintf "seed %d@.source %a@.target %a" seed Structure.pp source
+      Structure.pp target
+  in
+  QCheck.Test.make ~count:2000 ~name:"bounded-tw DP agrees with Engine.Reference"
+    (QCheck.make ~print QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let source, target, restrict = random_instance (Random.State.make [| seed |]) in
+      let zero_ok =
+        List.for_all
+          (fun t -> Array.length t > 0 || Structure.mem_tuple target "Z" t)
+          (Structure.tuples_of source "Z")
+      in
+      let expected =
+        zero_ok
+        && Engine.Reference.satisfiable
+             ~config:(Engine.Config.make ~restrict ()) ~source ~target ()
+           = Engine.Sat ()
+      in
+      List.for_all
+        (fun (name, decomposition) ->
+          let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) name in
+          if Bounded_tw.r_hom ~decomposition ~restrict ~source ~target () <> expected
+          then fail "r_hom disagrees (expected %b)" expected
+          else
+            match Bounded_tw.r_hom_witness ~decomposition ~restrict ~source ~target () with
+            | None -> (not expected) || fail "no witness"
+            | Some h ->
+              (expected || fail "witness for an unsatisfiable instance")
+              && (Engine.is_hom ~source ~target h || fail "witness is not a hom")
+              && (Structure.Int_map.for_all (fun v w -> Domains.mem restrict v w) h
+                 || fail "witness leaves the restriction"))
+        [
+          ("min-degree", Treewidth.of_structure ~heuristic:`Min_degree source);
+          ("min-fill", Treewidth.of_structure ~heuristic:`Min_fill source);
+          ("exact", Treewidth.exact source);
+        ])
+
 let () =
   Alcotest.run "csp"
     [
@@ -313,5 +404,6 @@ let () =
           Alcotest.test_case "witness" `Quick test_bounded_tw_witness;
           Alcotest.test_case "restriction" `Quick test_bounded_tw_restrict;
           Alcotest.test_case "empty source" `Quick test_bounded_tw_empty_source;
+          QCheck_alcotest.to_alcotest qcheck_bounded_tw_differential;
         ] );
     ]

@@ -477,6 +477,65 @@ let test_starved_ladder_keeps_deadline () =
         (Wire.run_task ~policy
            (0, Wire.parse_task 0 (request "certain" [ ("d", Json.String db) ]))))
 
+(* the bounded-width DP runs under the request deadline too: the 5-cycle
+   (width 2) over the complete bipartite digraph K(50,50) has no
+   homomorphism, and refuting it fills every bag table (~100 ms
+   unlimited on a 2-vCPU VM); 1 ms of solver time must answer the empty
+   lower bound long before that *)
+let test_dp_keeps_deadline () =
+  let n = 50 in
+  let text = "ans() :- E(_x0,_x1), E(_x1,_x2), E(_x2,_x3), E(_x3,_x4), E(_x4,_x0)" in
+  let db =
+    String.concat "; "
+      (List.concat
+         (List.init n (fun a ->
+              List.concat
+                (List.init n (fun b ->
+                     [
+                       Printf.sprintf "E(%d,%d)" a (n + b);
+                       Printf.sprintf "E(%d,%d)" (n + b) a;
+                     ])))))
+  in
+  let q = Result.get_ok (Wire.parse_cq_result text) in
+  let d = Result.get_ok (Wire.parse_instance_result db) in
+  check "routed to the DP" true
+    ((Plan.route_cq q).Plan.route = Plan.Bounded_width 2);
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let answer = f () in
+    (answer, (Unix.gettimeofday () -. t0) *. 1000.)
+  in
+  let unlimited, full_ms = timed (fun () -> Plan.certain q d) in
+  check "unlimited DP refutes" true (unlimited = `Exact false);
+  let server =
+    Server.create ~config:(Server.Config.make ~cache_capacity:0 ~jobs:1 ()) ()
+  in
+  (match Server.load server ~name:"d" ~source:db with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  let request =
+    Json.to_string
+      (Json.Obj
+         [
+           ("op", Json.String "query");
+           ("query", Json.String text);
+           ("db", Json.String "d");
+           ("timeout_ms", Json.Float 1.);
+         ])
+  in
+  let budgeted name f =
+    let answer, ms = timed f in
+    check (name ^ " answers the empty lower bound") true
+      (answer = Ok (`Lower_bound false));
+    if ms >= full_ms /. 2. then
+      Alcotest.failf "%s took %.1f ms (unlimited: %.1f ms)" name ms full_ms
+  in
+  budgeted "Plan.certain" (fun () ->
+      Ok (Plan.certain ~limits:(Engine.Limits.make ~timeout_ms:1. ()) q d));
+  budgeted "serve query" (fun () ->
+      graded_of_serve_row
+        (fst (Server.handle_line server ~idx:0 request)))
+
 let test_server_hit_on_renamed () =
   let s = mk_server () in
   let q1 = Cq.boolean [ ("R", [ var 0; var 1 ]); ("R", [ var 1; var 0 ]) ] in
@@ -703,6 +762,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_front_ends_agree;
           Alcotest.test_case "starved ladder keeps its deadline" `Quick
             test_starved_ladder_keeps_deadline;
+          Alcotest.test_case "bounded-width DP keeps its deadline" `Quick
+            test_dp_keeps_deadline;
           Alcotest.test_case "hit on renamed query" `Quick
             test_server_hit_on_renamed;
           Alcotest.test_case "no cache, no hits" `Quick
