@@ -48,34 +48,6 @@ let run () =
     ];
 
   Bench_util.subsection
-    "AC-3 preprocessing: revisions + combined solve vs plain backtracking";
-  Bench_util.row "%-22s %-12s %-12s %-12s" "instance" "ac3-revs"
-    "ac3+mrv(ms)" "mrv(ms)";
-  List.iter
-    (fun (name, source, target) ->
-      let (_, ac3_ms), revs =
-        Bench_util.with_counter "csp.ac3.revisions" (fun () ->
-            Bench_util.time_ms (fun () ->
-                ignore (Arc_consistency.find_hom ~source ~target ())))
-      in
-      let _, mrv_ms =
-        Bench_util.time_ms (fun () ->
-            ignore (Solver.find_hom ~source ~target ()))
-      in
-      Bench_util.row "%-22s %-12d %-12.2f %-12.2f" name revs ac3_ms mrv_ms)
-    [
-      ( "C12 -> C6",
-        Digraph.to_structure (Digraph.cycle 12),
-        Digraph.to_structure (Digraph.cycle 6) );
-      ( "C9 -> C4 (no hom)",
-        Digraph.to_structure (Digraph.cycle 9),
-        Digraph.to_structure (Digraph.cycle 4) );
-      ( "grid4x4 -> K3",
-        Digraph.to_structure (Digraph.grid 4 4),
-        Digraph.to_structure (Digraph.clique 3) );
-    ];
-
-  Bench_util.subsection
     "bounded-tw DP: bag assignments with vs without R pruning";
   (* membership instance: tree-shaped Codd database into a grounding *)
   let mk_tree ~seed ~nodes =

@@ -1,4 +1,4 @@
-(* E24 — the interned/bitset data layer and component-parallel search.
+(* E24 — the interned/bitset data layer and the component split.
 
    Two claims, both oracle-checked in-process:
 
@@ -6,13 +6,11 @@
      map/set [Engine.Reference] core on the E19-style budgeted hom
      family (same outcomes, identical search tree) — gauge
      [bench.components.core_speedup], expected >= 1.5;
-   - multi-component: a source with many connected components scales
-     with [--jobs] through [Engine.Components] (answers identical at
-     every job count, and never flipping the whole-instance answer) —
-     gauges [bench.components.speedup_j2] / [bench.components.speedup_j4],
-     and [bench.components.count] records the component count.  Like
-     E19's pool gauges, the speedups sit near (or below) 1.0 on a
-     single-core host; the multi-core scaling shows on CI. *)
+   - multi-component: on a source with many connected components, the
+     engine's existence search, which solves the components one at a
+     time, answers exactly as the reference core searching the whole
+     instance — [bench.components.count] records the component count
+     the engine reports on its [csp.components.count] gauge. *)
 
 module Engine = Certdb_csp.Engine
 module Structure = Certdb_csp.Structure
@@ -59,10 +57,9 @@ let core_family () =
   Bench_util.row "%-12s %-12.2f" "bitset" t_bit;
   Bench_util.row "speedup: %.2fx (oracle: outcomes identical)" speedup
 
-(* E22-flavoured shape: a cartesian-product workload — one instance with
-   many independent components, the unit the service's --jobs now
-   parallelizes {e within} a query.  Per-component searches must dwarf the domain-spawn cost for the
-   scaling to be visible.  [K3] is symmetric, so hom into it is exactly
+(* A cartesian-product shape: one instance with many independent
+   components, which the engine's existence search solves one at a time
+   under one budget.  [K3] is symmetric, so hom into it is exactly
    3-coloring; components drawn at the 3-colorability threshold (average
    degree ≈ 4.6) force a deep refutation tree on the unsat ones. *)
 let coloring_source seed k =
@@ -81,73 +78,37 @@ let k3 = Digraph.to_structure (Digraph.clique 3)
 let component_tasks n =
   List.init n (fun i -> (coloring_source (i * 13) 48, k3))
 
-let solve_components jobs tasks =
-  List.map
-    (fun (source, target) ->
-      Engine.decision_of_outcome
-        (Engine.Components.satisfiable ~config ~jobs ~source ~target ()))
-    tasks
-
 let components_family () =
   let tasks = component_tasks 1 in
-  let comp_count =
-    List.fold_left
-      (fun acc (s, _) -> acc + Engine.Components.count s)
-      0 tasks
-  in
+  let components = Obs.gauge "csp.components.count" in
+  Obs.set_int components 0;
+  let engine = solve_core `Bitset tasks in
+  let comp_count = int_of_float (Obs.gauge_value components) in
   Bench_util.subsection
     (Printf.sprintf
-       "component-parallel: %d multi-component instances (%d components)"
+       "component split: %d multi-component instances (%d components)"
        (List.length tasks) comp_count);
   Obs.set_int (Obs.gauge "bench.components.count") comp_count;
-  (* oracle: where both runs reach a definitive answer they must agree —
-     the split may legitimately {e refine} a whole-instance [`Unknown]
-     (each component runs under the full node budget, and refuting one
-     unsat component is exponentially easier than refuting its cartesian
-     product with the rest) *)
-  let whole =
-    List.map
-      (fun (source, target) ->
-        Engine.decision_of_outcome
-          (Engine.satisfiable ~config ~source ~target ()))
-      tasks
-  in
-  let baseline = solve_components 1 tasks in
-  let refined =
-    List.fold_left2
-      (fun acc w s ->
-        match (w, s) with
-        | (`True | `False), (`True | `False) when w <> s ->
-          failwith "E24: component split flips a definitive answer"
-        | `Unknown _, (`True | `False) -> acc + 1
-        | _ -> acc)
-      0 whole baseline
-  in
-  Bench_util.row
-    "oracle: definitive answers agree; split refined %d budget-tripped \
-     whole-instance runs"
-    refined;
-  let t1 = Bench_util.time_ms_median (fun () -> solve_components 1 tasks) in
-  Bench_util.row "%-8s %-12s %-12s %-10s" "jobs" "wall(ms)" "speedup" "same";
-  Bench_util.row "%-8d %-12.2f %-12.2f %-10s" 1 t1 1.0 "yes";
-  List.iter
-    (fun jobs ->
-      let results = solve_components jobs tasks in
-      let tn = Bench_util.time_ms_median (fun () -> solve_components jobs tasks) in
-      let same = results = baseline in
-      let speedup = t1 /. tn in
-      Obs.set
-        (Obs.gauge (Printf.sprintf "bench.components.speedup_j%d" jobs))
-        speedup;
-      Bench_util.row "%-8d %-12.2f %-12.2f %-10s" jobs tn speedup
-        (if same then "yes" else "NO");
-      if not same then
-        failwith (Printf.sprintf "E24: results diverge at --jobs %d" jobs))
-    [ 2; 4 ]
+  let reference = solve_core `Reference tasks in
+  if engine <> reference then
+    failwith "E24: component split disagrees with the whole-instance search";
+  let t_ref = Bench_util.time_ms_median (fun () -> solve_core `Reference tasks) in
+  let t_bit = Bench_util.time_ms_median (fun () -> solve_core `Bitset tasks) in
+  Bench_util.row "%-22s %-12s" "engine" "wall(ms)";
+  Bench_util.row "%-22s %-12.2f" "reference (whole)" t_ref;
+  Bench_util.row "%-22s %-12.2f" "bitset (split)" t_bit;
+  Bench_util.row "oracle: answers identical (%s)"
+    (String.concat ", "
+       (List.map
+          (function
+            | `True -> "true"
+            | `False -> "false"
+            | `Unknown r -> "unknown: " ^ Engine.reason_to_string r)
+          engine))
 
 let run () =
   Bench_util.banner
-    "E24  interned columnar core and component-parallel hom search";
+    "E24  interned columnar core and the component split of hom search";
   core_family ();
   components_family ()
 
@@ -158,6 +119,5 @@ let micro () =
     [
       ("e24/core-bitset", fun () -> ignore (solve_core `Bitset tasks));
       ("e24/core-reference", fun () -> ignore (solve_core `Reference tasks));
-      ("e24/components-j1", fun () -> ignore (solve_components 1 ctasks));
-      ("e24/components-j4", fun () -> ignore (solve_components 4 ctasks));
+      ("e24/components", fun () -> ignore (solve_core `Bitset ctasks));
     ]

@@ -273,11 +273,7 @@ let backend_arg =
            answers its lower bound directly.")
 
 let certain_cmd =
-  let run query degrade explain jobs backend limits max_attempts escalate d =
-    if jobs < 1 then begin
-      Printf.eprintf "--jobs must be >= 1\n";
-      exit 2
-    end;
+  let run query degrade explain backend limits max_attempts escalate d =
     let policy = policy_of_flags max_attempts escalate in
     let d = parse_instance_arg d in
     let q = parse_cq query in
@@ -303,7 +299,7 @@ let certain_cmd =
           end
         else
           match
-            Certdb_analysis.Plan.certain ~policy ~limits ~jobs ~backend q d
+            Certdb_analysis.Plan.certain ~policy ~limits ~backend q d
           with
           | `Exact b when degrade ->
             Printf.printf "exact: %b\n" b;
@@ -349,15 +345,6 @@ let certain_cmd =
             "Print the request's trace summary (plan route, ladder rung, \
              attempt count, span timings) as one JSON line on stderr.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Domains used within a single query: a cartesian-product query \
-             routed to the components plan solves its independent \
-             subqueries on $(docv) domains.")
-  in
   let d = instance_pos ~pos:0 ~doc:"Incomplete instance." in
   Cmd.v
     (Cmd.info "certain"
@@ -366,7 +353,7 @@ let certain_cmd =
           --degrade, the graded Boolean answer, never unknown.")
     (with_stats
        Term.(
-         const run $ query $ degrade $ explain $ jobs $ backend_arg
+         const run $ query $ degrade $ explain $ backend_arg
          $ limits_term $ max_attempts_arg $ escalate_arg $ d))
 
 (* chase *)
@@ -1044,9 +1031,6 @@ let stats_cmd =
     in
     ignore
       (Certdb_csp.Solver.find_hom ~source:(cycle 4) ~target:(cycle 2) ());
-    ignore
-      (Certdb_csp.Arc_consistency.find_hom ~source:(cycle 6) ~target:(cycle 3)
-         ());
     (* relational: ordering, glb, lub on a fixed pair *)
     let d = parse_instance_arg "R(1,_x); R(_x,2)"
     and d' = parse_instance_arg "R(1,9); R(9,2)" in
@@ -1092,7 +1076,7 @@ let stats_cmd =
     in
     let required =
       [
-        "csp.solver.decisions"; "csp.solver.searches"; "csp.ac3.revisions";
+        "csp.solver.decisions"; "csp.solver.searches";
         "rel.glb.pairs"; "rel.lub.pairs"; "exchange.chase.steps";
         "query.naive_evals"; "xml.tree_hom.searches";
       ]

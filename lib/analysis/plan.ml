@@ -136,7 +136,7 @@ let route_cq ?(width_threshold = default_width_threshold) ?(fds = [])
     in
     { route; hypergraph = Some hg }
 
-let certain ?policy ?limits ?(jobs = 1) ?width_threshold ?fds ?backend
+let certain ?policy ?limits ?jobs:_ ?width_threshold ?fds ?backend
     (q : Cq.t) d =
   if q.head <> [] then invalid_arg "Plan.certain: Boolean query only";
   let dec = route_cq ?width_threshold ?fds ?backend q in
@@ -155,8 +155,7 @@ let certain ?policy ?limits ?(jobs = 1) ?width_threshold ?fds ?backend
       match dec.route with
       | Naive_eval -> assert false (* Boolean queries never route here *)
       | Acyclic_join | Bounded_width _ -> ladder Decider.btw
-      | Components _ -> ladder (Decider.components ~jobs)
-      | Hom_ladder | Fd_naive _ -> ladder Decider.engine
+      | Components _ | Hom_ladder | Fd_naive _ -> ladder Decider.engine
       | Sat_backend _ -> ladder ~fallback:Decider.engine (Sat_choice.decider ()))
 
 let certain_answers u d =

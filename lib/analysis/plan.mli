@@ -13,10 +13,10 @@
       cost bounded by its consistent partial bag assignments, at worst
       [O(bags · |adom|^(w+1))];
     - cyclic, wide, but ≥ 2 connected components in the atoms-share-a-
-      variable graph → [Components c]: split the tableau into independent
-      hom instances, solve each (in parallel on [jobs] domains when
-      asked) and conjoin ({!Certdb_csp.Engine.Components}), under the
-      same retry ladder as [Hom_ladder];
+      variable graph → [Components c]: the component count is kept as
+      the route's certificate; evaluation runs the same decider and
+      ladder as [Hom_ladder], whose engine solves the components one at
+      a time ({!Certdb_csp.Engine.satisfiable});
     - cyclic, wide, but some query relation carries a {e certainly
       satisfied key FD} (checked by the caller with {!Fd.check} and
       passed via [?fds]) → [Fd_naive]: that relation is key-determined
@@ -83,10 +83,10 @@ val route_cq :
     depends on the route.  [Acyclic_join] and [Bounded_width] run the
     Theorem 6 DP ({!Certdb_csp.Decider.btw}), which honours the
     deadline and the cancel token of [limits] but not its node and
-    backtrack budgets; [Components] runs {!Certdb_csp.Decider.components}
-    on [jobs] domains (default 1); [Hom_ladder] and [Fd_naive] the
+    backtrack budgets; [Components], [Hom_ladder] and [Fd_naive] the
     bitset engine; and [Sat_backend] the CDCL decider with the bitset
     engine as its fallback, so crossing solvers never weakens an answer.
+    [jobs] is accepted and ignored: one request runs on one domain.
     Every route keeps the ladder's one deadline, and an exhausted ladder
     answers [`Lower_bound false].  Unlimited [limits] always yield
     [`Exact].

@@ -12,14 +12,6 @@ let engine =
         Engine.satisfiable ~config ~source ~target ());
   }
 
-let components ~jobs =
-  {
-    name = "components";
-    satisfiable =
-      (fun config source target ->
-        Engine.Components.satisfiable ~config ~jobs ~source ~target ());
-  }
-
 let reference =
   {
     name = "reference";

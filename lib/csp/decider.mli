@@ -23,12 +23,9 @@ type t = {
     Engine.Config.t -> Structure.t -> Structure.t -> unit Engine.outcome;
 }
 
-(** The bitset engine ({!Engine.satisfiable}), named ["csp"]. *)
+(** The bitset engine ({!Engine.satisfiable}), named ["csp"]: it solves
+    the source's connected components one at a time under one budget. *)
 val engine : t
-
-(** Component-parallel solving ({!Engine.Components.satisfiable}) on
-    [jobs] domains, named ["components"]. *)
-val components : jobs:int -> t
 
 (** The bounded-treewidth DP of Theorem 6 ({!Bounded_tw.satisfiable})
     over the narrower of the two {!Treewidth} heuristics' decompositions

@@ -48,9 +48,9 @@ let pp ppf (d : t) =
 
 (* {1 Word-parallel bitsets}
 
-   The engine and AC-3 run over dense node ids in [0, cap); a domain is a
-   bitset of [cap] bits packed into an int array, so support checks and
-   intersections are [land]/[lor] over words. *)
+   The engine and the bounded-treewidth DP run over dense node ids in
+   [0, cap); a domain is a bitset of [cap] bits packed into an int array,
+   so support checks and intersections are [land]/[lor] over words. *)
 
 module Bitset = struct
   type bs = int array

@@ -11,8 +11,8 @@
     compiled to the engine's dense bitsets.
 
     The {!Bitset} and {!Dense} submodules are the word-parallel machinery
-    the engine and AC-3 compile domains into: support checks and
-    intersections become [land]/[lor] over int arrays. *)
+    the engine and the bounded-treewidth DP compile domains into: support
+    checks and intersections become [land]/[lor] over int arrays. *)
 
 module Int_set = Structure.Int_set
 module Int_map = Structure.Int_map

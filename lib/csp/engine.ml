@@ -18,6 +18,8 @@ let solutions = Obs.counter "csp.solver.solutions"
 let searches = Obs.counter "csp.solver.searches"
 let unknowns = Obs.counter "csp.engine.unknowns"
 let exists_skipped_vars = Obs.counter "csp.engine.exists_skipped_vars"
+let components_splits = Obs.counter "csp.components.splits"
+let components_count = Obs.gauge "csp.components.count"
 
 type reason =
   | Node_budget
@@ -232,7 +234,9 @@ exception Stop
    per-variable initial candidate bitsets (label-compatible targets
    intersected with the restriction), and the constraint list with its
    per-variable index and the matching target relation resolved by
-   interned (rel_id, arity).  Shared by the search core and AC-3. *)
+   interned (rel_id, arity), and the connected components the existence
+   search solves one at a time.  Shared by the search core, the
+   bounded-treewidth DP and the CNF encoder. *)
 
 module Compiled = struct
   module Bitset = Domains.Bitset
@@ -253,6 +257,8 @@ module Compiled = struct
     by_var : ccstr list array;
     zero_ok : bool; (* every 0-ary source fact occurs in the target *)
     max_arity : int;
+    comp : int array; (* per dense var: its component, -1 if pinned or free *)
+    ncomps : int;
   }
 
   let find_crel (c : Structure.columnar) rel_id arity =
@@ -350,6 +356,47 @@ module Compiled = struct
           end)
         c.cvars
     done;
+    (* Components: union-find over the constrained variables, joining the
+       variables of each constraint.  A pinned variable (an initial row of
+       exactly one candidate, a query constant) joins nothing: forward
+       checking leaves its row {c} or wipes it out at the choice that
+       broke it, so it carries no choice from one component to another.
+       Classes are numbered by their smallest member; the union keeps the
+       smaller root, so a root is numbered before the rest of its class. *)
+    let pinned = Array.map (fun row -> Bitset.count row = 1) init in
+    let parent = Array.init nvars Fun.id in
+    let rec find v =
+      if parent.(v) = v then v
+      else begin
+        let r = find parent.(v) in
+        parent.(v) <- r;
+        r
+      end
+    in
+    Array.iter
+      (fun c ->
+        let first = ref (-1) in
+        Array.iter
+          (fun v ->
+            if not pinned.(v) then
+              if !first < 0 then first := v
+              else
+                let a = find !first and b = find v in
+                if a <> b then parent.(max a b) <- min a b)
+          c.cvars)
+      cstrs;
+    let comp = Array.make (max 1 nvars) (-1) in
+    let ncomps = ref 0 in
+    for v = 0 to nvars - 1 do
+      if by_var.(v) <> [] && not pinned.(v) then begin
+        let r = find v in
+        if r = v then begin
+          comp.(v) <- !ncomps;
+          incr ncomps
+        end
+        else comp.(v) <- comp.(r)
+      end
+    done;
     {
       csrc;
       ctgt;
@@ -361,25 +408,46 @@ module Compiled = struct
       by_var;
       zero_ok = !zero_ok;
       max_arity = !max_arity;
+      comp;
+      ncomps = !ncomps;
     }
 end
 
 (* The budgeted backtracking core over the compiled instance: MRV
    variable selection with forward checking, the engine's only search.
    Its semantics (variable/value order, MRV tie-breaking, forward-check
-   pruning, budget ticks) mirror {!Reference.run_search} exactly — the
-   search tree and the csp.solver.* counters it drives are preserved —
-   but domains are bitset rows with trail-based undo and support scans
-   run over the target's per-position tuple index instead of
-   [Tuple_set] traversals.
+   pruning, budget ticks) mirror {!Reference.run_search} — the search
+   tree and the csp.solver.* counters it drives are preserved, up to the
+   component split below — but domains are bitset rows with trail-based
+   undo and support scans run over the target's per-position tuple
+   index instead of [Tuple_set] traversals.
 
-   When [skip_free] is set, variables occurring in no constraint are
-   excluded from branching (their only obligation is a non-empty
-   candidate set, checked up front) and reported to [on_solution]. *)
-let run_search_compiled ~budget ~skip_free (cp : Compiled.t) on_solution =
+   With [exists] (the existence searches, which stop at one solution),
+   variables occurring in no constraint are excluded from branching
+   (their only obligation is a non-empty candidate set, checked up
+   front) and reported to [on_solution], and the search solves the
+   compiled components one at a time: MRV picks a component's first
+   variable among all unassigned ones, then only inside that component
+   (and among the pinned variables, which belong to none) until it is
+   complete.  If the search below a completed component finds no
+   solution, no other values for that component can help — the rest
+   shares no constraint with it — so the whole search is exhausted.
+   One budget covers every component.  On a source with one component
+   the search is the unsplit one until that component completes; only
+   the pinned variables can be left, and if they fail the cut ends the
+   search where the unsplit one would retry the component in vain.
+   Enumeration needs every combination, so it searches the whole
+   instance. *)
+exception Component_exhausted
+
+let run_search_compiled ~budget ~exists (cp : Compiled.t) on_solution =
   let module Bitset = Domains.Bitset in
   let module Dense = Domains.Dense in
   Obs.incr searches;
+  if exists && cp.Compiled.ncomps >= 2 then begin
+    Obs.incr components_splits;
+    Obs.set_int components_count cp.Compiled.ncomps
+  end;
   let nvars = cp.Compiled.nvars in
   if not cp.Compiled.zero_ok then `Exhausted
   else if
@@ -389,13 +457,23 @@ let run_search_compiled ~budget ~skip_free (cp : Compiled.t) on_solution =
     let branch, free =
       let b = ref [] and f = ref [] in
       for v = nvars - 1 downto 0 do
-        if (not skip_free) || cp.Compiled.by_var.(v) <> [] then b := v :: !b
+        if (not exists) || cp.Compiled.by_var.(v) <> [] then b := v :: !b
         else f := v :: !f
       done;
       (!b, !f)
     in
     let order = Array.of_list branch in
     let n_branch = Array.length order in
+    let comp =
+      if exists then cp.Compiled.comp else Array.make (max 1 nvars) (-1)
+    in
+    (* unassigned variables left per component, and the component being
+       completed (-1: none is partly assigned) *)
+    let left = Array.make (max 1 cp.Compiled.ncomps) 0 in
+    Array.iter
+      (fun v -> if comp.(v) >= 0 then left.(comp.(v)) <- left.(comp.(v)) + 1)
+      order;
+    let cur = ref (-1) in
     let m = Dense.create ~vars:(max 1 nvars) ~cap:cp.Compiled.cap in
     Array.iteri (fun v row -> Dense.set_row m v row) cp.Compiled.init;
     let assignment = Array.make (max 1 nvars) (-1) in
@@ -522,16 +600,21 @@ let run_search_compiled ~budget ~skip_free (cp : Compiled.t) on_solution =
       end
       else begin
         Obs.incr mrv_selects;
+        let cur0 = !cur in
         let v =
           let best = ref (-1) in
           Array.iter
             (fun v ->
-              if assignment.(v) < 0 then
+              if
+                assignment.(v) < 0
+                && (cur0 < 0 || comp.(v) = cur0 || comp.(v) < 0)
+              then
                 if !best < 0 || Dense.count m v < Dense.count m !best then
                   best := v)
             order;
           !best
         in
+        let c = comp.(v) in
         List.iter
           (fun b ->
             Budget.tick_node budget;
@@ -554,8 +637,22 @@ let run_search_compiled ~budget ~skip_free (cp : Compiled.t) on_solution =
                   else if not (propagate_cstr trail c v b) then ok := false)
               cp.Compiled.by_var.(v);
             (try
-               if !ok then go ()
-               else Budget.tick_backtrack budget
+               if not !ok then Budget.tick_backtrack budget
+               else if c >= 0 && left.(c) = 1 then begin
+                 (* [v] completes its component *)
+                 left.(c) <- 0;
+                 cur := -1;
+                 go ();
+                 raise Component_exhausted
+               end
+               else begin
+                 if c >= 0 then begin
+                   left.(c) <- left.(c) - 1;
+                   cur := c
+                 end;
+                 go ();
+                 if c >= 0 then left.(c) <- left.(c) + 1
+               end
              with e ->
                (* unwind the trail even on Stop/Interrupted so sibling
                   state stays coherent for enumerating callers *)
@@ -570,13 +667,16 @@ let run_search_compiled ~budget ~skip_free (cp : Compiled.t) on_solution =
               !trail;
             assignment.(v) <- -1;
             decr n_assigned)
-          (Dense.row_to_list m v)
+          (Dense.row_to_list m v);
+        cur := cur0
       end
     in
     try
       go ();
       `Exhausted
-    with Stop -> `Stopped
+    with
+    | Stop -> `Stopped
+    | Component_exhausted -> `Exhausted
   end
 
 (* {1 Public entry points} *)
@@ -603,7 +703,7 @@ let solve ?(config = Config.default) ~source ~target () =
   Budget.run config.limits (fun budget ->
       let found = ref None in
       (match
-         run_search_compiled ~budget ~skip_free:true cp
+         run_search_compiled ~budget ~exists:true cp
            (fun assignment m free_vars ->
              (* unconstrained variables: any label-compatible candidate
                 works, so extend greedily without search *)
@@ -631,7 +731,7 @@ let satisfiable ?(config = Config.default) ~source ~target () =
   Budget.run config.limits (fun budget ->
       let found = ref false in
       (match
-         run_search_compiled ~budget ~skip_free:true cp
+         run_search_compiled ~budget ~exists:true cp
            (fun _ _ free_vars ->
              Obs.add exists_skipped_vars (List.length free_vars);
              found := true;
@@ -645,7 +745,7 @@ let iter ?(config = Config.default) ~source ~target f =
   let cp = Compiled.make ?restrict:config.restrict ~source ~target () in
   let budget = Budget.start config.limits in
   match
-    run_search_compiled ~budget ~skip_free:false cp
+    run_search_compiled ~budget ~exists:false cp
       (fun assignment _ _ -> f (hom_of_assignment cp assignment))
   with
   | `Exhausted -> `Exhausted
@@ -937,79 +1037,4 @@ module Batch = struct
     map ?jobs
       (fun t -> solve ~config:t.config ~source:t.source ~target:t.target ())
       tasks
-end
-
-(* {1 Component decomposition}
-
-   A hom instance whose source splits into connected components (of the
-   Gaifman graph) decomposes: the components share no constraint, so a
-   homomorphism exists iff one exists per component, and the witnesses
-   stitch together over the disjoint node sets.  Components are solved
-   independently — optionally in parallel on {!Batch}'s domain pool —
-   and the outcomes conjoined: any [Unsat] wins, else any [Unknown]
-   wins (the first, in component order), else [Sat]. *)
-
-module Components = struct
-  let splits = Obs.counter "csp.components.splits"
-  let solved = Obs.counter "csp.components.solved"
-  let components_gauge = Obs.gauge "csp.components.count"
-
-  let split = Structure.components
-  let count = Structure.component_count
-
-  (* [conjoin outcomes] — [merge] stitches the per-component witnesses
-     (their domains are disjoint). *)
-  let conjoin ~merge outcomes =
-    if List.exists (function Unsat -> true | _ -> false) outcomes then Unsat
-    else
-      match
-        List.find_opt (function Unknown _ -> true | _ -> false) outcomes
-      with
-      | Some (Unknown r) -> Unknown r
-      | Some _ | None ->
-        Sat
-          (merge
-             (List.map
-                (function Sat x -> x | Unsat | Unknown _ -> assert false)
-                outcomes))
-
-  let run ~each ~merge ?(config = Config.default) ?(jobs = 1) ~source
-      ~target () =
-    match Structure.components source with
-    | [] | [ _ ] -> each ~config ~source ~target ()
-    | comps ->
-      Trace.with_span "csp.components.run"
-        ~labels:[ ("components", string_of_int (List.length comps)) ]
-      @@ fun () ->
-      Obs.incr splits;
-      Obs.set_int components_gauge (List.length comps);
-      (* every component runs under the caller's full limits — the
-         conjunction is still sound: a definitive per-component answer is
-         definitive for the whole, and budgets only add Unknowns *)
-      let outcomes =
-        Batch.map ~jobs
-          (fun comp ->
-            let o = each ~config ~source:comp ~target () in
-            Obs.incr solved;
-            o)
-          comps
-      in
-      conjoin ~merge outcomes
-
-  let solve ?config ?jobs ~source ~target () =
-    run
-      ~each:(fun ~config ~source ~target () ->
-        solve ~config ~source ~target ())
-      ~merge:(fun homs ->
-        List.fold_left
-          (Int_map.union (fun _ w _ -> Some w))
-          Int_map.empty homs)
-      ?config ?jobs ~source ~target ()
-
-  let satisfiable ?config ?jobs ~source ~target () =
-    run
-      ~each:(fun ~config ~source ~target () ->
-        satisfiable ~config ~source ~target ())
-      ~merge:(fun _ -> ())
-      ?config ?jobs ~source ~target ()
 end

@@ -18,10 +18,11 @@
     ids ({!Interner}), and candidate domains as word-parallel bitset
     rows ({!Domains.Dense}) with trail-based undo — support checks are
     [land]s over int arrays driven by the target's per-position tuple
-    index.  {!Reference} preserves the pre-columnar map/set core as the
-    ablation baseline and test oracle.  {!Components} splits an instance
-    into connected components and conjoins per-component outcomes,
-    optionally in parallel on {!Batch}'s domain pool.
+    index.  The existence searches ({!solve}, {!satisfiable}) solve the
+    source's connected components one at a time under one budget, and
+    stop at the first component that cannot be completed.  {!Reference}
+    preserves the pre-columnar map/set core, which searches the whole
+    instance, as the ablation baseline and test oracle.
 
     One semantic fix over {!Reference}: a 0-ary source fact [R()] absent
     from the target makes the instance [Unsat] (the old core ignored
@@ -158,8 +159,8 @@ val is_hom : source:Structure.t -> target:Structure.t -> hom -> bool
 
 (**/**)
 
-(* Internal plumbing shared with [Solver]'s naive ablation baseline and
-   [Arc_consistency]'s bitset propagator. *)
+(* Internal plumbing shared with [Solver]'s naive ablation baseline, the
+   bounded-treewidth DP and the CNF encoder. *)
 
 type cstr = { rel : string; vars : int array }
 
@@ -193,6 +194,11 @@ module Compiled : sig
     by_var : ccstr list array;
     zero_ok : bool;  (** every 0-ary source fact occurs in the target *)
     max_arity : int;
+    comp : int array;
+        (** per dense var: its connected component in [0, ncomps), or -1
+            for a pinned variable (exactly one initial candidate) or one
+            in no constraint; pinned variables join no component *)
+    ncomps : int;
   }
 
   val make :
@@ -213,7 +219,16 @@ val compile :
 (**/**)
 
 (** [solve ?config ~source ~target ()] searches for one homomorphism.
-    [Sat h] is a verified witness; [Unsat] means none exists. *)
+    [Sat h] is a verified witness; [Unsat] means none exists.
+
+    The search solves the source's connected components one at a time:
+    components join the variables of each constraint, except pinned
+    variables (one initial candidate, such as a query constant), which
+    join none.  Once a component is complete, the search never returns
+    into it: if the rest has no solution, the instance has none.  The
+    one {!Config.t} budget covers every component.  With two or more
+    components it bumps [csp.components.splits] and sets the gauge
+    [csp.components.count]. *)
 val solve :
   ?config:Config.t ->
   source:Structure.t ->
@@ -225,7 +240,8 @@ val solve :
     materializing a witness: variables occurring in no constraint are
     never branched on (their candidate sets are only checked non-empty),
     so it explores no more — and on instances with unconstrained nodes
-    strictly fewer — nodes than [solve]. *)
+    strictly fewer — nodes than [solve].  It splits into components as
+    {!solve} does. *)
 val satisfiable :
   ?config:Config.t ->
   source:Structure.t ->
@@ -234,7 +250,9 @@ val satisfiable :
   unit outcome
 
 (** [iter ?config ~source ~target f] enumerates homomorphisms until [f]
-    answers [`Stop], the space is exhausted, or a limit trips. *)
+    answers [`Stop], the space is exhausted, or a limit trips.  It needs
+    every combination, so it searches the whole instance without the
+    component split. *)
 val iter :
   ?config:Config.t ->
   source:Structure.t ->
@@ -252,8 +270,9 @@ val count :
   int outcome
 
 (** The pre-columnar map/set search core — the same MRV + forward-checking
-    search — kept as the ablation baseline of bench e24 and the
-    independent oracle of the engine's property tests.  Same
+    search over the whole instance, without the component split — kept
+    as the ablation baseline of bench e24 and the independent oracle of
+    the engine's property tests.  Same
     {!Config.t}, same budget semantics, same counters — but persistent [Int_set] domains and [Tuple_set]
     support scans instead of bitsets, and 0-ary constraints are (still)
     silently ignored. *)
@@ -331,39 +350,4 @@ module Batch : sig
   (** [solve_all ?jobs tasks] = [map ?jobs] of {!solve}, with each
       task's own budget. *)
   val solve_all : ?jobs:int -> task list -> hom outcome list
-end
-
-(** Component-parallel solving.  The source splits into the connected
-    components of its Gaifman graph ({!Structure.components}); the
-    components share no constraint, so the instance decomposes: solve
-    each against the full target and conjoin — any [Unsat] ⇒ [Unsat],
-    else any [Unknown] ⇒ [Unknown] (the first, in component order), else
-    [Sat] with the witnesses stitched over the disjoint node sets.
-
-    Each component runs under the caller's full {!Limits.t} (budgets are
-    not divided; a shared {!Cancel.t} still cancels everything), and
-    [jobs > 1] fans components out on {!Batch}'s domain pool.  With one
-    component this is exactly {!solve}/{!satisfiable}. *)
-module Components : sig
-  (** {!Structure.components} of the source. *)
-  val split : Structure.t -> Structure.t list
-
-  (** {!Structure.component_count} of the source. *)
-  val count : Structure.t -> int
-
-  val solve :
-    ?config:Config.t ->
-    ?jobs:int ->
-    source:Structure.t ->
-    target:Structure.t ->
-    unit ->
-    hom outcome
-
-  val satisfiable :
-    ?config:Config.t ->
-    ?jobs:int ->
-    source:Structure.t ->
-    target:Structure.t ->
-    unit ->
-    unit outcome
 end

@@ -294,56 +294,6 @@ let gaifman s =
         adj t)
     s init
 
-(* {1 Connected components}
-
-   Union-find over the nodes, merging along every tuple.  The returned
-   classes drive [Engine.Components]: disjoint classes share no
-   constraint, so hom instances decompose over them. *)
-
-let component_classes s =
-  let c = columnar s in
-  let n = Array.length c.node_ids in
-  let parent = Array.init n (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else begin
-    let r = find parent.(i) in
-    parent.(i) <- r;
-    r
-  end in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then parent.(max ri rj) <- min ri rj
-  in
-  Array.iter
-    (fun cr ->
-      if cr.arity > 0 then
-        for i = 0 to cr.count - 1 do
-          let first = cr.flat.(i * cr.arity) in
-          for p = 1 to cr.arity - 1 do
-            union first cr.flat.((i * cr.arity) + p)
-          done
-        done)
-    c.crels;
-  (* group by root, classes ordered by their minimal (dense = raw-order)
-     member *)
-  let classes = Hashtbl.create 16 in
-  let order = ref [] in
-  for i = n - 1 downto 0 do
-    let r = find i in
-    (match Hashtbl.find_opt classes r with
-    | Some l -> Hashtbl.replace classes r (c.node_ids.(i) :: l)
-    | None ->
-      Hashtbl.replace classes r [ c.node_ids.(i) ]);
-    if i = r then order := r :: !order
-  done;
-  List.map (fun r -> Int_set.of_list (Hashtbl.find classes r)) !order
-
-let component_count s = List.length (component_classes s)
-
-let components s =
-  match component_classes s with
-  | [] | [ _ ] -> [ s ]
-  | classes -> List.map (fun keep -> restrict s keep) classes
-
 let is_substructure s1 s2 =
   Int_set.for_all
     (fun v -> Int_set.mem v s2.nodes && same_label s1 v s2 v)

@@ -16,7 +16,7 @@ module Tuple_set : Set.S with type elt = tuple
     Relation names and labels interned to dense ints ({!Interner}), nodes
     renumbered densely (ascending in the raw ids), and each relation's
     tuples stored flat with a per-position inverted index.  This is the
-    layout the engine, AC-3, and the bounded-treewidth DP scan; it is
+    layout the engine and the bounded-treewidth DP scan; it is
     computed once per structure value and memoized. *)
 
 type crel = {
@@ -99,20 +99,6 @@ val map_nodes : t -> (int -> int) -> t
 (** [gaifman s] is the Gaifman graph: the undirected adjacency between
     nodes co-occurring in some tuple, as a map node → neighbor set. *)
 val gaifman : t -> Int_set.t Int_map.t
-
-(** {1 Connected components} *)
-
-(** [component_classes s] — the node classes of the connected components
-    of the Gaifman graph, ordered by minimal member.  Isolated nodes form
-    singleton classes.  0-ary facts belong to no class. *)
-val component_classes : t -> Int_set.t list
-
-val component_count : t -> int
-
-(** [components s] — the induced substructures on the component classes
-    (raw node ids are preserved); [[s]] when connected or empty.  Every
-    component keeps the 0-ary facts of [s]. *)
-val components : t -> t list
 
 (** [is_substructure s1 s2] iff every node (with matching label) and tuple
     of [s1] occurs in [s2]. *)

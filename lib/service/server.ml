@@ -198,18 +198,14 @@ let find_or_prepare t entry ~limits ~policy ~backend ~no_cache ~canon ~query
 let c_nodes = Obs.counter "csp.solver.decisions"
 let c_backtracks = Obs.counter "csp.solver.backtracks"
 
-(* [jobs] parallelizes {e within} the query: a cartesian-product CQ routed
-   to [Plan.Components] solves its components on that many domains.  The
-   batch verb keeps [jobs = 1] here — it already spreads whole requests
-   across the pool. *)
-let compute_pending ?(jobs = 1) p =
+let compute_pending p =
   let t0 = Obs.now_ms () in
   let n0 = Obs.counter_value c_nodes in
   let b0 = Obs.counter_value c_backtracks in
   let a =
     if p.p_q.Cq.head = [] then
       Graded
-        (Plan.certain ~policy:p.p_policy ~limits:p.p_limits ~jobs
+        (Plan.certain ~policy:p.p_policy ~limits:p.p_limits
            ~backend:p.p_backend p.p_q p.p_entry.instance)
     else Tuples (Plan.certain_answers (Ucq.make [ p.p_q ]) p.p_entry.instance)
   in
@@ -254,7 +250,7 @@ let eval_query t ~db ?limits ?max_attempts ?backend ?(no_cache = false) q =
     | Error _ as e -> e
     | Ok (`Hit a) -> Ok ((a, true) : answer * bool)
     | Ok (`Todo p) ->
-      let a, cost_ms = compute_pending ~jobs:t.config.Config.jobs p in
+      let a, cost_ms = compute_pending p in
       store t p a ~cost_ms;
       Ok (a, false))
 
@@ -372,9 +368,7 @@ let query_fields t j =
             match prepared with
             | `Hit a -> (a, true)
             | `Todo p ->
-              let a, cost_ms =
-                compute_pending ~jobs:t.config.Config.jobs p
-              in
+              let a, cost_ms = compute_pending p in
               store t p a ~cost_ms;
               (a, false)
           in

@@ -34,6 +34,11 @@
     answered with an [error] row ("request line exceeds N bytes")
     without ever being buffered whole.
 
+    A [query] is evaluated on one domain under its one deadline, a
+    cartesian-product query included: the engine solves its connected
+    components one at a time.  [jobs] widens only the [batch] verb's
+    pool.
+
     Under the concurrent socket front end ({!Supervisor}), an
     overloaded server sheds new connections with one
     [{"status":"overloaded","retry_after_ms":F}] row instead of
@@ -94,7 +99,9 @@ module Config : sig
     policy : Resilient.Policy.t;  (** default retry policy *)
     default_limits : Engine.Limits.t;
         (** per-request admission default; request fields override *)
-    jobs : int;  (** domain-pool width for the [batch] verb *)
+    jobs : int;
+        (** domain-pool width for the [batch] verb; a single [query] runs
+            on one domain *)
     slow_ms : float option;
         (** slow-query threshold; [None] disables the slow log *)
     backend : Certdb_sat.Backend.choice;

@@ -385,11 +385,18 @@ let run_task ~policy (idx, (id, op, work)) =
       | exception e -> error_fields (describe_exn e))
     | Ok (Certain { limits; backend; q; d }) -> (
       (* the planner's ladder is the only ladder: no outer retry *)
-      match
-        Certdb_analysis.Plan.certain ~policy ~limits ~jobs:1 ~backend q d
-      with
+      match Certdb_analysis.Plan.certain ~policy ~limits ~backend q d with
       | `Exact true -> [ status "sat" ]
       | `Exact false -> [ status "unsat" ]
+      | `Lower_bound false
+        when Option.fold ~none:false ~some:Engine.Cancel.cancelled
+               limits.Engine.Limits.cancel ->
+        (* a cancelled row is not a graded answer: it answers as a
+           cancelled [leq] or [member] row does *)
+        [
+          status "unknown";
+          ("reason", Json.String (Engine.reason_to_string Engine.Cancelled));
+        ]
       | `Lower_bound b ->
         [
           status (if b then "sat" else "unknown");

@@ -104,8 +104,10 @@ val parse_task :
     [certain] goes through the planner exactly as [certdb serve] does,
     with [policy] as its ladder's policy: [`Exact b] is [sat]/[unsat];
     [`Lower_bound true] is [sat] and [`Lower_bound false] is [unknown],
-    both with ["grade":"lower-bound"].  A raised exception is an
-    [error] row. *)
+    both with ["grade":"lower-bound"], except that a [`Lower_bound false]
+    whose cancel token was tripped is [unknown] with
+    ["reason":"cancelled"], as a cancelled [leq] or [member] row is.  A
+    raised exception is an [error] row. *)
 val run_task :
   policy:Certdb_csp.Resilient.Policy.t -> int * task -> Json.t
 

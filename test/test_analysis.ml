@@ -433,9 +433,8 @@ let qcheck_certain_matches_definition =
       let expected = certain_by_definition q d in
       let deciders =
         [
-          Decider.engine; Decider.components ~jobs:1;
-          Decider.components ~jobs:2; Backend.decider ();
-          Backend.decider ~symmetry:false (); Decider.reference; Decider.btw;
+          Decider.engine; Backend.decider (); Backend.decider ~symmetry:false ();
+          Decider.reference; Decider.btw;
         ]
       in
       List.iter

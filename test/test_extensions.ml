@@ -1,10 +1,9 @@
 (* Tests for the extension modules: graph parameters (Section 4's
    monotone/antimonotone observation), the Dedekind–MacNeille completion
-   (Theorem 3's order-theoretic engine), AC-3 preprocessing, and certain
-   answers in data exchange. *)
+   (Theorem 3's order-theoretic engine), and certain answers in data
+   exchange. *)
 
 open Certdb_values
-open Certdb_csp
 open Certdb_graph
 
 let check = Alcotest.(check bool)
@@ -105,48 +104,6 @@ let test_completion_incomparable_pair_without_meet () =
   in
   check "meet exists in completion" true (m >= 0)
 
-(* AC-3 *)
-let test_ac3_prunes () =
-  let source = Digraph.to_structure (Digraph.cycle 3) in
-  let target = Digraph.to_structure (Digraph.cycle 4) in
-  (* no hom C3 → C4: AC-3 alone cannot always detect it, but the combined
-     search must agree with the plain solver *)
-  Alcotest.(check bool)
-    "ac3 solver agrees (negative)" false
-    (Option.is_some (Arc_consistency.find_hom ~source ~target ()));
-  let target2 = Digraph.to_structure (Digraph.cycle 6) in
-  Alcotest.(check bool)
-    "ac3 solver agrees (positive)" true
-    (Option.is_some (Arc_consistency.find_hom ~source:(Digraph.to_structure (Digraph.cycle 6)) ~target:(Digraph.to_structure (Digraph.cycle 3)) ()));
-  ignore target2
-
-let test_ac3_domain_wipeout () =
-  (* a node restricted to an unsupported candidate: immediate None *)
-  let source = Digraph.to_structure (Digraph.path 1) in
-  let target = Digraph.to_structure (Digraph.path 1) in
-  let restrict =
-    (* sink can't start an edge *)
-    Domains.of_list [ (0, Structure.Int_set.singleton 1) ]
-  in
-  Alcotest.(check bool)
-    "wipeout" true
-    (Arc_consistency.prune ~restrict ~source ~target () = None)
-
-let test_ac3_agreement_random () =
-  for seed = 0 to 20 do
-    let source =
-      Digraph.to_structure (Digraph.random ~seed ~vertices:5 ~edge_prob:0.35 ())
-    in
-    let target =
-      Digraph.to_structure
-        (Digraph.random ~seed:(seed + 99) ~vertices:5 ~edge_prob:0.45 ())
-    in
-    check
-      (Printf.sprintf "seed %d" seed)
-      (Option.is_some (Solver.find_hom ~source ~target ()))
-      (Option.is_some (Arc_consistency.find_hom ~source ~target ()))
-  done
-
 (* certain answers in exchange *)
 let test_certain_exchange () =
   let open Certdb_relational in
@@ -201,12 +158,6 @@ let () =
           Alcotest.test_case "divisibility" `Quick test_completion_divisibility;
           Alcotest.test_case "adds meets" `Quick
             test_completion_incomparable_pair_without_meet;
-        ] );
-      ( "ac3",
-        [
-          Alcotest.test_case "prunes" `Quick test_ac3_prunes;
-          Alcotest.test_case "wipeout" `Quick test_ac3_domain_wipeout;
-          Alcotest.test_case "agreement" `Quick test_ac3_agreement_random;
         ] );
       ( "certain-exchange",
         [ Alcotest.test_case "exchange answers" `Quick test_certain_exchange ] );

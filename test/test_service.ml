@@ -477,6 +477,87 @@ let test_starved_ladder_keeps_deadline () =
         (Wire.run_task ~policy
            (0, Wire.parse_task 0 (request "certain" [ ("d", Json.String db) ]))))
 
+(* Components share one deadline: four disjoint transitive 10-tournaments
+   over K9 route to the components plan, and the engine solves them one
+   at a time under the request's one budget, so 100 ms for one attempt
+   answers the empty lower bound well inside 250 ms — through the
+   planner, and through serve's [query] verb at [jobs] 1 and at the
+   default [jobs].  The servers run without a cache: canonicalising this
+   180-atom query for the cache key runs before the request's deadline
+   starts and is not what this test measures. *)
+let test_components_share_deadline () =
+  let copy k =
+    String.concat ", "
+      (List.concat
+         (List.init 10 (fun i ->
+              List.init (10 - i - 1) (fun m ->
+                  Printf.sprintf "E(_c%d_%d,_c%d_%d)" k i k (i + m + 1)))))
+  in
+  let text = "ans() :- " ^ String.concat ", " (List.init 4 copy) in
+  let db = complete_graph_text 9 in
+  let q = Result.get_ok (Wire.parse_cq_result text) in
+  let d = Result.get_ok (Wire.parse_instance_result db) in
+  check "routed to the components plan" true
+    ((Plan.route_cq q).Plan.route = Plan.Components 4);
+  let policy = Resilient.Policy.make ~max_attempts:1 () in
+  let limits = Engine.Limits.make ~timeout_ms:100. () in
+  let request =
+    Json.to_string
+      (Json.Obj
+         [
+           ("op", Json.String "query");
+           ("query", Json.String text);
+           ("db", Json.String "d");
+           ("timeout_ms", Json.Float 100.);
+           ("max_attempts", Json.Int 1);
+         ])
+  in
+  let timed name f =
+    let t0 = Unix.gettimeofday () in
+    let answer = f () in
+    let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+    check (name ^ " answers the empty lower bound") true
+      (answer = Ok (`Lower_bound false));
+    if ms >= 250. then Alcotest.failf "%s took %.0f ms (limit 250)" name ms
+  in
+  timed "Plan.certain" (fun () -> Ok (Plan.certain ~policy ~limits q d));
+  List.iter
+    (fun (name, config) ->
+      let server = Server.create ~config () in
+      (match Server.load server ~name:"d" ~source:db with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m);
+      timed name (fun () ->
+          graded_of_serve_row (fst (Server.handle_line server ~idx:0 request))))
+    [
+      ("serve query, jobs 1", Server.Config.make ~cache_capacity:0 ~jobs:1 ());
+      ("serve query, default jobs", Server.Config.make ~cache_capacity:0 ());
+    ]
+
+(* A cancelled batch [certain] row is not a graded answer: like a
+   cancelled [leq] or [member] row it answers [unknown] with the reason
+   [cancelled]. *)
+let test_cancelled_certain_row () =
+  let cancel = Engine.Cancel.create () in
+  Engine.Cancel.cancel cancel;
+  let line =
+    Json.to_string
+      (Json.Obj
+         [
+           ("op", Json.String "certain");
+           ("query", Json.String ("ans() :- " ^ clique_text 4));
+           ("d", Json.String (complete_graph_text 5));
+         ])
+  in
+  let row =
+    Wire.run_task ~policy:Resilient.Policy.default
+      (0, Wire.parse_task ~cancel 0 line)
+  in
+  check "status unknown" true (Wire.str_field "status" row = Some "unknown");
+  check "reason cancelled" true
+    (Wire.str_field "reason" row = Some "cancelled");
+  check "no grade" true (Wire.str_field "grade" row = None)
+
 (* the bounded-width DP runs under the request deadline too: the 5-cycle
    (width 2) over the complete bipartite digraph K(50,50) has no
    homomorphism, and refuting it fills every bag table (~100 ms
@@ -764,6 +845,10 @@ let () =
             test_starved_ladder_keeps_deadline;
           Alcotest.test_case "bounded-width DP keeps its deadline" `Quick
             test_dp_keeps_deadline;
+          Alcotest.test_case "components share one deadline" `Quick
+            test_components_share_deadline;
+          Alcotest.test_case "cancelled batch certain row" `Quick
+            test_cancelled_certain_row;
           Alcotest.test_case "hit on renamed query" `Quick
             test_server_hit_on_renamed;
           Alcotest.test_case "no cache, no hits" `Quick
