@@ -234,8 +234,14 @@ let chrome evs =
 
 (* headline labels hoisted to the top of a summary; numeric ones are
    rendered as JSON numbers when they parse *)
-let headline_keys = [ "route"; "rung"; "attempts"; "cache"; "nodes"; "backtracks" ]
-let numeric_keys = [ "attempts"; "nodes"; "backtracks" ]
+let headline_keys =
+  [
+    "route"; "rung"; "attempts"; "cache"; "nodes"; "backtracks";
+    "sat_decisions"; "sat_conflicts";
+  ]
+
+let numeric_keys =
+  [ "attempts"; "nodes"; "backtracks"; "sat_decisions"; "sat_conflicts" ]
 
 let summary ?root tid =
   let evs = by_start (events_of tid) in

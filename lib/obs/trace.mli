@@ -117,9 +117,10 @@ val chrome : event list -> Json.t
 
 (** [summary ?root tid] is the [explain:true] object for trace [tid]:
     trace id, root span name, wall-clock, hoisted headline labels (route,
-    rung, attempts, cache, nodes, backtracks — taken from the first span
-    carrying each), and the span tree as a flat list with [parent] links
-    and start offsets relative to the root.  [root] restricts to the
+    rung, attempts, cache, nodes, backtracks, sat_decisions,
+    sat_conflicts — taken from the first span carrying each), and the
+    span tree as a flat list with [parent] links and start offsets
+    relative to the root.  [root] restricts to the
     subtree under that span id.  Call it {e after} the root span closed:
     only completed spans are in the ring. *)
 val summary : ?root:int -> int -> Json.t

@@ -1,4 +1,11 @@
 module Engine = Certdb_csp.Engine
+module Obs = Certdb_obs.Obs
+module Trace = Certdb_obs.Trace
+
+(* the encoded instance's size: deterministic work, unlike the span
+   timers below *)
+let c_vars = Obs.counter "csp.sat.vars"
+let c_clauses = Obs.counter "csp.sat.clauses"
 
 type choice = Csp | Sat | Auto
 
@@ -14,17 +21,28 @@ let choice_names = [ "csp"; "sat"; "auto" ]
 
 module Cnf = Encode.Make (Solver.Cdcl)
 
+(* CNF construction and search run in spans of their own, so a trace
+   splits the route's time between the two *)
 let encode ?(config = Engine.Config.default) ?symmetry ~source ~target () =
-  Cnf.make ?restrict:config.Engine.Config.restrict ?symmetry ~source ~target
-    ()
+  Trace.with_span "sat.encode" @@ fun () ->
+  let t =
+    Cnf.make ?restrict:config.Engine.Config.restrict ?symmetry ~source
+      ~target ()
+  in
+  let st = Cnf.stats t in
+  Obs.add c_vars (st.Encode.sel_vars + st.Encode.tuple_vars);
+  Obs.add c_clauses st.Encode.clauses;
+  t
 
 let solve ?(config = Engine.Config.default) ?symmetry ~source ~target () =
   let t = encode ~config ?symmetry ~source ~target () in
+  Trace.with_span "sat.solve" @@ fun () ->
   Cnf.solve ~limits:config.Engine.Config.limits t
 
 let satisfiable ?(config = Engine.Config.default) ?symmetry ~source ~target ()
     =
   let t = encode ~config ?symmetry ~source ~target () in
+  Trace.with_span "sat.solve" @@ fun () ->
   Cnf.satisfiable ~limits:config.Engine.Config.limits t
 
 let decider ?symmetry () =

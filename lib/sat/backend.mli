@@ -35,7 +35,10 @@ end
 
 (** [solve ?config ~source ~target ()] — one-shot encode + CDCL solve
     under [config.limits] and [config.restrict]; outcomes use the same
-    three-valued contract, with [Sat h] a verified witness. *)
+    three-valued contract, with [Sat h] a verified witness.  Encoding
+    runs in a [sat.encode] span and adds the instance's size to the
+    counters [csp.sat.vars] and [csp.sat.clauses]; the search runs in a
+    [sat.solve] span.  Likewise {!satisfiable}. *)
 val solve :
   ?config:Engine.Config.t ->
   ?symmetry:bool ->

@@ -3,9 +3,10 @@ module Engine = Certdb_csp.Engine
 module Recorder = struct
   let name = "recorder"
 
-  type t = { mutable nvars : int; mutable rev_clauses : int list list }
+  type t = { mutable nvars : int; mutable rev_clauses : int array list }
 
   let create () = { nvars = 0; rev_clauses = [] }
+  let reserve _ _ = ()
 
   let new_var s =
     s.nvars <- s.nvars + 1;
@@ -14,7 +15,7 @@ module Recorder = struct
   let nvars s = s.nvars
 
   let add_clause s lits =
-    List.iter
+    Array.iter
       (fun l ->
         if l = 0 || abs l > s.nvars then
           invalid_arg (Printf.sprintf "Sat.Dimacs: literal %d out of range" l))
@@ -35,7 +36,7 @@ let pp ?(comments = []) ppf (r : Recorder.t) =
   Format.fprintf ppf "p cnf %d %d@." (Recorder.nvars r) (List.length cs);
   List.iter
     (fun lits ->
-      List.iter (fun l -> Format.fprintf ppf "%d " l) lits;
+      Array.iter (fun l -> Format.fprintf ppf "%d " l) lits;
       Format.fprintf ppf "0@.")
     cs
 

@@ -10,9 +10,9 @@
 module Recorder : sig
   include Solver.S
 
-  (** Recorded clauses, in insertion order, as DIMACS-style literal
-      lists (no terminating 0). *)
-  val clauses : t -> int list list
+  (** Recorded clauses, in insertion order, exactly as added: DIMACS-style
+      literal arrays (no terminating 0), never normalised. *)
+  val clauses : t -> int array list
 end
 
 (** [pp ?comments ppf r] — print the recorded instance in DIMACS CNF:

@@ -74,6 +74,43 @@ module Make (Solv : Solver.S) = struct
     stats : stats;
   }
 
+  (* Positions of a constraint that repeat an earlier position's
+     variable point at that first occurrence; the rest at themselves. *)
+  let first_occurrences cvars =
+    Array.map
+      (fun v ->
+        let q = ref 0 in
+        while cvars.(!q) <> v do
+          incr q
+        done;
+        !q)
+      cvars
+
+  (* Indices of the target tuples that can support the constraint: every
+     position's node is in its variable's domain, and a repeated variable
+     sees the same node at each of its positions. *)
+  let supports (c : Engine.Compiled.t) (cc : Engine.Compiled.ccstr) first
+      (crel : Structure.crel) =
+    let ar = Array.length cc.cvars in
+    let keep = Array.make crel.count 0 in
+    let n = ref 0 in
+    for ti = 0 to crel.count - 1 do
+      let base = ti * ar in
+      let ok = ref true in
+      for p = 0 to ar - 1 do
+        let w = crel.flat.(base + p) in
+        if
+          (not (Bitset.mem c.init.(cc.cvars.(p)) w))
+          || crel.flat.(base + first.(p)) <> w
+        then ok := false
+      done;
+      if !ok then begin
+        keep.(!n) <- ti;
+        incr n
+      end
+    done;
+    Array.sub keep 0 !n
+
   let make ?restrict ?(symmetry = true) ~source ~target () =
     let c = Engine.compile ?restrict ~source ~target () in
     let solver = Solv.create () in
@@ -82,6 +119,27 @@ module Make (Solv : Solver.S) = struct
       incr nclauses;
       Solv.add_clause solver cl
     in
+    (* The supporting tuples of every constraint with positions, found
+       first so that the variable count is exact before the first
+       allocation: one selector per domain element, one support variable
+       per supporting tuple. *)
+    let firsts =
+      Array.map
+        (fun (cc : Engine.Compiled.ccstr) -> first_occurrences cc.cvars)
+        c.cstrs
+    in
+    let tuples =
+      Array.mapi
+        (fun i (cc : Engine.Compiled.ccstr) ->
+          match cc.tgt with
+          | Some crel when Array.length cc.cvars > 0 ->
+            supports c cc firsts.(i) crel
+          | _ -> [||])
+        c.cstrs
+    in
+    let count f a = Array.fold_left (fun acc x -> acc + f x) 0 a in
+    Solv.reserve solver
+      (count Bitset.count c.init + count Array.length tuples);
     (* Selector variables over each variable's initial bitset domain. *)
     let sel =
       Array.init c.nvars (fun v ->
@@ -92,54 +150,48 @@ module Make (Solv : Solver.S) = struct
     let sel_vars = Solv.nvars solver in
     (* A 0-ary source fact missing from the target refutes the instance
        before any variable choice. *)
-    if not c.zero_ok then add [];
+    if not c.zero_ok then add [||];
     (* At least one value; at most one (pairwise) — exactly-one makes
        models decode to functions. *)
     for v = 0 to c.nvars - 1 do
-      let ws = Bitset.to_list c.init.(v) in
-      add (List.map (fun w -> sel.(v).(w)) ws);
-      let rec amo = function
-        | [] -> ()
-        | w :: rest ->
-          List.iter (fun w' -> add [ -sel.(v).(w); -sel.(v).(w') ]) rest;
-          amo rest
+      let xs =
+        Array.of_list
+          (List.map (fun w -> sel.(v).(w)) (Bitset.to_list c.init.(v)))
       in
-      amo ws
+      (* the backend owns what it is given; the pairs below read [xs] *)
+      add (Array.copy xs);
+      let n = Array.length xs in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          add [| -xs.(i); -xs.(j) |]
+        done
+      done
     done;
     (* Per source fact: at least one supporting target tuple, each
-       implying the selectors of its positions.  Tuples incompatible
-       with the domains — or with a repeated variable — are dropped. *)
-    Array.iter
-      (fun (cc : Engine.Compiled.ccstr) ->
+       implying the selectors of its positions, last distinct position
+       first; the support clause lists the tuples' variables newest
+       first. *)
+    Array.iteri
+      (fun i (cc : Engine.Compiled.ccstr) ->
         let ar = Array.length cc.cvars in
         if ar > 0 then
           match cc.tgt with
-          | None -> add []
+          | None -> add [||]
           | Some crel ->
-            let ys = ref [] in
-            for ti = 0 to crel.count - 1 do
-              let base = ti * ar in
-              let ok = ref true in
-              for p = 0 to ar - 1 do
-                let v = cc.cvars.(p) and w = crel.flat.(base + p) in
-                if not (Bitset.mem c.init.(v) w) then ok := false;
-                for q = 0 to p - 1 do
-                  if cc.cvars.(q) = v && crel.flat.(base + q) <> w then
-                    ok := false
-                done
-              done;
-              if !ok then begin
+            let first = firsts.(i) and ts = tuples.(i) in
+            let nt = Array.length ts in
+            let ys = Array.make nt 0 in
+            Array.iteri
+              (fun k ti ->
                 let y = Solv.new_var solver in
-                ys := y :: !ys;
-                let pairs = ref [] in
-                for p = 0 to ar - 1 do
-                  let vw = (cc.cvars.(p), crel.flat.(base + p)) in
-                  if not (List.mem vw !pairs) then pairs := vw :: !pairs
-                done;
-                List.iter (fun (v, w) -> add [ -y; sel.(v).(w) ]) !pairs
-              end
-            done;
-            add !ys)
+                ys.(nt - 1 - k) <- y;
+                let base = ti * ar in
+                for p = ar - 1 downto 0 do
+                  if first.(p) = p then
+                    add [| -y; sel.(cc.cvars.(p)).(crel.flat.(base + p)) |]
+                done)
+              ts;
+            add ys)
       c.cstrs;
     let tuple_vars = Solv.nvars solver - sel_vars in
     (* Ordering clauses over interchangeable variables: within a class
@@ -154,7 +206,8 @@ module Make (Solv : Solver.S) = struct
           Bitset.iter
             (fun w ->
               Bitset.iter
-                (fun w' -> if w' < w then add [ -sel.(a).(w); -sel.(b).(w') ])
+                (fun w' ->
+                  if w' < w then add [| -sel.(a).(w); -sel.(b).(w') |])
                 c.init.(b))
             c.init.(a)
         done)

@@ -13,6 +13,13 @@
     the interchangeable fresh nulls of naïve tables — cut the [k!]
     permutation blowup that chronological backtracking pays.
 
+    [make] finds every constraint's supporting tuples before it
+    allocates a variable, reserves the exact variable count with
+    {!Solver.S.reserve}, and hands each clause to the backend as a fresh
+    array, which the backend owns.  The clause set and its order are a
+    pinned contract (test_sat's golden CNFs): a backend sees exactly the
+    clauses [certdb sat dimacs] prints.
+
     Models decode back to homomorphism witnesses and are re-checked by
     {!Certdb_csp.Engine.is_hom}; a model that fails verification
     surfaces as [Unknown (Crashed "sat.decode")], never as a bogus

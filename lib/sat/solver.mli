@@ -31,6 +31,11 @@ module type S = sig
 
   val create : unit -> t
 
+  (** [reserve s n] — make room for [n] more variables, so that the
+      next [n] calls to {!new_var} allocate nothing.  A capacity hint
+      only: it allocates no variable and changes no numbering. *)
+  val reserve : t -> int -> unit
+
   (** Allocate a fresh variable (positive, dense from 1). *)
   val new_var : t -> int
 
@@ -39,10 +44,13 @@ module type S = sig
 
   (** [add_clause s lits] — add a clause over existing variables.
       Duplicate literals are merged and tautologies dropped; the empty
-      clause makes the instance permanently unsatisfiable.
+      clause makes the instance permanently unsatisfiable.  The solver
+      takes ownership of [lits]: it may normalise the array in place and
+      keep it as its clause, so the caller must neither read nor reuse
+      it afterwards.
       @raise Invalid_argument on a literal whose variable was never
       allocated. *)
-  val add_clause : t -> int list -> unit
+  val add_clause : t -> int array -> unit
 
   (** [solve ?assumptions ?limits s] — decide satisfiability of the
       clauses under the (temporary) assumption literals.  [Unsat] means
@@ -64,12 +72,31 @@ module type S = sig
   val conflicts : t -> int
 end
 
-(** The CDCL core: two-watched-literal unit propagation, first-UIP
-    conflict analysis with clause learning, VSIDS-style exponential
-    activity decay, phase saving, and Luby-sequence restarts.  Learned
-    clauses are kept (no database reduction — instance sizes here are
-    bounded by the encoder).  Counted under [csp.sat.*]. *)
-module Cdcl : S
+(** The CDCL core, MiniSat-shaped (Eén & Sörensson, SAT 2003):
+    two-watched-literal unit propagation over flat per-literal watch
+    vectors, first-UIP conflict analysis with clause learning,
+    VSIDS-style exponential activity decay with a binary-heap order
+    (highest activity first, lowest variable on ties), phase saving, and
+    Luby-sequence restarts.  Every step costs what it touches: the
+    decision level is a field, the next branching variable comes off the
+    heap.  [add_clause] sorts the clause in place, drops duplicate and
+    root-false literals, and discards tautologies (a complementary pair
+    or a root-true literal); a unit clause is assigned at the root.
+    Learned clauses are kept (no database reduction — instance sizes
+    here are bounded by the encoder).  Counted under [csp.sat.*];
+    propagations are added to their counter once per [solve]. *)
+module Cdcl : sig
+  include S
+
+  (** [root_value s v] — [Some b] when [v] is assigned [b] at the root
+      level (a unit clause, or a unit learnt by an earlier [solve]),
+      [None] otherwise. *)
+  val root_value : t -> int -> bool option
+
+  (** [inconsistent s] — an empty clause or a root-level conflict has
+      made the clause set unsatisfiable for good. *)
+  val inconsistent : t -> bool
+end
 
 (** The name of the conflict fault point, ["csp.sat.conflict"]. *)
 val conflict_fault_point : string

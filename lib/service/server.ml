@@ -191,17 +191,24 @@ let find_or_prepare t entry ~limits ~policy ~backend ~no_cache ~canon ~query
         | Some (a, _) -> Ok (`Hit a)
         | None -> todo (Some key) scoped)))
 
-(* search-effort attribution for [explain]: the solver counters are
-   process-global, so the deltas around one evaluation are approximate
-   when other requests compute concurrently (the batch verb); for the
-   common single-request case they are exact *)
-let c_nodes = Obs.counter "csp.solver.decisions"
-let c_backtracks = Obs.counter "csp.solver.backtracks"
+(* search-effort attribution for [explain], one label per counter:
+   [nodes] are the engine's decisions, [backtracks] the backtrack
+   budget's ticks (the engine's dead ends and the CDCL's conflicts
+   alike), [sat_decisions] and [sat_conflicts] the CDCL's own.  The
+   counters are process-global, so the deltas around one evaluation are
+   approximate when other requests compute concurrently (the batch
+   verb); for the common single-request case they are exact *)
+let effort_counters =
+  [
+    ("nodes", Obs.counter "csp.solver.decisions");
+    ("backtracks", Obs.counter "csp.solver.backtracks");
+    ("sat_decisions", Obs.counter "csp.sat.decisions");
+    ("sat_conflicts", Obs.counter "csp.sat.conflicts");
+  ]
 
 let compute_pending p =
   let t0 = Obs.now_ms () in
-  let n0 = Obs.counter_value c_nodes in
-  let b0 = Obs.counter_value c_backtracks in
+  let before = List.map (fun (_, c) -> Obs.counter_value c) effort_counters in
   let a =
     if p.p_q.Cq.head = [] then
       Graded
@@ -209,9 +216,10 @@ let compute_pending p =
            ~backend:p.p_backend p.p_q p.p_entry.instance)
     else Tuples (Plan.certain_answers (Ucq.make [ p.p_q ]) p.p_entry.instance)
   in
-  Trace.annotate "nodes" (string_of_int (Obs.counter_value c_nodes - n0));
-  Trace.annotate "backtracks"
-    (string_of_int (Obs.counter_value c_backtracks - b0));
+  List.iter2
+    (fun (label, c) v0 ->
+      Trace.annotate label (string_of_int (Obs.counter_value c - v0)))
+    effort_counters before;
   (a, Obs.now_ms () -. t0)
 
 let store t p a ~cost_ms =

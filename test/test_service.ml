@@ -617,6 +617,70 @@ let test_dp_keeps_deadline () =
       graded_of_serve_row
         (fst (Server.handle_line server ~idx:0 request)))
 
+(* [explain] on a SAT-route request: the CDCL's decisions and
+   conflicts are reported under labels of their own, each the delta of
+   its csp.sat.* counter, next to the engine's nodes and the backtrack
+   budget's ticks.  The 4-clique (both edge directions) into K3 is
+   pigeonhole-shaped, so the refutation needs both. *)
+let test_explain_sat_effort () =
+  let s =
+    Server.create
+      ~config:(Server.Config.make ~cache_capacity:0 ~jobs:1 ())
+      ()
+  in
+  (match Server.load s ~name:"k3" ~source:(complete_graph_text 3) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  let clique4 =
+    String.concat ", "
+      (List.concat_map
+         (fun i ->
+           List.filter_map
+             (fun j ->
+               if i = j then None
+               else Some (Printf.sprintf "E(_x%d,_x%d)" i j))
+             (List.init 4 Fun.id))
+         (List.init 4 Fun.id))
+  in
+  let counter name = Obs.counter_value (Obs.counter name) in
+  let names =
+    [ "csp.solver.decisions"; "csp.solver.backtracks"; "csp.sat.decisions";
+      "csp.sat.conflicts" ]
+  in
+  let before = List.map counter names in
+  let row, _ =
+    Server.handle_line s ~idx:0
+      (Json.to_string
+         (Json.Obj
+            [
+              ("op", Json.String "query"); ("db", Json.String "k3");
+              ("query", Json.String ("ans() :- " ^ clique4));
+              ("backend", Json.String "sat"); ("explain", Json.Bool true);
+            ]))
+  in
+  check "refuted" true (Json.member "certain" row = Some (Json.Bool false));
+  let trace =
+    match Json.member "trace" row with
+    | Some t -> t
+    | None -> Alcotest.fail "explain:true returned no trace object"
+  in
+  check "sat route" true
+    (Json.member "route" trace = Some (Json.String "sat-backend(4)"));
+  let label k =
+    match Json.member k trace with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.failf "trace lacks integer %s: %s" k (Json.to_string trace)
+  in
+  List.iter2
+    (fun (k, name) v0 ->
+      Alcotest.(check int) k (counter name - v0) (label k))
+    (List.combine
+       [ "nodes"; "backtracks"; "sat_decisions"; "sat_conflicts" ]
+       names)
+    before;
+  check "CDCL decided" true (label "sat_decisions" > 0);
+  check "CDCL conflicted" true (label "sat_conflicts" > 0)
+
 let test_server_hit_on_renamed () =
   let s = mk_server () in
   let q1 = Cq.boolean [ ("R", [ var 0; var 1 ]); ("R", [ var 1; var 0 ]) ] in
@@ -849,6 +913,8 @@ let () =
             test_components_share_deadline;
           Alcotest.test_case "cancelled batch certain row" `Quick
             test_cancelled_certain_row;
+          Alcotest.test_case "explain reports CDCL effort" `Quick
+            test_explain_sat_effort;
           Alcotest.test_case "hit on renamed query" `Quick
             test_server_hit_on_renamed;
           Alcotest.test_case "no cache, no hits" `Quick
