@@ -12,7 +12,14 @@
      query shapes drawn, hits = requests - misses, bypasses = 0;
    - cached answers equal the cache-off answers request by request;
    - the cache-hit path is >= 5x faster at the median than the same
-     stream with the cache disabled. *)
+     stream with the cache disabled.
+
+   A last row times [Canon.cq_key] alone on the serve benchmark's six
+   miss families (each anchored to a constant as perfbench builds them)
+   and on the transitive 10-tournament, alone and as four copies; every
+   key must come out [Some].  The gauge [bench.canon.core_tests] sums the
+   core tests over one key of each family: one test per null gives
+   5+5+4+7+4+1 = 26, a deterministic count. *)
 
 module Obs = Certdb_obs.Obs
 module Json = Obs.Json
@@ -162,6 +169,80 @@ let replay ~cache =
   in
   (answers, Obs.snapshot (), Server.cache_totals server)
 
+(* ---- canonical keys alone --------------------------------------------- *)
+
+module Canon = Certdb_service.Canon
+module Wire = Certdb_service.Wire
+
+let canon_queries =
+  let x i = Printf.sprintf "_x%02d" i in
+  let edge (a, b) = Printf.sprintf "R(%s,%s)" a b in
+  let pairs k f =
+    List.concat_map
+      (fun a -> List.filter_map (fun b -> f a b) (List.init k Fun.id))
+      (List.init k Fun.id)
+  in
+  let path k = List.init k (fun i -> (x i, x (i + 1))) in
+  let cycle ?(base = 0) k =
+    List.init k (fun i -> (x (base + i), x (base + ((i + 1) mod k))))
+  in
+  let tclique ?(base = 0) k =
+    pairs k (fun a b -> if a < b then Some (x (base + a), x (base + b)) else None)
+  in
+  let bclique k = pairs k (fun a b -> if a <> b then Some (x a, x b) else None) in
+  let anchored ?(head = "") edges =
+    Printf.sprintf "ans(%s) :- %s" head
+      (String.concat ", " (Printf.sprintf "R(201,%s)" (x 0) :: List.map edge edges))
+  in
+  let family (name, text) = (name, true, text) in
+  let tournaments copies =
+    Printf.sprintf "ans() :- %s"
+      (String.concat ", "
+         (List.map edge
+            (List.concat_map (fun c -> tclique ~base:(10 * c) 10) copies)))
+  in
+  List.map family
+    [
+      ("path-4", anchored (path 4));
+      ("cycle-5", anchored (cycle 5));
+      ("tclique-4", anchored (tclique 4));
+      ("tclique-4+cycle-3", anchored (tclique 4 @ cycle ~base:4 3));
+      ("bclique-4", anchored (bclique 4));
+      ("answers-2loop", anchored ~head:(x 0) [ (x 0, x 1); (x 1, x 0) ]);
+    ]
+  @ [
+      ("tournament-10", false, tournaments [ 0 ]);
+      ("tournament-10 x4", false, tournaments [ 0; 1; 2; 3 ]);
+    ]
+
+let canon_row () =
+  Bench_util.row "%-20s %-10s %-12s" "Canon.cq_key" "core tests" "us (min of 5)";
+  let total_tests = ref 0 in
+  List.iter
+    (fun (name, family, text) ->
+      let q = Result.get_ok (Wire.parse_cq_result text) in
+      let key, tests =
+        Bench_util.with_counter "service.canon.core_tests" (fun () ->
+            Canon.cq_key q)
+      in
+      if key = None then failwith ("e22: " ^ name ^ " gave up canonicalisation");
+      if family then total_tests := !total_tests + tests;
+      let reps = if family then 200 else 5 in
+      let best = ref infinity in
+      for _ = 1 to 5 do
+        let _, ms =
+          Bench_util.time_ms (fun () ->
+              for _ = 1 to reps do
+                ignore (Canon.cq_key q)
+              done)
+        in
+        best := Float.min !best (ms /. float_of_int reps)
+      done;
+      Bench_util.row "%-20s %-10d %-12.1f" name tests (1000. *. !best))
+    canon_queries;
+  Bench_util.row "core tests over one key per family: %d" !total_tests;
+  Obs.set_int (Obs.gauge "bench.canon.core_tests") !total_tests
+
 let timer snap name =
   match Obs.find_timer snap name with
   | Some s -> s
@@ -212,7 +293,8 @@ let run () =
     (100.0 *. hit_rate) speedup;
   if speedup < 5.0 then
     failwith
-      (Printf.sprintf "e22: hit-path speedup %.2fx below the 5x floor" speedup)
+      (Printf.sprintf "e22: hit-path speedup %.2fx below the 5x floor" speedup);
+  canon_row ()
 
 let micro () =
   let mk_server cache =

@@ -139,7 +139,10 @@ let route_cq ?(width_threshold = default_width_threshold) ?(fds = [])
 let certain ?policy ?limits ?jobs:_ ?width_threshold ?fds ?backend
     (q : Cq.t) d =
   if q.head <> [] then invalid_arg "Plan.certain: Boolean query only";
-  let dec = route_cq ?width_threshold ?fds ?backend q in
+  let dec =
+    Trace.with_span "plan.route" (fun () ->
+        route_cq ?width_threshold ?fds ?backend q)
+  in
   count_route dec.route;
   (* the search routes differ only in the decider pair they hand the one
      ladder; CDCL crosses to the CSP engine on exhaustion, so a SAT route

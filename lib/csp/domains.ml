@@ -70,6 +70,9 @@ module Bitset = struct
   let set (a : bs) i =
     a.(i / bits_per_word) <- a.(i / bits_per_word) lor (1 lsl (i mod bits_per_word))
 
+  let remove (a : bs) i =
+    a.(i / bits_per_word) <- a.(i / bits_per_word) land lnot (1 lsl (i mod bits_per_word))
+
   let mem (a : bs) i = a.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
 
   let popcount_word w =

@@ -60,6 +60,7 @@ module Bitset : sig
   val full : int -> bs
 
   val set : bs -> int -> unit
+  val remove : bs -> int -> unit
   val mem : bs -> int -> bool
   val popcount_word : int -> int
   val count : bs -> int

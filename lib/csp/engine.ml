@@ -273,6 +273,50 @@ module Compiled = struct
     in
     go 0
 
+  (* Components: union-find over the constrained variables, joining the
+     variables of each constraint.  A pinned variable (an initial row of
+     exactly one candidate, a query constant) joins nothing: forward
+     checking leaves its row {c} or wipes it out at the choice that
+     broke it, so it carries no choice from one component to another.
+     Classes are numbered by their smallest member; the union keeps the
+     smaller root, so a root is numbered before the rest of its class. *)
+  let components ~nvars ~init ~cstrs ~by_var =
+    let pinned = Array.map (fun row -> Bitset.count row = 1) init in
+    let parent = Array.init nvars Fun.id in
+    let rec find v =
+      if parent.(v) = v then v
+      else begin
+        let r = find parent.(v) in
+        parent.(v) <- r;
+        r
+      end
+    in
+    Array.iter
+      (fun c ->
+        let first = ref (-1) in
+        Array.iter
+          (fun v ->
+            if not pinned.(v) then
+              if !first < 0 then first := v
+              else
+                let a = find !first and b = find v in
+                if a <> b then parent.(max a b) <- min a b)
+          c.cvars)
+      cstrs;
+    let comp = Array.make (max 1 nvars) (-1) in
+    let ncomps = ref 0 in
+    for v = 0 to nvars - 1 do
+      if by_var.(v) <> [] && not pinned.(v) then begin
+        let r = find v in
+        if r = v then begin
+          comp.(v) <- !ncomps;
+          incr ncomps
+        end
+        else comp.(v) <- comp.(r)
+      end
+    done;
+    (comp, !ncomps)
+
   let make ?restrict ~source ~target () =
     let csrc = Structure.columnar source in
     let ctgt = Structure.columnar target in
@@ -356,47 +400,7 @@ module Compiled = struct
           end)
         c.cvars
     done;
-    (* Components: union-find over the constrained variables, joining the
-       variables of each constraint.  A pinned variable (an initial row of
-       exactly one candidate, a query constant) joins nothing: forward
-       checking leaves its row {c} or wipes it out at the choice that
-       broke it, so it carries no choice from one component to another.
-       Classes are numbered by their smallest member; the union keeps the
-       smaller root, so a root is numbered before the rest of its class. *)
-    let pinned = Array.map (fun row -> Bitset.count row = 1) init in
-    let parent = Array.init nvars Fun.id in
-    let rec find v =
-      if parent.(v) = v then v
-      else begin
-        let r = find parent.(v) in
-        parent.(v) <- r;
-        r
-      end
-    in
-    Array.iter
-      (fun c ->
-        let first = ref (-1) in
-        Array.iter
-          (fun v ->
-            if not pinned.(v) then
-              if !first < 0 then first := v
-              else
-                let a = find !first and b = find v in
-                if a <> b then parent.(max a b) <- min a b)
-          c.cvars)
-      cstrs;
-    let comp = Array.make (max 1 nvars) (-1) in
-    let ncomps = ref 0 in
-    for v = 0 to nvars - 1 do
-      if by_var.(v) <> [] && not pinned.(v) then begin
-        let r = find v in
-        if r = v then begin
-          comp.(v) <- !ncomps;
-          incr ncomps
-        end
-        else comp.(v) <- comp.(r)
-      end
-    done;
+    let comp, ncomps = components ~nvars ~init ~cstrs ~by_var in
     {
       csrc;
       ctgt;
@@ -409,8 +413,14 @@ module Compiled = struct
       zero_ok = !zero_ok;
       max_arity = !max_arity;
       comp;
-      ncomps = !ncomps;
+      ncomps;
     }
+
+  let with_init cp init =
+    let comp, ncomps =
+      components ~nvars:cp.nvars ~init ~cstrs:cp.cstrs ~by_var:cp.by_var
+    in
+    { cp with init; comp; ncomps }
 end
 
 (* The budgeted backtracking core over the compiled instance: MRV
@@ -697,10 +707,8 @@ let hom_of_assignment (cp : Compiled.t) assignment =
     assignment;
   !h
 
-let solve ?(config = Config.default) ~source ~target () =
-  Trace.with_span "csp.engine.solve" @@ fun () ->
-  let cp = Compiled.make ?restrict:config.restrict ~source ~target () in
-  Budget.run config.limits (fun budget ->
+let solve_cp limits cp =
+  Budget.run limits (fun budget ->
       let found = ref None in
       (match
          run_search_compiled ~budget ~exists:true cp
@@ -724,6 +732,13 @@ let solve ?(config = Config.default) ~source ~target () =
        with
       | `Exhausted | `Stopped -> ());
       !found)
+
+let solve ?(config = Config.default) ~source ~target () =
+  Trace.with_span "csp.engine.solve" @@ fun () ->
+  solve_cp config.limits
+    (Compiled.make ?restrict:config.restrict ~source ~target ())
+
+let solve_compiled ?(limits = Limits.unlimited) cp = solve_cp limits cp
 
 let satisfiable ?(config = Config.default) ~source ~target () =
   Trace.with_span "csp.engine.satisfiable" @@ fun () ->

@@ -207,6 +207,11 @@ module Compiled : sig
     target:Structure.t ->
     unit ->
     t
+
+  (** [with_init cp init] — [cp] with [init] (one row per dense
+      variable) as its initial candidates, and its components
+      recomputed: a row narrowed to one candidate pins its variable. *)
+  val with_init : t -> Domains.Bitset.bs array -> t
 end
 
 val compile :
@@ -215,6 +220,11 @@ val compile :
   target:Structure.t ->
   unit ->
   Compiled.t
+
+(** [solve_compiled ?limits cp] — {!solve} on an instance compiled
+    once, so a caller that varies only the initial candidates (with
+    {!Compiled.with_init}) pays the compilation once. *)
+val solve_compiled : ?limits:Limits.t -> Compiled.t -> hom outcome
 
 (**/**)
 

@@ -140,33 +140,16 @@ let contained q1 q2 =
 let equivalent q1 q2 = contained q1 q2 && contained q2 q1
 
 let minimize_b ?limits q =
-  (* freeze: head variables to distinguished constants, body variables to
-     nulls; minimize = take the core; read the atoms back *)
-  let head_pairs = List.map (fun x -> (x, Value.fresh_const ())) q.head in
-  let head_map =
-    List.fold_left
-      (fun m (x, c) -> String_map.add x c m)
-      String_map.empty head_pairs
-  in
-  let body_map =
-    List.fold_left
-      (fun m x ->
-        if String_map.mem x m then m
-        else String_map.add x (Value.fresh_null ()) m)
-      head_map (vars q)
-  in
-  let term_value = function
-    | Fo.Val v -> v
-    | Fo.Var x -> String_map.find x body_map
-  in
-  let inst =
-    List.fold_left
-      (fun acc a -> Instance.add_fact acc a.rel (List.map term_value a.args))
-      Instance.empty q.atoms
+  (* freeze every variable to a null and pin the head's nulls to
+     themselves, so they cannot fold; minimize = take the core; read the
+     atoms back *)
+  let inst, assignment = freeze q in
+  let head_nulls =
+    List.map (fun x -> (String_map.find x assignment, x)) q.head
   in
   let back v =
-    match List.find_opt (fun (_, c) -> Value.equal c v) head_pairs with
-    | Some (x, _) -> Fo.Var x
+    match List.assoc_opt v head_nulls with
+    | Some x -> Fo.Var x
     | None -> (
       match v with
       | Value.Null i -> Fo.Var (Printf.sprintf "m%d" i)
@@ -179,7 +162,10 @@ let minimize_b ?limits q =
            (f.rel, List.map back (Array.to_list f.args)))
          (Instance.facts core))
   in
-  Certdb_csp.Engine.map_outcome read_back (Core_instance.core_b ?limits inst)
+  Certdb_csp.Engine.map_outcome read_back
+    (Core_instance.core_b ?limits
+       ~fixed:(Value.Set.of_list (List.map fst head_nulls))
+       inst)
 
 let minimize q = Option.get (Certdb_csp.Solver.definitive (minimize_b q))
 

@@ -44,9 +44,9 @@ val contained : t -> t -> bool
 val equivalent : t -> t -> bool
 
 (** [minimize q] — the classical CQ minimization: the core of the tableau
-    (with head variables frozen to constants so they cannot fold), read
-    back as a query.  The result is equivalent to [q] and has a minimal
-    number of atoms. *)
+    (with the head variables' nulls pinned to themselves so they cannot
+    fold), read back as a query.  The result is equivalent to [q] and
+    has a minimal number of atoms. *)
 val minimize : t -> t
 
 (** [minimize_b ?limits q] — {!minimize} with every hom test of the core

@@ -98,6 +98,22 @@ let encode_onto t facts =
 
 let encode facts d' = encode_onto (target d') facts
 
+let encode_endo ?(fixed = Value.Set.empty) d =
+  let t = target d in
+  let pins = ref [] in
+  Array.iteri
+    (fun i v ->
+      if Value.is_const v || Value.Set.mem v fixed then
+        pins := (i, Int_set.singleton i) :: !pins)
+    t.values;
+  {
+    source = t.structure;
+    target = t.structure;
+    restrict = Domains.of_list !pins;
+    src_values = t.values;
+    tgt_values = t.values;
+  }
+
 let valuation e h =
   Int_map.fold
     (fun i j acc ->

@@ -30,6 +30,18 @@ type encoding = {
 
 val encode : Instance.fact list -> Instance.t -> encoding
 
+(** [encode_endo ?fixed d] — the endomorphism problem [d → d], with one
+    structure on both sides: node [i] stands for [tgt_values.(i)] (the
+    active domain, in order) in the source as in the target, and
+    [src_values] is [tgt_values].  [restrict] pins each constant, and
+    each null in [fixed], to itself; it leaves every other node
+    unconstrained. *)
+val encode_endo : ?fixed:Value.Set.t -> Instance.t -> encoding
+
+(** [valuation e h] — the engine's witness [h] for [e], read back as a
+    map on the nulls of the source. *)
+val valuation : encoding -> Engine.hom -> Valuation.t
+
 (** [find d d'] searches for a homomorphism [d → d'].
     @raise Certdb_obs.Fault.Injected when an armed fault crashes the
     search (likewise {!exists}, {!iter}, {!count}). *)

@@ -1,161 +1,329 @@
 open Certdb_values
 module Cq = Certdb_query.Cq
-module Fo = Certdb_query.Fo
 module Instance = Certdb_relational.Instance
+module Core_instance = Certdb_relational.Core_instance
 module Engine = Certdb_csp.Engine
+module Obs = Certdb_obs.Obs
+module Trace = Certdb_obs.Trace
 module String_map = Map.Make (String)
 
 let default_budget = 50_000
+let core_tests = Obs.counter "service.canon.core_tests"
+let label_nodes = Obs.counter "service.canon.label_nodes"
+
+(* ---- renderings -------------------------------------------------------
+
+   Query keys and database fingerprints render atoms alike, and every
+   piece is self-delimiting, so a rendering reads back one way only: a
+   string carries its length, a constant its type ([Int 5] is [ci5],
+   [Str "5"] is [cs1:5]), and every argument ends in a comma. *)
+
+(* [string_of_int] goes through the C printf; the numbers here are small *)
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n < 0 then Buffer.add_string buf (string_of_int n) else add_nat buf n
+
+let add_string buf s =
+  add_int buf (String.length s);
+  Buffer.add_char buf ':';
+  Buffer.add_string buf s
+
+let add_const buf = function
+  | Value.Int i ->
+    Buffer.add_string buf "ci";
+    add_int buf i
+  | Value.Str s ->
+    Buffer.add_string buf "cs";
+    add_string buf s
+
+(* [add_arg buf p] renders argument [p] *)
+let render_atom rel arity add_arg =
+  let buf = Buffer.create 32 in
+  add_string buf rel;
+  Buffer.add_char buf '(';
+  for p = 0 to arity - 1 do
+    add_arg buf p;
+    Buffer.add_char buf ','
+  done;
+  Buffer.add_char buf ')';
+  Buffer.contents buf
 
 (* ---- canonical CQ keys ----------------------------------------------
 
-   After minimization the query is a core: hom-equivalent queries have
-   isomorphic cores, so a canonical encoding of the core modulo variable
-   renaming and atom reordering keys the whole ∼-class.  The encoding of
-   an atom sequence renders constants verbatim, head variables by their
-   first head position (they may not be renamed apart), and body
-   variables by canonical ids assigned in order of first use; the
-   canonical encoding of the query is the lexicographically least
-   rendering over all atom orders.  Branch and bound: at each step only
-   atoms whose rendering under the current assignment is minimal are
-   explored (the least sequence must start with a least element), and a
-   branch whose prefix already exceeds the best known sequence is cut. *)
+   The query is frozen to its tableau, with the head variables' nulls
+   pinned, and reduced to its core: hom-equivalent queries have
+   isomorphic cores, so a canonical labeling of the core's body
+   variables keys the whole ∼-class.  Head variables are named by their
+   first head position (they may not be renamed apart), constants by
+   their value.
+
+   The labeling is colour refinement with individualisation on ties
+   (McKay–Piperno).  Every body variable starts with one colour.  A
+   refinement round recolours each variable by its colour and a hash of
+   the multiset of the atoms it occurs in, each atom seen through its
+   relation and, per argument, the constant, the head position, the
+   variable itself, or the other variable's colour.  Colours are ranks
+   of these pairs, so they do not depend on variable names or atom
+   order; a hash collision can only leave a cell coarser, which costs
+   branching, never a wrong key.  If refinement stops with a cell of two
+   or more variables, the first smallest such cell is split by each of
+   its variables in turn.  A discrete colouring names each variable by
+   its colour, and the least leaf by its sorted atom certificate is
+   rendered as the key: the rendering spells out the whole core, so
+   equal keys mean isomorphic cores.  Each node of that tree costs one
+   unit of the budget, so a rigid core costs one. *)
 
 exception Budget_exceeded
 
-type enc_state = { mapping : int String_map.t; next : int }
+(* An atom of the core: its relation's rank among the core's relation
+   names, and per argument either a body variable ([vars.(p) >= 0]) or
+   an invariant code ([codes.(p)]: a constant's rank among the core's
+   constants, tag 0, or a head position, tag 1).  The tags leave 2 for
+   the variable being refined and 3 for a body variable's colour. *)
+type atom = {
+  rel : string;
+  rel_id : int;
+  vars : int array;
+  codes : int array;
+  args : Value.t array;
+}
 
-(* encode one atom under [st]; fresh body variables are assigned ids
-   left to right *)
-let encode_atom head_index st (rel, args) =
-  let buf = Buffer.create 32 in
-  Buffer.add_string buf rel;
-  Buffer.add_char buf '(';
-  let st =
-    List.fold_left
-      (fun st t ->
-        let st, rendered =
-          match t with
-          | Fo.Val v -> (st, "c:" ^ Value.to_string v)
-          | Fo.Var x -> (
-            match List.assoc_opt x head_index with
-            | Some i -> (st, Printf.sprintf "h%d" i)
-            | None -> (
-              match String_map.find_opt x st.mapping with
-              | Some k -> (st, Printf.sprintf "v%d" k)
-              | None ->
-                ( {
-                    mapping = String_map.add x st.next st.mapping;
-                    next = st.next + 1;
-                  },
-                  Printf.sprintf "v%d" st.next )))
-        in
-        Buffer.add_string buf rendered;
-        Buffer.add_char buf ',';
-        st)
-      st args
+let mix h x =
+  let h = (h lxor x) * 0x1e3779b97f4a7c15 in
+  h lxor (h lsr 29)
+
+(* the code of argument [p] of [a], seen from variable [x] ([-1]: from
+   none) under colouring [col] *)
+let code col x a p =
+  let y = a.vars.(p) in
+  if y < 0 then a.codes.(p) else if y = x then 2 else (col.(y) lsl 2) lor 3
+
+(* recolour by the rank of (colour, atom-multiset hash) until the number
+   of colours stops growing from [ncol], the input's; a round only
+   splits cells, so an equal count (or a discrete colouring) means a
+   stable one.  The result's colours are 0..k-1 and keep the input's
+   order *)
+let refine atoms occ col ncol =
+  let n = Array.length col in
+  let order = Array.init n Fun.id in
+  let h = Array.make n 0 in
+  let rec round col ncol =
+    for x = 0 to n - 1 do
+      h.(x) <-
+        List.fold_left
+          (fun acc i ->
+            let a = atoms.(i) in
+            let k = ref (mix a.rel_id (Array.length a.vars)) in
+            for p = 0 to Array.length a.vars - 1 do
+              k := mix !k (code col x a p)
+            done;
+            acc + mix !k 0)
+          0 occ.(x)
+    done;
+    let cmp x y =
+      let c = Int.compare col.(x) col.(y) in
+      if c <> 0 then c else Int.compare h.(x) h.(y)
+    in
+    Array.sort cmp order;
+    let col' = Array.make n 0 in
+    for k = 1 to n - 1 do
+      let x = order.(k) and prev = order.(k - 1) in
+      col'.(x) <- (if cmp prev x = 0 then col'.(prev) else col'.(prev) + 1)
+    done;
+    let ncol' = if n = 0 then 0 else col'.(order.(n - 1)) + 1 in
+    if ncol' = ncol || ncol' = n then col' else round col' ncol'
   in
-  Buffer.add_char buf ')';
-  (Buffer.contents buf, st)
+  round col ncol
 
-(* lexicographic order on atom-encoding sequences (all candidates have
-   the same length, the number of core atoms) *)
-let rec seq_lt a b =
-  match (a, b) with
-  | [], _ -> false
-  | _ :: _, [] -> false
-  | x :: a, y :: b ->
-    let c = String.compare x y in
-    if c < 0 then true else if c > 0 then false else seq_lt a b
+(* a leaf's certificate: its atoms as code rows, sorted *)
+let compare_rows r1 r2 =
+  let c = Int.compare (Array.length r1) (Array.length r2) in
+  if c <> 0 then c
+  else
+    let rec go i =
+      if i = Array.length r1 then 0
+      else
+        let c = Int.compare r1.(i) r2.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
 
-(* does [prefix] already exceed [best] (so no completion of it can be
-   the minimum)? *)
-let rec prefix_exceeds prefix best =
-  match (prefix, best) with
-  | [], _ -> false
-  | _ :: _, [] -> false
-  | x :: prefix, y :: best ->
-    let c = String.compare x y in
-    if c > 0 then true else if c < 0 then false else prefix_exceeds prefix best
+let certificate atoms col =
+  let rows =
+    Array.map
+      (fun a ->
+        Array.init
+          (1 + Array.length a.vars)
+          (fun p -> if p = 0 then a.rel_id else code col (-1) a (p - 1)))
+      atoms
+  in
+  Array.sort compare_rows rows;
+  rows
 
-let canonical_body ~budget head_index atoms =
+let compare_certificates c1 c2 =
+  let rec go i =
+    if i = Array.length c1 then 0
+    else
+      let c = compare_rows c1.(i) c2.(i) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
+(* ranks of the distinct elements of [xs] *)
+let ranks compare xs =
+  let tbl = Hashtbl.create 8 in
+  List.iteri (fun i x -> Hashtbl.replace tbl x i) (List.sort_uniq compare xs);
+  Hashtbl.find tbl
+
+(* the core's atoms, its body variables numbered 0..nb-1, and the atoms
+   each body variable occurs in (once each) *)
+let atoms_of ~head_pos core =
+  let facts = Instance.facts core in
+  let body = Hashtbl.create 16 in
+  Value.Set.iter
+    (fun v ->
+      if not (Value.Map.mem v head_pos) then
+        Hashtbl.replace body v (Hashtbl.length body))
+    (Instance.nulls core);
+  let rel_rank =
+    ranks String.compare (List.map (fun (f : Instance.fact) -> f.rel) facts)
+  in
+  let const_rank =
+    ranks Value.compare
+      (List.concat_map
+         (fun (f : Instance.fact) ->
+           List.filter Value.is_const (Array.to_list f.args))
+         facts)
+  in
+  let atom (f : Instance.fact) =
+    let vars =
+      Array.map
+        (fun v -> Option.value (Hashtbl.find_opt body v) ~default:(-1))
+        f.args
+    in
+    let codes =
+      Array.map
+        (fun v ->
+          match Value.Map.find_opt v head_pos with
+          | Some p -> (p lsl 2) lor 1
+          | None -> if Value.is_const v then const_rank v lsl 2 else 0)
+        f.args
+    in
+    { rel = f.rel; rel_id = rel_rank f.rel; vars; codes; args = f.args }
+  in
+  let atoms = Array.of_list (List.map atom facts) in
+  let occ = Array.make (Hashtbl.length body) [] in
+  Array.iteri
+    (fun i a ->
+      Array.iter
+        (fun y ->
+          if y >= 0 && not (List.mem i occ.(y)) then occ.(y) <- i :: occ.(y))
+        a.vars)
+    atoms;
+  (atoms, occ)
+
+(* the least leaf's colouring, or [None] past [budget] nodes *)
+let least_leaf ~budget atoms occ =
+  let nb = Array.length occ in
   let nodes = ref 0 in
-  let best : string list option ref = ref None in
-  let rec go prefix_rev state remaining =
+  let best = ref None in
+  let rec go col ncol =
     incr nodes;
     if !nodes > budget then raise Budget_exceeded;
-    match remaining with
-    | [] ->
-      let full = List.rev prefix_rev in
-      if match !best with None -> true | Some b -> seq_lt full b then
-        best := Some full
-    | _ ->
-      let encoded =
-        List.mapi
-          (fun i atom ->
-            let enc, st = encode_atom head_index state atom in
-            (i, enc, st))
-          remaining
+    let col = refine atoms occ col ncol in
+    let size = Array.make (max 1 nb) 0 in
+    Array.iter (fun c -> size.(c) <- size.(c) + 1) col;
+    let cell = ref (-1) in
+    Array.iteri
+      (fun c s -> if s > 1 && (!cell < 0 || s < size.(!cell)) then cell := c)
+      size;
+    if !cell < 0 then begin
+      let c = certificate atoms col in
+      match !best with
+      | Some (b, _) when compare_certificates b c <= 0 -> ()
+      | _ -> best := Some (c, col)
+    end
+    else
+      let ncol =
+        Array.fold_left (fun k s -> if s > 0 then k + 1 else k) 0 size
       in
-      (* the least complete sequence must start with a least next
-         element, so only minimally-encoded atoms are explored; among
-         them, branches whose prefix already exceeds the best known
-         sequence are cut (re-checked per sibling, since an earlier
-         sibling may have lowered the bar) *)
-      let min_enc =
-        List.fold_left
-          (fun acc (_, enc, _) ->
-            match acc with
-            | None -> Some enc
-            | Some m -> if String.compare enc m < 0 then Some enc else acc)
-          None encoded
-        |> Option.get
-      in
-      List.iter
-        (fun (i, enc, st) ->
-          if String.equal enc min_enc then begin
-            let prefix_rev = enc :: prefix_rev in
-            let viable =
-              match !best with
-              | None -> true
-              | Some b -> not (prefix_exceeds (List.rev prefix_rev) b)
-            in
-            if viable then
-              go prefix_rev st (List.filteri (fun j _ -> j <> i) remaining)
-          end)
-        encoded
+      Array.iteri
+        (fun w c ->
+          if c = !cell then
+            go
+              (Array.mapi (fun x c -> (2 * c) + if x = w then 0 else 1) col)
+              (ncol + 1))
+        col
   in
-  match go [] { mapping = String_map.empty; next = 0 } atoms with
-  | () -> Option.map (String.concat ";") !best
-  | exception Budget_exceeded -> None
+  let result =
+    match go (Array.make nb 0) (min nb 1) with
+    | () -> Option.map snd !best
+    | exception Budget_exceeded -> None
+  in
+  Obs.add label_nodes (min !nodes budget);
+  result
 
-let core_key ~budget q =
-  (* head variables are pinned to their first head position: the head of
-     an equivalent query must expose the same variable pattern *)
-  let head_index =
-    List.rev
-      (snd
-         (List.fold_left
-            (fun (i, acc) x ->
-              ( i + 1,
-                if List.mem_assoc x acc then acc else (x, i) :: acc ))
-            (0, []) q.Cq.head))
+let label ~budget ~head_pos core =
+  let atoms, occ = atoms_of ~head_pos core in
+  let add_arg col a buf p =
+    let y = a.vars.(p) in
+    if y >= 0 then begin
+      Buffer.add_char buf 'v';
+      add_int buf col.(y)
+    end
+    else
+      match a.args.(p) with
+      | Value.Const c -> add_const buf c
+      | Value.Null _ ->
+        Buffer.add_char buf 'h';
+        add_int buf (a.codes.(p) lsr 2)
   in
-  let head_sig =
-    String.concat ","
-      (List.map
-         (fun x -> string_of_int (List.assoc x head_index))
-         q.Cq.head)
-  in
-  let atoms = List.map (fun a -> (a.Cq.rel, a.Cq.args)) q.Cq.atoms in
   Option.map
-    (fun body -> Printf.sprintf "cq:[%s]|%s" head_sig body)
-    (canonical_body ~budget head_index atoms)
+    (fun col ->
+      Array.to_list atoms
+      |> List.map (fun a ->
+             render_atom a.rel (Array.length a.args) (add_arg col a))
+      |> List.sort String.compare |> String.concat ";")
+    (least_leaf ~budget atoms occ)
 
 let cq_key ?(budget = default_budget) q =
-  (* each hom test of the core computation gets the whole budget *)
-  match Cq.minimize_b ~limits:(Engine.Limits.make ~nodes:budget ()) q with
-  | Engine.Sat core -> core_key ~budget core
+  Trace.with_span "canon.key" @@ fun () ->
+  let d, assignment = Cq.freeze q in
+  let head = List.map (fun x -> String_map.find x assignment) q.Cq.head in
+  (* each head null is named by its first head position *)
+  let head_pos =
+    List.fold_left
+      (fun (i, m) v ->
+        (i + 1, if Value.Map.mem v m then m else Value.Map.add v i m))
+      (0, Value.Map.empty) head
+    |> snd
+  in
+  (* each core test gets the whole budget *)
+  match
+    Trace.with_span "canon.core" (fun () ->
+        Core_instance.core_b
+          ~limits:(Engine.Limits.make ~nodes:budget ())
+          ~fixed:(Value.Set.of_list head)
+          ~tests:core_tests
+          d)
+  with
+  | Engine.Sat core ->
+    Option.map
+      (fun body ->
+        let buf = Buffer.create (String.length body + 16) in
+        Buffer.add_string buf "cq:[";
+        List.iteri
+          (fun i v ->
+            if i > 0 then Buffer.add_char buf ',';
+            add_int buf (Value.Map.find v head_pos))
+          head;
+        Buffer.add_string buf "]|";
+        Buffer.add_string buf body;
+        Buffer.contents buf)
+      (Trace.with_span "canon.label" (fun () -> label ~budget ~head_pos core))
   | Engine.Unsat | Engine.Unknown _ -> None
 
 (* ---- database fingerprints ------------------------------------------ *)
@@ -183,17 +351,17 @@ let db_fingerprint d =
     in
     m
   in
-  let render_value = function
-    | Value.Const _ as v -> "c:" ^ Value.to_string v
+  let add_value buf = function
+    | Value.Const c -> add_const buf c
     | Value.Null _ as v ->
-      Printf.sprintf "n%d" (Value.Map.find v renumber)
+      Buffer.add_char buf 'n';
+      add_int buf (Value.Map.find v renumber)
   in
   let rendered =
     List.map
       (fun (f : Instance.fact) ->
-        f.rel ^ "("
-        ^ String.concat "," (List.map render_value (Array.to_list f.args))
-        ^ ")")
+        render_atom f.rel (Array.length f.args) (fun buf p ->
+            add_value buf f.args.(p)))
       (Instance.facts d)
     |> List.sort String.compare
   in

@@ -45,8 +45,11 @@ let reset_fresh () =
   Atomic.set null_counter 0;
   Atomic.set const_counter 0
 
+(* the spelling starts with a double-quote character, which no parsed
+   constant holds: a quoted literal ends at its first one and an
+   identifier has none *)
 let fresh_const () =
-  Const (Str (Printf.sprintf "#%d" (1 + Atomic.fetch_and_add const_counter 1)))
+  Const (Str (Printf.sprintf "\"#%d" (1 + Atomic.fetch_and_add const_counter 1)))
 
 let pp_const ppf = function
   | Int i -> Format.fprintf ppf "%d" i

@@ -32,8 +32,10 @@ val fresh_null : unit -> t
 val reset_fresh : unit -> unit
 
 (** [fresh_const ()] returns a constant guaranteed distinct from all
-    constants returned by previous calls; drawn from a reserved namespace
-    ["#k"]. *)
+    constants returned by previous calls and from every constant the
+    instance and query tokenizer can produce: it is drawn from the
+    reserved namespace ["\"#k"], whose double quote neither a quoted
+    literal nor an identifier can spell. *)
 val fresh_const : unit -> t
 
 val compare_const : const -> const -> int

@@ -186,6 +186,86 @@ let prop_core_no_smaller_equivalent =
       || Instance.cardinal (Core_instance.core da)
          = Instance.cardinal (Core_instance.core db))
 
+(* [Core_instance.core_b] against a fact-drop oracle: the oracle freezes
+   the fixed nulls to fresh constants and drops facts one at a time while
+   [d → d − {f}] holds.  On random instances with nulls, constants of
+   both kinds, repeated atoms and 0-ary facts, the core must be a
+   subinstance hom-equivalent to [d] (fixed nulls pinned), no fact of it
+   may be droppable, it must keep every fixed null, and it must have the
+   oracle's cardinality. *)
+let gen_core_case =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [
+          (2, map Value.int (int_range 1 2));
+          (2, map (fun i -> Value.str (string_of_int i)) (int_range 1 2));
+          (5, map (fun i -> Value.null (900 + i)) (int_range 0 4));
+        ]
+    in
+    let fact =
+      frequency
+        [
+          (6, map2 (fun a b -> ("R", [ a; b ])) value value);
+          (2, map (fun a -> ("S", [ a ])) value);
+          (1, map3 (fun a b c -> ("T", [ a; b; c ])) value value value);
+          (1, return ("Z", []));
+        ]
+    in
+    list_size (int_range 1 7) fact >>= fun facts ->
+    (* repeated atoms *)
+    list_size (int_range 0 2) (oneofl facts) >>= fun dups ->
+    list_size (int_range 0 2) (map (fun i -> Value.null (900 + i)) (int_range 0 4))
+    >|= fun fixed ->
+    ( List.fold_left
+        (fun d (rel, args) -> Instance.add_fact d rel args)
+        Instance.empty (facts @ dups),
+      Value.Set.of_list fixed ))
+
+let prop_core_b_oracle =
+  QCheck.Test.make ~count:300 ~name:"core_b matches the fact-drop oracle"
+    (QCheck.make
+       ~print:(fun (d, fixed) ->
+         Printf.sprintf "%s  fixed %s" (Parse.to_string d)
+           (String.concat "," (List.map Value.to_string (Value.Set.elements fixed))))
+       gen_core_case)
+    (fun (d, fixed) ->
+      let pin =
+        Value.Set.fold
+          (fun v h -> Valuation.bind h v (Value.fresh_const ()))
+          fixed Valuation.empty
+      in
+      let frozen d = Instance.apply pin d in
+      let rec drop d =
+        match
+          List.find_map
+            (fun f ->
+              Hom.find d
+                (Instance.filter (fun g -> Instance.compare_fact f g <> 0) d))
+            (Instance.facts d)
+        with
+        | Some h -> drop (Instance.apply h d)
+        | None -> d
+      in
+      let oracle = drop (frozen d) in
+      match Core_instance.core_b ~fixed d with
+      | Certdb_csp.Engine.Sat c ->
+        let fc = frozen c in
+        List.for_all (Instance.mem d) (Instance.facts c)
+        && Hom.exists (frozen d) fc
+        && Hom.exists fc (frozen d)
+        && List.for_all
+             (fun f ->
+               not
+                 (Hom.exists fc
+                    (Instance.filter (fun g -> Instance.compare_fact f g <> 0) fc)))
+             (Instance.facts fc)
+        && Value.Set.subset
+             (Value.Set.inter fixed (Instance.nulls d))
+             (Instance.nulls c)
+        && Instance.cardinal c = Instance.cardinal oracle
+      | _ -> false)
+
 (* --- graphs --- *)
 
 let prop_graph_product_universal =
@@ -371,7 +451,8 @@ let all_props =
     prop_glb_greatest; prop_lub_upper_bound; prop_lub_least;
     prop_glb_commutes; prop_glb_associative; prop_glb_idempotent;
     prop_lub_idempotent; prop_core_equiv; prop_core_idempotent;
-    prop_core_no_smaller_equivalent; prop_graph_product_universal;
+    prop_core_no_smaller_equivalent; prop_core_b_oracle;
+    prop_graph_product_universal;
     prop_graph_core_equiv; prop_chromatic_monotone; prop_tree_leq_reflexive;
     prop_tree_glb_lower_bound; prop_tree_ground_member;
     prop_gdm_coding_preserves_order; prop_gdm_glb_lower_bound;

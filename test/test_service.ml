@@ -95,23 +95,76 @@ let qcheck_canon_redundant =
       let base = List.filteri (fun i _ -> i < List.length padded - 1) padded in
       Canon.cq_key (Cq.boolean base) = Canon.cq_key (Cq.boolean padded))
 
+(* Query shapes for the soundness check: random atoms, and the
+   structured families whose cores are hard to label — cycles, bicliques
+   (with their symmetric cells), disjoint copies (which fold onto one),
+   constants of both kinds (an [Int] and a [Str] that print alike), and
+   head variables. *)
+let gen_const =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> Fo.Val (Value.int i)) (int_range 1 2);
+        map (fun i -> Fo.Val (Value.str (string_of_int i))) (int_range 1 2);
+      ])
+
+let cycle_atoms ~base k =
+  List.init k (fun i -> ("R", [ var (base + i); var (base + ((i + 1) mod k)) ]))
+
+let biclique_atoms ~base a b =
+  List.concat_map
+    (fun i -> List.init b (fun j -> ("R", [ var (base + i); var (base + a + j) ])))
+    (List.init a Fun.id)
+
+let gen_shape =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, gen_atoms);
+        (2, map (fun k -> cycle_atoms ~base:0 k) (int_range 1 5));
+        (2, map2 (fun a b -> biclique_atoms ~base:0 a b) (int_range 1 3) (int_range 1 3));
+        ( 2,
+          (* disjoint copies: a cycle beside a renamed copy of itself, or of
+             a shorter one *)
+          map2
+            (fun k k' -> cycle_atoms ~base:0 k @ cycle_atoms ~base:5 k')
+            (int_range 2 4) (int_range 2 4) );
+      ])
+
+(* add constants (anchoring a variable) and pick head variables among the
+   body's *)
+let gen_query =
+  QCheck.Gen.(
+    gen_shape >>= fun atoms ->
+    list_size (int_range 0 2) (pair gen_const (int_range 0 3)) >>= fun anchors ->
+    let atoms =
+      atoms @ List.map (fun (c, i) -> ("R", [ c; var i ])) anchors
+      |> List.filter (fun (_, args) -> args <> [])
+    in
+    let vars = Cq.vars (Cq.boolean atoms) in
+    (if vars = [] then return []
+     else list_size (int_range 0 2) (oneofl vars)) >|= fun head ->
+    Cq.make ~head atoms)
+
 (* soundness both ways on random pairs: equal keys iff hom-equivalent.
    The variable/relation space is small so collisions actually occur. *)
 let qcheck_canon_sound =
   QCheck.Test.make ~count:1000 ~name:"cq_key equal iff hom-equivalent"
     (QCheck.make
-       ~print:(fun (a, b) -> print_atoms a ^ "  vs  " ^ print_atoms b)
-       QCheck.Gen.(pair gen_atoms gen_atoms))
-    (fun (a1, a2) ->
-      let q1 = Cq.boolean a1 and q2 = Cq.boolean a2 in
+       ~print:(fun (a, b) ->
+         Format.asprintf "%a  vs  %a" Cq.pp a Cq.pp b)
+       QCheck.Gen.(pair gen_query gen_query))
+    (fun (q1, q2) ->
       match (Canon.cq_key q1, Canon.cq_key q2) with
       | Some k1, Some k2 ->
         Bool.equal (String.equal k1 k2) (Cq.equivalent q1 q2)
       | _ -> QCheck.Test.fail_report "canonicalisation budget tripped")
 
 let test_canon_budget () =
-  (* a clique of interchangeable atoms under a starved budget gives up
-     (None) instead of searching beyond it *)
+  (* the transitive 4-tournament is a core: each of its four core tests
+     refutes an endomorphism avoiding one null, which takes more than
+     two engine nodes, so a starved budget gives up (None) instead of
+     searching beyond it *)
   let clique k =
     let ids = List.init k Fun.id in
     Cq.boolean
@@ -128,9 +181,9 @@ let test_canon_budget () =
     (Canon.cq_key (clique 4) <> None)
 
 let test_canon_core_budget () =
-  (* the bidirectional 6-clique is a core with 720 automorphisms: every
-     hom test of its minimization is a refutation, and each one runs
-     under the canonicalisation budget *)
+  (* the bidirectional 6-clique is a core with 720 automorphisms: each of
+     its six core tests (one per null) is a pigeonhole refutation, and
+     each one runs under the canonicalisation budget *)
   let ids = List.init 6 Fun.id in
   let q =
     Cq.boolean
@@ -150,8 +203,9 @@ let test_canon_core_budget () =
 
 let test_canon_core_budget_per_test () =
   (* the budget bounds each hom test of the minimization on its own: the
-     bidirectional 5-clique runs 20 symmetric refutations, and half of
-     their total engine nodes is enough for every one of them *)
+     bidirectional 5-clique runs 5 symmetric refutations (one per null),
+     and half of their total engine nodes is enough for every one of
+     them *)
   let ids = List.init 5 Fun.id in
   let q =
     Cq.boolean
@@ -182,6 +236,57 @@ let test_canon_head_vars () =
   let k3 = Canon.cq_key (q [ "y" ] [ ("R", [ Fo.Var "x"; Fo.Var "y" ]) ]) in
   check "same query modulo renaming" true (k1 = k2);
   check "head position distinguishes" true (k1 <> k3)
+
+(* Rigid cores are labeled by refinement alone: the transitive
+   10-tournament (45 atoms, already a core) and four disjoint copies of it
+   (whose core is one copy) key at the default budget, in milliseconds. *)
+let test_canon_tournament () =
+  let tournament ~base n =
+    List.concat
+      (List.init n (fun i ->
+           List.init (n - i - 1) (fun k ->
+               ("E", [ var (base + i); var (base + i + k + 1) ]))))
+  in
+  let one = Cq.boolean (tournament ~base:0 10) in
+  let four =
+    Cq.boolean (List.concat_map (fun c -> tournament ~base:(10 * c) 10) [ 0; 1; 2; 3 ])
+  in
+  let k1 = Canon.cq_key one and k4 = Canon.cq_key four in
+  check "one tournament keys" true (k1 <> None);
+  check "four copies key" true (k4 <> None);
+  check "four copies share the one copy's key" true (k1 = k4)
+
+(* A quoted constant cannot stand in for a head variable: the core pins
+   head variables through its restriction, not through minted constants
+   (which could spell ["#1"]), and minted constants carry a character no
+   parsed constant holds. *)
+let test_canon_head_not_constant () =
+  let parse s = Result.get_ok (Wire.parse_cq_result s) in
+  let key s =
+    Value.reset_fresh ();
+    Canon.cq_key (parse s)
+  in
+  check "head variable vs quoted #1" true
+    (key {|ans(_x) :- R(_x,"#1")|} <> key "ans(_x) :- R(_x,_x)");
+  check "not equivalent either" false
+    (Cq.equivalent (parse {|ans(_x) :- R(_x,"#1")|}) (parse "ans(_x) :- R(_x,_x)"));
+  check "a minted constant cannot be parsed" true
+    (match Value.fresh_const () with
+    | Value.Const (Value.Str s) -> String.contains s '"'
+    | _ -> false)
+
+(* Constants of different types, and a constant whose text holds the
+   separators of a rendering, key apart from what they print like. *)
+let test_canon_constants_apart () =
+  let parse s = Result.get_ok (Wire.parse_cq_result s) in
+  let key s = Canon.cq_key (parse s) in
+  check "Int 5 vs Str 5" true (key "ans() :- R(5)" <> key {|ans() :- R("5")|});
+  check "one argument vs two" true
+    (key {|ans() :- R("a,c:b")|} <> key "ans() :- R(a,b)");
+  let fp s = Canon.db_fingerprint (fst (Parse.instance s)) in
+  check "fingerprint: Int 5 vs Str 5" true (fp "R(5)" <> fp {|R("5")|});
+  check "fingerprint: one argument vs two" true
+    (fp {|R("a,c:b")|} <> fp "R(a,b)")
 
 (* ---- database fingerprints ------------------------------------------- *)
 
@@ -482,9 +587,9 @@ let test_starved_ladder_keeps_deadline () =
    at a time under the request's one budget, so 100 ms for one attempt
    answers the empty lower bound well inside 250 ms — through the
    planner, and through serve's [query] verb at [jobs] 1 and at the
-   default [jobs].  The servers run without a cache: canonicalising this
-   180-atom query for the cache key runs before the request's deadline
-   starts and is not what this test measures. *)
+   default [jobs].  The servers run with their cache on: the cache key
+   (the core is one tournament, which refinement labels without
+   branching) costs a few milliseconds before the deadline starts. *)
 let test_components_share_deadline () =
   let copy k =
     String.concat ", "
@@ -530,8 +635,8 @@ let test_components_share_deadline () =
       timed name (fun () ->
           graded_of_serve_row (fst (Server.handle_line server ~idx:0 request))))
     [
-      ("serve query, jobs 1", Server.Config.make ~cache_capacity:0 ~jobs:1 ());
-      ("serve query, default jobs", Server.Config.make ~cache_capacity:0 ());
+      ("serve query, jobs 1", Server.Config.make ~jobs:1 ());
+      ("serve query, default jobs", Server.Config.make ());
     ]
 
 (* A cancelled batch [certain] row is not a graded answer: like a
@@ -696,6 +801,45 @@ let test_server_hit_on_renamed () =
     check "answer is graded" true
       (match a with Server.Graded _ -> true | _ -> false)
   | Error m -> Alcotest.fail m
+
+(* Distinct constants never share a cache line: [Int 5] and [Str "5"]
+   print alike, but a query on one must not be answered from the other's
+   cached answer, and reloading the database with the other constant
+   must change its fingerprint. *)
+let test_server_constants_apart () =
+  let s = Server.create () in
+  let send line = fst (Server.handle_line s ~idx:0 line) in
+  let load source =
+    send
+      (Json.to_string
+         (Json.Obj
+            [
+              ("op", Json.String "load");
+              ("name", Json.String "d");
+              ("source", Json.String source);
+            ]))
+  in
+  let query ?(no_cache = false) text =
+    let row =
+      send
+        (Json.to_string
+           (Json.Obj
+              ([ ("op", Json.String "query"); ("db", Json.String "d");
+                 ("query", Json.String text) ]
+              @ if no_cache then [ ("no_cache", Json.Bool true) ] else [])))
+    in
+    (Json.member "certain" row, Json.member "cached" row)
+  in
+  let fp1 = Wire.str_field "fingerprint" (load "R(5)") in
+  check "Int 5 certain" true (query "ans() :- R(5)" = (Some (Json.Bool true), Some (Json.Bool false)));
+  check "Str 5 is a fresh miss, not certain" true
+    (query {|ans() :- R("5")|} = (Some (Json.Bool false), Some (Json.Bool false)));
+  check "Str 5 uncached agrees" true
+    (fst (query ~no_cache:true {|ans() :- R("5")|}) = Some (Json.Bool false));
+  let fp2 = Wire.str_field "fingerprint" (load {|R("5")|}) in
+  check "reloading Str 5 changes the fingerprint" true (fp1 <> fp2);
+  check "Int 5 no longer certain" true
+    (fst (query "ans() :- R(5)") = Some (Json.Bool false))
 
 let test_server_no_cache_never_hits () =
   let s = mk_server ~cache:false () in
@@ -890,6 +1034,12 @@ let () =
             test_canon_core_budget_per_test;
           Alcotest.test_case "head variables pinned" `Quick
             test_canon_head_vars;
+          Alcotest.test_case "rigid tournaments key" `Quick
+            test_canon_tournament;
+          Alcotest.test_case "head variables are not constants" `Quick
+            test_canon_head_not_constant;
+          Alcotest.test_case "constants key apart" `Quick
+            test_canon_constants_apart;
           Alcotest.test_case "db fingerprints" `Quick test_fingerprint_stable;
         ] );
       ( "cache",
@@ -919,6 +1069,8 @@ let () =
             test_server_hit_on_renamed;
           Alcotest.test_case "no cache, no hits" `Quick
             test_server_no_cache_never_hits;
+          Alcotest.test_case "constants of two types never share a line"
+            `Quick test_server_constants_apart;
           Alcotest.test_case "protocol rows" `Quick test_server_protocol;
           Alcotest.test_case "batch verb" `Quick test_server_batch_verb;
           Alcotest.test_case "wire CQ syntax" `Quick test_wire_parse;
