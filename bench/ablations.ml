@@ -1,8 +1,8 @@
 (* Ablations called out in DESIGN.md:
    - CSP solver: MRV + forward checking vs naive lexicographic backtracking
      (branching decisions explored);
-   - bounded-treewidth DP: bag enumeration with vs without the candidate
-     relation R pruning (bag assignments enumerated);
+   - bounded-width search: the engine over a tree decomposition with vs
+     without the candidate relation R pruning (decisions);
    - glb core reduction: eager core after every pairwise glb vs one core at
      the end. *)
 
@@ -48,7 +48,7 @@ let run () =
     ];
 
   Bench_util.subsection
-    "bounded-tw DP: bag assignments with vs without R pruning";
+    "bounded-width search: decisions with vs without R pruning";
   (* membership instance: tree-shaped Codd database into a grounding *)
   let mk_tree ~seed ~nodes =
     Certdb_gdm.Ggen.tree ~seed ~nodes ~labels:[ "a" ] ~null_prob:0.4
@@ -61,16 +61,17 @@ let run () =
       let d = mk_tree ~seed:5 ~nodes in
       let d' = Gdb.ground (mk_tree ~seed:6 ~nodes:(nodes + 4)) in
       let source = Gdb.structure d and target = Gdb.structure d' in
-      let _, with_r =
-        Bench_util.with_counter "csp.btw.bag_assignments" (fun () ->
-            Bounded_tw.r_hom ~source ~target
-              ~restrict:(Membership.candidate_relation d d')
-              ())
+      let decisions ?restrict () =
+        snd
+          (Bench_util.with_counter "csp.solver.decisions" (fun () ->
+               Decider.btw.satisfiable
+                 (Engine.Config.make ?restrict ())
+                 source target))
       in
-      let _, without_r =
-        Bench_util.with_counter "csp.btw.bag_assignments" (fun () ->
-            Bounded_tw.hom ~source ~target ())
+      let with_r =
+        decisions ~restrict:(Membership.candidate_relation d d') ()
       in
+      let without_r = decisions () in
       Bench_util.row "%-8d %-14d %-14d" nodes with_r without_r)
     [ 8; 16; 32 ];
 

@@ -1,8 +1,8 @@
 (* E11 — Theorem 6: membership under the Codd interpretation is PTIME for
-   bounded-treewidth structures.  Shape: the bounded-treewidth dynamic
-   program scales polynomially on tree-shaped and width-2 inputs while the
-   propagation-free backtracking baseline degrades; both agree with the
-   MRV solver on small instances. *)
+   bounded-treewidth structures.  Shape: the engine's search over a tree
+   decomposition (a memo on separator assignments) scales polynomially on
+   tree-shaped and width-2 inputs while the propagation-free backtracking
+   baseline degrades; both agree with the MRV solver on small instances. *)
 
 open Certdb_csp
 open Certdb_gdm
@@ -54,7 +54,7 @@ let run () =
   Bench_util.banner
     "E11  Theorem 6: Codd membership in PTIME at bounded treewidth";
   Bench_util.subsection
-    "agreement of DP, bitset engine, generic MRV solver and naive backtracking";
+    "agreement of btw, bitset engine, generic MRV solver and naive backtracking";
   let agree = ref 0 and trials = 20 in
   for seed = 0 to trials - 1 do
     let d = tree_gdb ~seed ~nodes:6 ~labels:[ "a"; "b" ] ~null_prob:0.5 ~domain:2 in
@@ -63,16 +63,16 @@ let run () =
         (tree_gdb ~seed:(seed + 500) ~nodes:7 ~labels:[ "a"; "b" ]
            ~null_prob:0.0 ~domain:2)
     in
-    let dp = Membership.codd_leq d d' in
+    let btw = Membership.codd_leq d d' in
     let mrv = Membership.generic_leq d d' in
     let naive = naive_backtrack_leq d d' in
-    if dp = mrv && mrv = naive && engine_leq d d' = Some dp then incr agree
+    if btw = mrv && mrv = naive && engine_leq d d' = Some btw then incr agree
   done;
   Bench_util.row "all four algorithms agree: %d/%d" !agree trials;
 
   Bench_util.subsection "scaling on tree-shaped instances (treewidth 1)";
   Bench_util.row "%-8s %-8s %-10s %-10s %-11s %-12s %-10s %-10s %-12s"
-    "nodes" "width" "dp(ms)" "dp-work" "engine(ms)" "engine-dec" "mrv(ms)"
+    "nodes" "width" "btw(ms)" "btw-dec" "engine(ms)" "engine-dec" "mrv(ms)"
     "mrv-steps" "naive-bt(ms)";
   List.iter
     (fun nodes ->
@@ -85,12 +85,12 @@ let run () =
              ~null_prob:0.0 ~domain:3)
       in
       let decomposition = Treewidth.of_structure (Gdb.structure d) in
-      let dp_ms =
+      let btw_ms =
         Bench_util.time_ms_median (fun () -> ignore (Membership.codd_leq ~decomposition d d'))
       in
       (* work counters for one run, read back through the obs registry *)
-      let dp, dp_work =
-        Bench_util.with_counter "csp.btw.bag_assignments" (fun () ->
+      let btw, btw_work =
+        Bench_util.with_counter "csp.solver.decisions" (fun () ->
             Membership.codd_leq ~decomposition d d')
       in
       (* the generic solver is exponential on unsatisfiable instances; past
@@ -114,35 +114,35 @@ let run () =
         else Float.nan
       in
       let engine, engine_ms, engine_steps = engine_cell d d' in
-      if engine <> None && engine <> Some dp then
-        failwith "E11: the DP contradicted the bitset engine";
+      if engine <> None && engine <> Some btw then
+        failwith "E11: btw contradicted the bitset engine";
       Bench_util.row "%-8d %-8d %-10.3f %-10d %-11s %-12d %-10.3f %-10d %-12.3f"
-        nodes (Treewidth.width decomposition) dp_ms dp_work
+        nodes (Treewidth.width decomposition) btw_ms btw_work
         (if engine = None then "budget" else Printf.sprintf "%.3f" engine_ms)
         engine_steps mrv_ms mrv_steps naive_ms)
     [ 8; 16; 32; 64; 128 ];
 
   Bench_util.subsection "scaling on ladders (treewidth 2)";
-  Bench_util.row "%-8s %-8s %-10s %-10s %-11s %-12s" "nodes" "width" "dp(ms)"
-    "dp-work" "engine(ms)" "engine-dec";
+  Bench_util.row "%-8s %-8s %-10s %-10s %-11s %-12s" "nodes" "width" "btw(ms)"
+    "btw-dec" "engine(ms)" "engine-dec";
   List.iter
     (fun rungs ->
       let d = ladder_gdb ~seed:7 ~rungs ~null_prob:0.4 ~domain:3 in
       let d' = Gdb.ground (ladder_gdb ~seed:8 ~rungs:(rungs + 2) ~null_prob:0.0 ~domain:3) in
       let decomposition = Treewidth.of_structure (Gdb.structure d) in
-      let dp_ms =
+      let btw_ms =
         Bench_util.time_ms_median (fun () ->
             ignore (Membership.codd_leq ~decomposition d d'))
       in
-      let dp, dp_work =
-        Bench_util.with_counter "csp.btw.bag_assignments" (fun () ->
+      let btw, btw_work =
+        Bench_util.with_counter "csp.solver.decisions" (fun () ->
             Membership.codd_leq ~decomposition d d')
       in
       let engine, engine_ms, engine_steps = engine_cell d d' in
-      if engine <> None && engine <> Some dp then
-        failwith "E11: the DP contradicted the bitset engine";
+      if engine <> None && engine <> Some btw then
+        failwith "E11: btw contradicted the bitset engine";
       Bench_util.row "%-8d %-8d %-10.3f %-10d %-11s %-12d" (2 * rungs)
-        (Treewidth.width decomposition) dp_ms dp_work
+        (Treewidth.width decomposition) btw_ms btw_work
         (if engine = None then "budget" else Printf.sprintf "%.3f" engine_ms)
         engine_steps)
     [ 4; 8; 16; 32 ]
@@ -154,6 +154,6 @@ let micro () =
   in
   Bench_util.micro
     [
-      ("e11/codd-dp-32", fun () -> ignore (Membership.codd_leq d d'));
+      ("e11/codd-btw-32", fun () -> ignore (Membership.codd_leq d d'));
       ("e11/mrv-32", fun () -> ignore (Membership.generic_leq d d'));
     ]

@@ -92,7 +92,7 @@ let () =
     experiments;
   if List.mem "micro" args then run_micros ();
   if List.mem "ablations" args || args = [] || List.mem "all" args then
-    recorded "ablations" "solver / DP / glb ablations" Ablations.run;
+    recorded "ablations" "solver / bounded-width / glb ablations" Ablations.run;
   (match json_path with
   | None -> ()
   | Some path ->

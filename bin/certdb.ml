@@ -216,7 +216,8 @@ let limits_term =
     ^ " Attempt 1 of the retry ladder runs under it, and attempt i under \
        it x K^(i-1) (see --escalate).  It counts the search's branching \
        decisions, so it does not bound the acyclic and bounded-width \
-       routes, whose dynamic program makes none (--timeout-ms does)."
+       routes, whose decisions the query's width bounds instead \
+       (--timeout-ms does)."
     ^ serve
   in
   let nodes =
@@ -631,7 +632,7 @@ let tree_member_cmd =
     end
     else begin
       (* trees have treewidth 1: under the Codd interpretation the
-         Theorem 6 dynamic program decides membership in PTIME *)
+         Theorem 6 bounded-width search decides membership in PTIME *)
       let db = Certdb_xml.Tree.to_gdb t in
       let result =
         if Certdb_gdm.Gdb.codd db then

@@ -2,7 +2,7 @@
     and a treewidth estimate of the variable-interaction (Gaifman) graph.
 
     α-acyclic CQs admit join-tree evaluation; bounded-treewidth CQs admit
-    the Theorem 6 dynamic program.  The GYO certificate is the reduction
+    the Theorem 6 bounded-width search.  The GYO certificate is the reduction
     trace (replayable step by step); the cyclicity certificate is the
     irreducible residual hypergraph. *)
 

@@ -5,12 +5,11 @@
     choice — non-Boolean CQs/UCQs go to naïve evaluation, which is sound
     and complete for the whole class by Theorem 4):
 
-    - GYO-acyclic hypergraph → [Acyclic_join]: the Theorem 6 dynamic
-      program over a join-tree-shaped decomposition (polynomial), run as
-      an indexed join over the compiled instance
-      ({!Certdb_csp.Bounded_tw});
-    - cyclic but width estimate ≤ threshold → [Bounded_width w]: same DP,
-      cost bounded by its consistent partial bag assignments, at worst
+    - GYO-acyclic hypergraph → [Acyclic_join]: the engine's Theorem 6
+      search over a join-tree-shaped decomposition, memoised on
+      separator assignments (polynomial, {!Certdb_csp.Decider.btw});
+    - cyclic but width estimate ≤ threshold → [Bounded_width w]: the same
+      search, at most Σ_bags 2·|adom|^|bag| decisions, so
       [O(bags · |adom|^(w+1))];
     - cyclic, wide, but ≥ 2 connected components in the atoms-share-a-
       variable graph → [Components c]: the component count is kept as
@@ -81,7 +80,7 @@ val route_cq :
     certainty through the planner: one call to
     {!Certdb_query.Certain.certain_cq_resilient}, whose decider pair
     depends on the route.  [Acyclic_join] and [Bounded_width] run the
-    Theorem 6 DP ({!Certdb_csp.Decider.btw}), which honours the
+    Theorem 6 search ({!Certdb_csp.Decider.btw}), which honours the
     deadline and the cancel token of [limits] but not its node and
     backtrack budgets; [Components], [Hom_ladder] and [Fd_naive] the
     bitset engine; and [Sat_backend] the CDCL decider with the bitset

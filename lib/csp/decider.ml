@@ -20,12 +20,18 @@ let reference =
         Engine.Reference.satisfiable ~config ~source ~target ());
   }
 
+(* the clock and the cancel token bound it; its polynomial decision
+   bound stands in for the node and backtrack budgets *)
 let btw =
   {
     name = "btw";
     satisfiable =
       (fun config source target ->
-        Bounded_tw.satisfiable
-          ~decomposition:(fst (Treewidth.estimate source))
-          ~config ~source ~target ());
+        let limits =
+          { config.limits with Engine.Limits.nodes = None; backtracks = None }
+        in
+        let decomposition = Some (fst (Treewidth.estimate source)) in
+        Engine.satisfiable
+          ~config:{ config with limits; decomposition }
+          ~source ~target ());
   }

@@ -9,8 +9,8 @@
     builder, many solvers", as a record rather than a functor because
     the choice is made per request at run time.  Every decider honours
     [config.restrict] and the deadline and cancel token of
-    [config.limits], and every search decider its node and backtrack
-    budgets too ({!btw} makes no branching decisions to count).  Each
+    [config.limits], and every decider but {!btw} its node and
+    backtrack budgets too.  Each
     answers with the engine's three-valued outcome: [Sat ()] and [Unsat]
     are definitive, a tripped limit is [Unknown].  The CDCL decider lives in [Certdb_sat.Backend],
     which depends on this library. *)
@@ -27,12 +27,13 @@ type t = {
     the source's connected components one at a time under one budget. *)
 val engine : t
 
-(** The bounded-treewidth DP of Theorem 6 ({!Bounded_tw.satisfiable})
+(** Theorem 6's bounded-width test, named ["btw"]: {!Engine.satisfiable}
     over the narrower of the two {!Treewidth} heuristics' decompositions
-    of the source, named ["btw"]: polynomial for a fixed width, so the
-    planner sends acyclic and low-width queries here.  It honours
-    [timeout_ms] and [cancel] only; node and backtrack budgets count the
-    engine's branching decisions and do not bound it. *)
+    of the source, with its memo on separator assignments.  Polynomial
+    for a fixed width, so the planner sends acyclic and low-width
+    queries here.  It honours [timeout_ms] and [cancel] only: its
+    decisions are bounded by the width, not by a node or backtrack
+    budget. *)
 val btw : t
 
 (** The pre-columnar core ({!Engine.Reference.satisfiable}), named

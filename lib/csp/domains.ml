@@ -48,7 +48,7 @@ let pp ppf (d : t) =
 
 (* {1 Word-parallel bitsets}
 
-   The engine and the bounded-treewidth DP run over dense node ids in
+   The engine and the CNF encoder run over dense node ids in
    [0, cap); a domain is a bitset of [cap] bits packed into an int array,
    so support checks and intersections are [land]/[lor] over words. *)
 
@@ -58,14 +58,6 @@ module Bitset = struct
   let bits_per_word = Sys.int_size
   let words_for cap = (cap + bits_per_word - 1) / bits_per_word
   let create cap : bs = Array.make (max 1 (words_for cap)) 0
-
-  let full cap : bs =
-    let w = max 1 (words_for cap) in
-    let a = Array.make w 0 in
-    for i = 0 to cap - 1 do
-      a.(i / bits_per_word) <- a.(i / bits_per_word) lor (1 lsl (i mod bits_per_word))
-    done;
-    a
 
   let set (a : bs) i =
     a.(i / bits_per_word) <- a.(i / bits_per_word) lor (1 lsl (i mod bits_per_word))
@@ -100,7 +92,6 @@ module Bitset = struct
     !cleared
 
   let clear (a : bs) = Array.fill a 0 (Array.length a) 0
-  let blit ~(src : bs) ~(dst : bs) = Array.blit src 0 dst 0 (Array.length src)
   let copy (a : bs) = Array.copy a
 
   let iter f (a : bs) =
@@ -113,13 +104,6 @@ module Bitset = struct
         w := !w land (!w - 1)
       done
     done
-
-  let min_elt_opt (a : bs) =
-    let exception Found of int in
-    try
-      iter (fun i -> raise (Found i)) a;
-      None
-    with Found i -> Some i
 
   let to_list (a : bs) =
     let l = ref [] in
@@ -153,20 +137,6 @@ module Dense = struct
 
   let row_off m v = v * m.words
 
-  let set m v i =
-    let off = row_off m v in
-    let k = off + (i / Bitset.bits_per_word) in
-    let b = 1 lsl (i mod Bitset.bits_per_word) in
-    if m.bits.(k) land b = 0 then begin
-      m.bits.(k) <- m.bits.(k) lor b;
-      m.counts.(v) <- m.counts.(v) + 1
-    end
-
-  let mem m v i =
-    m.bits.(row_off m v + (i / Bitset.bits_per_word))
-    land (1 lsl (i mod Bitset.bits_per_word))
-    <> 0
-
   let count m v = m.counts.(v)
 
   (* row v := row v land mask; returns bits cleared and refreshes the
@@ -192,9 +162,6 @@ module Dense = struct
     Array.blit saved 0 m.bits (row_off m v) m.words;
     m.counts.(v) <- count
 
-  let blit_row_to m v (dst : Bitset.bs) =
-    Array.blit m.bits (row_off m v) dst 0 m.words
-
   let set_row m v (src : Bitset.bs) =
     Array.blit src 0 m.bits (row_off m v) m.words;
     m.counts.(v) <- Bitset.count src
@@ -215,6 +182,4 @@ module Dense = struct
     let l = ref [] in
     iter_row (fun i -> l := i :: !l) m v;
     List.rev !l
-
-  let row_is_empty m v = m.counts.(v) = 0
 end

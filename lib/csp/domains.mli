@@ -11,7 +11,7 @@
     compiled to the engine's dense bitsets.
 
     The {!Bitset} and {!Dense} submodules are the word-parallel machinery
-    the engine and the bounded-treewidth DP compile domains into: support
+    the engine and the CNF encoder compile domains into: support
     checks and intersections become [land]/[lor] over int arrays. *)
 
 module Int_set = Structure.Int_set
@@ -56,9 +56,6 @@ module Bitset : sig
   (** All-zero bitset with capacity [cap]. *)
   val create : int -> bs
 
-  (** All bits of [0..cap-1] set. *)
-  val full : int -> bs
-
   val set : bs -> int -> unit
   val remove : bs -> int -> unit
   val mem : bs -> int -> bool
@@ -71,13 +68,11 @@ module Bitset : sig
   val inter_into : dst:bs -> bs -> int
 
   val clear : bs -> unit
-  val blit : src:bs -> dst:bs -> unit
   val copy : bs -> bs
 
   (** Ascending iteration over set bits. *)
   val iter : (int -> unit) -> bs -> unit
 
-  val min_elt_opt : bs -> int option
   val to_list : bs -> int list
 end
 
@@ -94,8 +89,6 @@ module Dense : sig
   }
 
   val create : vars:int -> cap:int -> matrix
-  val set : matrix -> int -> int -> unit
-  val mem : matrix -> int -> int -> bool
   val count : matrix -> int -> int
 
   (** [inter_row m v mask] — row [v] &= [mask]; returns bits cleared and
@@ -107,12 +100,10 @@ module Dense : sig
   val save_row : matrix -> int -> int array
 
   val restore_row : matrix -> int -> int array -> int -> unit
-  val blit_row_to : matrix -> int -> Bitset.bs -> unit
 
   (** [set_row m v src] overwrites row [v] and recomputes its count. *)
   val set_row : matrix -> int -> Bitset.bs -> unit
 
   val iter_row : (int -> unit) -> matrix -> int -> unit
   val row_to_list : matrix -> int -> int list
-  val row_is_empty : matrix -> int -> bool
 end

@@ -11,6 +11,7 @@ type hom = int Int_map.t
    self-test keep working across the Solver -> Engine migration). *)
 let decisions = Obs.counter "csp.solver.decisions"
 let backtracks_c = Obs.counter "csp.solver.backtracks"
+let memo_hits = Obs.counter "csp.solver.memo_hits"
 let fc_prunes = Obs.counter "csp.solver.fc_prunes"
 let wipeouts = Obs.counter "csp.solver.wipeouts"
 let mrv_selects = Obs.counter "csp.solver.mrv_selects"
@@ -141,7 +142,6 @@ module Budget = struct
     check_clocks b
 
   let tick_backtrack b =
-    Obs.incr backtracks_c;
     if b.backtracks_left <> max_int then begin
       if b.backtracks_left <= 0 then raise (Interrupted Backtrack_budget);
       b.backtracks_left <- b.backtracks_left - 1
@@ -163,10 +163,17 @@ module Budget = struct
 end
 
 module Config = struct
-  type t = { limits : Limits.t; restrict : Domains.t option }
+  type t = {
+    limits : Limits.t;
+    restrict : Domains.t option;
+    decomposition : Treewidth.t option;
+  }
 
-  let default = { limits = Limits.unlimited; restrict = None }
-  let make ?(limits = Limits.unlimited) ?restrict () = { limits; restrict }
+  let default =
+    { limits = Limits.unlimited; restrict = None; decomposition = None }
+
+  let make ?(limits = Limits.unlimited) ?restrict ?decomposition () =
+    { limits; restrict; decomposition }
   let with_restrict restrict t = { t with restrict = Some restrict }
 end
 
@@ -235,8 +242,8 @@ exception Stop
    intersected with the restriction), and the constraint list with its
    per-variable index and the matching target relation resolved by
    interned (rel_id, arity), and the connected components the existence
-   search solves one at a time.  Shared by the search core, the
-   bounded-treewidth DP and the CNF encoder. *)
+   search solves one at a time.  Shared by the search core and the CNF
+   encoder. *)
 
 module Compiled = struct
   module Bitset = Domains.Bitset
@@ -423,42 +430,192 @@ module Compiled = struct
     { cp with init; comp; ncomps }
 end
 
+(* {1 Clusters}
+
+   The existence searches solve the source one cluster at a time.
+   Clusters form a tree under a virtual root; each branching variable
+   has one home, a cluster or the root, and a cluster's key is the set
+   of variables it shares with the clusters above it.  Without a
+   decomposition the clusters are the compiled components, all children
+   of the root under empty keys, and the pinned variables stay at the
+   root.  With a decomposition ({!Treewidth.t}) a cluster is a bag, a
+   variable's home is the bag nearest the root that holds it (a bag
+   that is home to none is skipped: its children hang from its nearest
+   ancestor that is), and a cluster's key is its bag's variables homed
+   above it — its separator, bag ∩ parent bag — less the pinned
+   variables, which the search assigns before any cluster. *)
+
+type clusters = {
+  home : int array; (* per dense var: its cluster, or [root] *)
+  cparent : int array; (* per cluster: its parent; root = its length *)
+  keys : int array array; (* per cluster: its key's variables *)
+  watch : int list array; (* per dense var: the clusters whose key holds it *)
+  subtree : int array array; (* per cluster: the variables homed below it *)
+  memo : bool; (* record goods and nogoods: clusters of a decomposition *)
+}
+
+let under_root ~nclusters home =
+  {
+    home;
+    cparent = Array.make nclusters nclusters;
+    keys = [||];
+    watch = [||];
+    subtree = [||];
+    memo = false;
+  }
+
+let component_clusters (cp : Compiled.t) =
+  let root = cp.Compiled.ncomps in
+  under_root ~nclusters:root
+    (Array.map (fun c -> if c >= 0 then c else root) cp.Compiled.comp)
+
+let decomposition_clusters (cp : Compiled.t) (d : Treewidth.t) =
+  let nvars = cp.Compiled.nvars in
+  let root = Array.length d.Treewidth.bags in
+  let bags =
+    Array.map
+      (fun b ->
+        List.map
+          (fun raw ->
+            match Hashtbl.find_opt cp.Compiled.csrc.Structure.dense_of raw with
+            | Some v -> v
+            | None ->
+              invalid_arg "Engine: a bag holds a node outside the source")
+          (Int_set.elements b))
+      d.Treewidth.bags
+  in
+  let children = Treewidth.children d in
+  let rec pre i acc =
+    List.fold_left (fun acc j -> pre j acc) (i :: acc) children.(i)
+  in
+  (* bags in reverse preorder: every bag after its descendants *)
+  let rev_pre =
+    List.fold_left (fun acc r -> pre r acc) [] (Treewidth.roots d)
+  in
+  (* per variable, the bags that hold it in preorder: the first is its home *)
+  let in_bags = Array.make (max 1 nvars) [] in
+  List.iter
+    (fun i -> List.iter (fun v -> in_bags.(v) <- i :: in_bags.(v)) bags.(i))
+    rev_pre;
+  Array.iter
+    (fun (c : Compiled.ccstr) ->
+      let inside i =
+        Array.for_all (fun u -> List.mem i in_bags.(u)) c.Compiled.cvars
+      in
+      if not (List.exists inside in_bags.(c.Compiled.cvars.(0))) then
+        invalid_arg "Engine: the decomposition leaves a fact in no bag")
+    cp.Compiled.cstrs;
+  let home =
+    Array.mapi
+      (fun v bags ->
+        match bags with
+        | i :: _
+          when cp.Compiled.by_var.(v) <> []
+               && Domains.Bitset.count cp.Compiled.init.(v) <> 1 ->
+          i
+        | _ -> root)
+      in_bags
+  in
+  let homed = Array.make root [] in
+  for v = nvars - 1 downto 0 do
+    if home.(v) < root then homed.(home.(v)) <- v :: homed.(home.(v))
+  done;
+  let cparent = Array.make root root and below = Array.make root [] in
+  List.iter
+    (fun i ->
+      let p = d.Treewidth.parent.(i) in
+      if p >= 0 then
+        cparent.(i) <- (if homed.(p) <> [] then p else cparent.(p)))
+    (List.rev rev_pre);
+  List.iter
+    (fun i ->
+      below.(i) <-
+        List.concat (homed.(i) :: List.map (fun j -> below.(j)) children.(i)))
+    rev_pre;
+  let keys =
+    Array.mapi
+      (fun i b ->
+        if homed.(i) = [] then [||]
+        else
+          Array.of_list
+            (List.filter (fun v -> home.(v) < root && home.(v) <> i) b))
+      bags
+  in
+  let watch = Array.make (max 1 nvars) [] in
+  Array.iteri
+    (fun j key -> Array.iter (fun u -> watch.(u) <- j :: watch.(u)) key)
+    keys;
+  { home; cparent; keys; watch; subtree = Array.map Array.of_list below;
+    memo = true }
+
 (* The budgeted backtracking core over the compiled instance: MRV
    variable selection with forward checking, the engine's only search.
    Its semantics (variable/value order, MRV tie-breaking, forward-check
    pruning, budget ticks) mirror {!Reference.run_search} — the search
    tree and the csp.solver.* counters it drives are preserved, up to the
-   component split below — but domains are bitset rows with trail-based
-   undo and support scans run over the target's per-position tuple
-   index instead of [Tuple_set] traversals.
+   clusters — but domains are bitset rows with trail-based undo and
+   support scans run over the target's per-position tuple index instead
+   of [Tuple_set] traversals.
 
    With [exists] (the existence searches, which stop at one solution),
    variables occurring in no constraint are excluded from branching
    (their only obligation is a non-empty candidate set, checked up
-   front) and reported to [on_solution], and the search solves the
-   compiled components one at a time: MRV picks a component's first
-   variable among all unassigned ones, then only inside that component
-   (and among the pinned variables, which belong to none) until it is
-   complete.  If the search below a completed component finds no
-   solution, no other values for that component can help — the rest
-   shares no constraint with it — so the whole search is exhausted.
-   One budget covers every component.  On a source with one component
-   the search is the unsplit one until that component completes; only
-   the pinned variables can be left, and if they fail the cut ends the
-   search where the unsplit one would retry the component in vain.
-   Enumeration needs every combination, so it searches the whole
-   instance. *)
-exception Component_exhausted
+   front) and reported to [on_solution], and the search runs over the
+   clusters under one budget.  MRV picks among the unassigned variables
+   of the open cluster and the root; once the open cluster's own are
+   assigned, among its children's, and picking one opens that child.  A
+   subtree that completes closes, and the search goes on from the
+   nearest incomplete ancestor.  If nothing after it succeeds, no other
+   values for the closed subtree can help — the rest reaches it only
+   through its assigned key — so the search cuts back to where it was
+   opened, never re-entering it.  Without a decomposition MRV opens a
+   component among all unassigned variables, and the cut after one
+   completes ends the search.
 
-let run_search_compiled ~budget ~exists (cp : Compiled.t) on_solution =
+   With a decomposition, forward checking from outside a subtree
+   reaches it only through its key (running intersection), so what the
+   search does below a cluster depends only on its key's values.  A
+   memo per cluster records, under those values, a good — the subtree's
+   assignment, which a later opening under the same key copies in — or
+   a nogood, which makes the opening a dead end.  Each (cluster, key
+   values) pair is therefore searched at most once, and the decisions
+   stay below Σ_bags 2·|B|^|bag| for a target of |B| ≥ 2 nodes.  Two
+   more nogoods cost no search: forward checking that empties the row of
+   a variable below an unopened cluster whose key is assigned, and a
+   value that would complete a key the memo holds as a nogood, which is
+   skipped without a decision.  [csp.solver.memo_hits] counts both
+   kinds of hit.
+
+   Enumeration needs every combination, so it searches the whole
+   instance under the root alone. *)
+exception Cut of int
+
+type memo_entry = Good of int array | Nogood
+
+(* [f ()], then [restore ()] however [f] ends *)
+let protect restore f =
+  match f () with
+  | () -> restore ()
+  | exception e ->
+    restore ();
+    raise e
+
+let run_search_compiled ~budget ~exists ?decomposition (cp : Compiled.t)
+    on_solution =
   let module Bitset = Domains.Bitset in
   let module Dense = Domains.Dense in
   Obs.incr searches;
-  if exists && cp.Compiled.ncomps >= 2 then begin
+  let nvars = cp.Compiled.nvars in
+  let cl =
+    match decomposition with
+    | Some d when exists -> decomposition_clusters cp d
+    | _ when exists -> component_clusters cp
+    | _ -> under_root ~nclusters:0 (Array.make (max 1 nvars) 0)
+  in
+  if exists && (not cl.memo) && cp.Compiled.ncomps >= 2 then begin
     Obs.incr components_splits;
     Obs.set_int components_count cp.Compiled.ncomps
   end;
-  let nvars = cp.Compiled.nvars in
   if not cp.Compiled.zero_ok then `Exhausted
   else if
     Array.exists (fun row -> Bitset.is_empty row) cp.Compiled.init
@@ -474,19 +631,24 @@ let run_search_compiled ~budget ~exists (cp : Compiled.t) on_solution =
     in
     let order = Array.of_list branch in
     let n_branch = Array.length order in
-    let comp =
-      if exists then cp.Compiled.comp else Array.make (max 1 nvars) (-1)
+    let home = cl.home and cparent = cl.cparent in
+    let root = Array.length cparent in
+    (* per cluster: unassigned home variables, and those plus the
+       children not yet complete; a cluster is live if it homes any *)
+    let left = Array.make (root + 1) 0 in
+    Array.iter (fun v -> left.(home.(v)) <- left.(home.(v)) + 1) order;
+    let pending = Array.copy left in
+    Array.iteri
+      (fun c p -> if left.(c) > 0 then pending.(p) <- pending.(p) + 1)
+      cparent;
+    let memo =
+      if cl.memo then Array.init root (fun _ -> Hashtbl.create 8) else [||]
     in
-    (* unassigned variables left per component, and the component being
-       completed (-1: none is partly assigned) *)
-    let left = Array.make (max 1 cp.Compiled.ncomps) 0 in
-    Array.iter
-      (fun v -> if comp.(v) >= 0 then left.(comp.(v)) <- left.(comp.(v)) + 1)
-      order;
-    let cur = ref (-1) in
+    let cur = ref root in
     let m = Dense.create ~vars:(max 1 nvars) ~cap:cp.Compiled.cap in
     Array.iteri (fun v row -> Dense.set_row m v row) cp.Compiled.init;
     let assignment = Array.make (max 1 nvars) (-1) in
+    let assigned u = assignment.(u) >= 0 in
     (* trail bookkeeping: each decision saves a modified row at most once *)
     let stamp = ref 0 in
     let saved_stamp = Array.make (max 1 nvars) (-1) in
@@ -521,35 +683,64 @@ let run_search_compiled ~budget ~exists (cp : Compiled.t) on_solution =
         done;
         !ok
     in
+    (* the memo: cluster [j]'s key values, reading [b] for [v] *)
+    let keybuf =
+      Array.map (fun key -> Array.make (Array.length key) 0) cl.keys
+    in
+    let key_with j v b =
+      let key = cl.keys.(j) and buf = keybuf.(j) in
+      for i = 0 to Array.length key - 1 do
+        buf.(i) <- (if key.(i) = v then b else assignment.(key.(i)))
+      done;
+      buf
+    in
+    let store j entry =
+      Hashtbl.replace memo.(j) (Array.copy (key_with j (-1) 0)) entry
+    in
+    let assigned_but v j =
+      Array.for_all (fun u -> u = v || assigned u) cl.keys.(j)
+    in
+    (* clusters under search: those on the path from the root to [cur] *)
+    let opened = Array.make (root + 1) false in
+    (* forward checking emptied [u]'s row: the nearest unopened cluster
+       above [u] whose key is assigned is a nogood under it, since [u]'s
+       row depends on nothing else *)
+    let wiped u =
+      let rec up j =
+        if j <> root && not opened.(j) then
+          if assigned_but (-1) j then store j Nogood else up cparent.(j)
+      in
+      if cl.memo then up home.(u)
+    in
     (* forward-check [c] after assigning [v <- b]: one scan over the
        target tuples matching [b] at [v]'s position, accumulating
        per-slot support bitsets, then a row-wise [land] per unassigned
        variable.  Prunes exactly what per-value support probing would. *)
+    let slots = Array.make (max 1 cp.Compiled.max_arity) (-1) in
+    let slot_vars = Array.make (max 1 cp.Compiled.max_arity) (-1) in
     let propagate_cstr trail (c : Compiled.ccstr) v b =
-      let arity = Array.length c.Compiled.cvars in
-      (* slot k <-> k-th distinct unassigned variable of c *)
+      let cvars = c.Compiled.cvars in
+      let arity = Array.length cvars in
+      (* slot k <-> k-th distinct unassigned variable of c; slots.(p) =
+         slot of the variable at position p, or -1 if assigned *)
       let nslots = ref 0 in
-      let slots = Array.make arity (-1) in
-      (* slots.(p) = slot of the variable at position p, or -1 if assigned *)
-      let slot_vars = Array.make arity (-1) in
       for p = 0 to arity - 1 do
-        let u = c.Compiled.cvars.(p) in
+        let u = cvars.(p) in
         if assignment.(u) >= 0 then slots.(p) <- -1
         else begin
-          (* first occurrence of u? *)
-          let rec first q =
-            if q >= p then -1
-            else if c.Compiled.cvars.(q) = u then slots.(q)
-            else first (q + 1)
-          in
-          match first 0 with
-          | -1 ->
+          (* an earlier occurrence of u holds its slot *)
+          let q = ref 0 in
+          while cvars.(!q) <> u do
+            incr q
+          done;
+          if !q < p then slots.(p) <- slots.(!q)
+          else begin
             let k = !nslots in
             incr nslots;
             slots.(p) <- k;
             slot_vars.(k) <- u;
             Bitset.clear scratch.(k)
-          | k -> slots.(p) <- k
+          end
         end
       done;
       let nslots = !nslots in
@@ -557,35 +748,36 @@ let run_search_compiled ~budget ~exists (cp : Compiled.t) on_solution =
       | None -> ()
       | Some tr ->
         (* position of v in c (first occurrence) to narrow the scan *)
-        let rec pos_of p =
-          if c.Compiled.cvars.(p) = v then p else pos_of (p + 1)
-        in
-        let pv = pos_of 0 in
-        let cands = tr.Structure.by_pos.(pv).(b) in
-        Array.iter
-          (fun idx ->
+        let pv = ref 0 in
+        while cvars.(!pv) <> v do
+          incr pv
+        done;
+        let cands = tr.Structure.by_pos.(!pv).(b) in
+        let flat = tr.Structure.flat in
+        for i = 0 to Array.length cands - 1 do
+          let base = cands.(i) * arity in
+          for k = 0 to nslots - 1 do
+            slot_val.(k) <- -1
+          done;
+          let consistent = ref true in
+          let p = ref 0 in
+          while !consistent && !p < arity do
+            let u = cvars.(!p) in
+            let tv = flat.(base + !p) in
+            (if assignment.(u) >= 0 then begin
+               if tv <> assignment.(u) then consistent := false
+             end
+             else
+               let k = slots.(!p) in
+               if slot_val.(k) = -1 then slot_val.(k) <- tv
+               else if slot_val.(k) <> tv then consistent := false);
+            incr p
+          done;
+          if !consistent then
             for k = 0 to nslots - 1 do
-              slot_val.(k) <- -1
-            done;
-            let consistent = ref true in
-            let p = ref 0 in
-            while !consistent && !p < arity do
-              let u = c.Compiled.cvars.(!p) in
-              let tv = tr.Structure.flat.((idx * arity) + !p) in
-              (if assignment.(u) >= 0 then begin
-                 if tv <> assignment.(u) then consistent := false
-               end
-               else
-                 let k = slots.(!p) in
-                 if slot_val.(k) = -1 then slot_val.(k) <- tv
-                 else if slot_val.(k) <> tv then consistent := false);
-              incr p
-            done;
-            if !consistent then
-              for k = 0 to nslots - 1 do
-                Bitset.set scratch.(k) slot_val.(k)
-              done)
-          cands);
+              Bitset.set scratch.(k) slot_val.(k)
+            done
+        done);
       let ok = ref true in
       for k = 0 to nslots - 1 do
         let u = slot_vars.(k) in
@@ -597,12 +789,34 @@ let run_search_compiled ~budget ~exists (cp : Compiled.t) on_solution =
         Obs.add fc_prunes cleared;
         if Dense.count m u = 0 then begin
           Obs.incr wipeouts;
+          wiped u;
           ok := false
         end
       done;
       !ok
     in
     let n_assigned = ref 0 in
+    (* [v <- b], checked or forward-checked against each constraint on
+       [v]; the rows it narrows are saved on [trail] *)
+    let assign trail v b =
+      assignment.(v) <- b;
+      incr n_assigned;
+      incr stamp;
+      List.for_all
+        (fun (c : Compiled.ccstr) ->
+          if Array.for_all assigned c.Compiled.cvars then check_full c
+          else propagate_cstr trail c v b)
+        cp.Compiled.by_var.(v)
+    in
+    let unassign trail v =
+      List.iter (fun (u, row, cnt) -> Dense.restore_row m u row cnt) !trail;
+      assignment.(v) <- -1;
+      decr n_assigned
+    in
+    let record c =
+      if cl.memo then
+        store c (Good (Array.map (fun u -> assignment.(u)) cl.subtree.(c)))
+    in
     let rec go () =
       if !n_assigned = n_branch then begin
         Obs.incr solutions;
@@ -611,82 +825,148 @@ let run_search_compiled ~budget ~exists (cp : Compiled.t) on_solution =
       else begin
         Obs.incr mrv_selects;
         let cur0 = !cur in
+        let opening = cur0 = root || left.(cur0) = 0 in
         let v =
           let best = ref (-1) in
           Array.iter
             (fun v ->
+              let h = home.(v) in
               if
                 assignment.(v) < 0
-                && (cur0 < 0 || comp.(v) = cur0 || comp.(v) < 0)
+                && (h = cur0 || h = root || (opening && cparent.(h) = cur0))
               then
                 if !best < 0 || Dense.count m v < Dense.count m !best then
                   best := v)
             order;
           !best
         in
-        let c = comp.(v) in
-        List.iter
-          (fun b ->
-            Budget.tick_node budget;
-            Obs.incr decisions;
-            assignment.(v) <- b;
-            incr n_assigned;
-            incr stamp;
-            let trail = ref [] in
-            let ok = ref true in
-            List.iter
-              (fun (c : Compiled.ccstr) ->
-                if !ok then
-                  if
-                    Array.for_all
-                      (fun u -> assignment.(u) >= 0)
-                      c.Compiled.cvars
-                  then begin
-                    if not (check_full c) then ok := false
-                  end
-                  else if not (propagate_cstr trail c v b) then ok := false)
-              cp.Compiled.by_var.(v);
-            (try
-               if not !ok then Budget.tick_backtrack budget
-               else if c >= 0 && left.(c) = 1 then begin
-                 (* [v] completes its component *)
-                 left.(c) <- 0;
-                 cur := -1;
-                 go ();
-                 raise Component_exhausted
-               end
-               else begin
-                 if c >= 0 then begin
-                   left.(c) <- left.(c) - 1;
-                   cur := c
-                 end;
-                 go ();
-                 if c >= 0 then left.(c) <- left.(c) + 1
-               end
-             with e ->
-               (* unwind the trail even on Stop/Interrupted so sibling
-                  state stays coherent for enumerating callers *)
-               List.iter
-                 (fun (u, row, cnt) -> Dense.restore_row m u row cnt)
-                 !trail;
-               assignment.(v) <- -1;
-               decr n_assigned;
-               raise e);
-            List.iter
-              (fun (u, row, cnt) -> Dense.restore_row m u row cnt)
-              !trail;
-            assignment.(v) <- -1;
-            decr n_assigned)
-          (Dense.row_to_list m v);
-        cur := cur0
+        let h = home.(v) in
+        if h = cur0 || h = root then branch v else open_cluster h v
       end
+    (* open [h], a child of the open cluster, at its variable [v] *)
+    and open_cluster h v =
+      let cur0 = !cur in
+      match
+        if cl.memo then Hashtbl.find_opt memo.(h) (key_with h (-1) 0)
+        else None
+      with
+      | Some Nogood -> Obs.incr memo_hits
+      | Some (Good vals) -> (
+        Obs.incr memo_hits;
+        let vars = cl.subtree.(h) in
+        Array.iteri (fun i u -> assignment.(u) <- vals.(i)) vars;
+        n_assigned := !n_assigned + Array.length vars;
+        try
+          protect
+            (fun () ->
+              Array.iter (fun u -> assignment.(u) <- -1) vars;
+              n_assigned := !n_assigned - Array.length vars)
+            (fun () -> close h)
+        with Cut c when c = h -> ())
+      | None -> (
+        cur := h;
+        opened.(h) <- true;
+        try
+          protect
+            (fun () ->
+              cur := cur0;
+              opened.(h) <- false)
+            (fun () -> branch v);
+          if cl.memo then store h Nogood
+        with Cut c when c = h -> ())
+    (* try every value of [v], a variable of the open cluster or the root *)
+    and branch v =
+      let h = home.(v) in
+      (* the clusters whose key [v] completes: a value that makes one of
+         those keys a known nogood is a dead end without a decision *)
+      let completes =
+        if cl.memo then List.filter (assigned_but v) cl.watch.(v) else []
+      in
+      let nogood b =
+        List.exists
+          (fun j ->
+            match Hashtbl.find_opt memo.(j) (key_with j v b) with
+            | Some Nogood -> true
+            | _ -> false)
+          completes
+      in
+      List.iter
+        (fun b ->
+          if completes <> [] && nogood b then Obs.incr memo_hits
+          else decide v h b)
+        (Dense.row_to_list m v)
+    (* the decision [v <- b], [v] homed at [h], and the search below it *)
+    and decide v h b =
+      Budget.tick_node budget;
+      Obs.incr decisions;
+      let trail = ref [] in
+      let ok = assign trail v b in
+      (* unwind the trail even on Stop/Interrupted so sibling state stays
+         coherent for enumerating callers *)
+      protect (fun () -> unassign trail v) @@ fun () ->
+      if not ok then begin
+        Obs.incr backtracks_c;
+        Budget.tick_backtrack budget
+      end
+      else if h = root then go ()
+      else begin
+        left.(h) <- left.(h) - 1;
+        pending.(h) <- pending.(h) - 1;
+        protect
+          (fun () ->
+            left.(h) <- left.(h) + 1;
+            pending.(h) <- pending.(h) + 1)
+          (fun () ->
+            if pending.(h) = 0 then begin
+              record h;
+              close h
+            end
+            else go ())
+      end
+    (* [h]'s subtree is complete and recorded: close the ancestors it
+       completes, go on from the nearest incomplete one, and if nothing
+       after succeeds, cut back to where the outermost closed cluster
+       was opened *)
+    and close h =
+      let rec up c =
+        let p = cparent.(c) in
+        pending.(p) <- pending.(p) - 1;
+        if p <> root && pending.(p) = 0 then begin
+          record p;
+          up p
+        end
+        else c
+      in
+      let a = up h in
+      let cur0 = !cur in
+      cur := cparent.(a);
+      let rec down c =
+        let p = cparent.(c) in
+        pending.(p) <- pending.(p) + 1;
+        if c <> a then down p
+      in
+      protect
+        (fun () ->
+          cur := cur0;
+          down h)
+        go;
+      raise (Cut a)
+    in
+    (* with clusters of a decomposition, the pinned variables first *)
+    let pinned_ok =
+      (not cl.memo)
+      || Array.for_all
+           (fun v ->
+             home.(v) < root
+             || assign (ref []) v (List.hd (Dense.row_to_list m v)))
+           order
     in
     try
-      go ();
+      if pinned_ok then go ();
       `Exhausted
     with
     | Stop -> `Stopped
-    | Component_exhausted -> `Exhausted
+    | Cut _ -> `Exhausted
   end
 
 (* {1 Public entry points} *)
@@ -707,11 +987,11 @@ let hom_of_assignment (cp : Compiled.t) assignment =
     assignment;
   !h
 
-let solve_cp limits cp =
+let solve_cp ?decomposition limits cp =
   Budget.run limits (fun budget ->
       let found = ref None in
       (match
-         run_search_compiled ~budget ~exists:true cp
+         run_search_compiled ~budget ~exists:true ?decomposition cp
            (fun assignment m free_vars ->
              (* unconstrained variables: any label-compatible candidate
                 works, so extend greedily without search *)
@@ -735,7 +1015,7 @@ let solve_cp limits cp =
 
 let solve ?(config = Config.default) ~source ~target () =
   Trace.with_span "csp.engine.solve" @@ fun () ->
-  solve_cp config.limits
+  solve_cp ?decomposition:config.decomposition config.limits
     (Compiled.make ?restrict:config.restrict ~source ~target ())
 
 let solve_compiled ?(limits = Limits.unlimited) cp = solve_cp limits cp
@@ -746,7 +1026,8 @@ let satisfiable ?(config = Config.default) ~source ~target () =
   Budget.run config.limits (fun budget ->
       let found = ref false in
       (match
-         run_search_compiled ~budget ~exists:true cp
+         run_search_compiled ~budget ~exists:true
+           ?decomposition:config.decomposition cp
            (fun _ _ free_vars ->
              Obs.add exists_skipped_vars (List.length free_vars);
              found := true;
@@ -890,7 +1171,10 @@ module Reference = struct
                 candidates (cstrs_of v)
             in
             if !ok then go assignment' candidates' rest
-            else Budget.tick_backtrack budget)
+            else begin
+              Obs.incr backtracks_c;
+              Budget.tick_backtrack budget
+            end)
           (Int_map.find v candidates)
     in
     let candidates =

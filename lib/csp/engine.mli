@@ -20,9 +20,12 @@
     [land]s over int arrays driven by the target's per-position tuple
     index.  The existence searches ({!solve}, {!satisfiable}) solve the
     source's connected components one at a time under one budget, and
-    stop at the first component that cannot be completed.  {!Reference}
-    preserves the pre-columnar map/set core, which searches the whole
-    instance, as the ablation baseline and test oracle.
+    stop at the first component that cannot be completed.  Given a tree
+    decomposition ({!Config.t}), they search it bag by bag with a memo
+    on separator assignments instead — Theorem 6's polynomial test for
+    bounded width, in the same search.  {!Reference} preserves the
+    pre-columnar map/set core, which searches the whole instance, as the
+    ablation baseline and test oracle.
 
     One semantic fix over {!Reference}: a 0-ary source fact [R()] absent
     from the target makes the instance [Unsat] (the old core ignored
@@ -74,10 +77,8 @@ end
 (** Resource limits, all off by default. *)
 module Limits : sig
   type t = {
-    nodes : int option;
-        (** max branching decisions; the bounded-treewidth DP
-            ({!Bounded_tw.satisfiable}) makes none and ignores it *)
-    backtracks : int option;  (** max dead ends; likewise *)
+    nodes : int option;  (** max branching decisions *)
+    backtracks : int option;  (** max dead ends *)
     timeout_ms : float option;
         (** wall-clock, relative to the start of the search; under
             {!Resilient.run}, relative to the start of the run, one
@@ -119,7 +120,8 @@ module Budget : sig
       @raise Interrupted when a limit trips. *)
   val tick_node : t -> unit
 
-  (** [tick_backtrack b] accounts one dead end.
+  (** [tick_backtrack b] accounts one dead end; callers count their own
+      ([csp.solver.backtracks], [csp.sat.conflicts]).
       @raise Interrupted when the backtrack budget trips. *)
   val tick_backtrack : t -> unit
 
@@ -135,21 +137,29 @@ module Budget : sig
   val run : Limits.t -> (t -> 'a option) -> 'a outcome
 end
 
-(** Search configuration: what a search may spend and which candidates it
-    may use.  The search itself is fixed — MRV variable selection with
-    forward checking — so there are no ordering or propagation knobs. *)
+(** Search configuration: what a search may spend, which candidates it
+    may use, and the tree decomposition it may follow.  The search itself
+    is fixed — MRV variable selection with forward checking — so there
+    are no ordering or propagation knobs. *)
 module Config : sig
   type t = {
     limits : Limits.t;
     restrict : Domains.t option;
         (** constrain the graph of the hom to a relation [R ⊆ A × B]
             (Theorem 6's R-compatible homomorphisms) *)
+    decomposition : Treewidth.t option;
+        (** a tree decomposition of the source: {!solve} and
+            {!satisfiable} then search it bag by bag, with a memo on
+            separator assignments that keeps them polynomial for a
+            fixed width (Theorem 6); {!iter} and {!count} ignore it *)
   }
 
-  (** Unlimited budget, no restriction. *)
+  (** Unlimited budget, no restriction, no decomposition. *)
   val default : t
 
-  val make : ?limits:Limits.t -> ?restrict:Domains.t -> unit -> t
+  val make :
+    ?limits:Limits.t -> ?restrict:Domains.t -> ?decomposition:Treewidth.t ->
+    unit -> t
   val with_restrict : Domains.t -> t -> t
 end
 
@@ -159,8 +169,8 @@ val is_hom : source:Structure.t -> target:Structure.t -> hom -> bool
 
 (**/**)
 
-(* Internal plumbing shared with [Solver]'s naive ablation baseline, the
-   bounded-treewidth DP and the CNF encoder. *)
+(* Internal plumbing shared with [Solver]'s naive ablation baseline,
+   the cores of [Core_instance] and the CNF encoder. *)
 
 type cstr = { rel : string; vars : int array }
 
@@ -238,7 +248,15 @@ val solve_compiled : ?limits:Limits.t -> Compiled.t -> hom outcome
     into it: if the rest has no solution, the instance has none.  The
     one {!Config.t} budget covers every component.  With two or more
     components it bumps [csp.components.splits] and sets the gauge
-    [csp.components.count]. *)
+    [csp.components.count].
+
+    With [config.decomposition] it searches that tree decomposition bag
+    by bag instead, with a memo per bag on its separator's values, so
+    each (bag, separator values) pair is searched at most once: at most
+    Σ_bags 2·|target|^|bag| decisions, and it stops at its first
+    witness.  [csp.solver.memo_hits] counts the memo's hits.
+    @raise Invalid_argument when a fact of the source lies in no bag,
+    or a bag holds a node outside the source. *)
 val solve :
   ?config:Config.t ->
   source:Structure.t ->
@@ -250,8 +268,8 @@ val solve :
     materializing a witness: variables occurring in no constraint are
     never branched on (their candidate sets are only checked non-empty),
     so it explores no more — and on instances with unconstrained nodes
-    strictly fewer — nodes than [solve].  It splits into components as
-    {!solve} does. *)
+    strictly fewer — nodes than [solve].  It splits into components, or
+    follows [config.decomposition], as {!solve} does. *)
 val satisfiable :
   ?config:Config.t ->
   source:Structure.t ->

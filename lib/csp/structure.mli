@@ -16,7 +16,7 @@ module Tuple_set : Set.S with type elt = tuple
     Relation names and labels interned to dense ints ({!Interner}), nodes
     renumbered densely (ascending in the raw ids), and each relation's
     tuples stored flat with a per-position inverted index.  This is the
-    layout the engine and the bounded-treewidth DP scan; it is
+    layout the engine and the CNF encoder scan; it is
     computed once per structure value and memoized. *)
 
 type crel = {

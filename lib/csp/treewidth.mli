@@ -2,7 +2,7 @@
     elimination orders (min-degree / min-fill heuristics).  Theorem 6
     evaluates Codd membership in polynomial time when the structural part
     has bounded treewidth; the decompositions produced here drive the
-    dynamic program of {!Bounded_tw}. *)
+    engine's bounded-width search ({!Engine.Config.t}). *)
 
 type t = {
   bags : Structure.Int_set.t array;
@@ -27,8 +27,9 @@ val of_elimination_order : Structure.t -> int list -> t
 
 (** [estimate s] runs both heuristics and returns the narrower
     decomposition together with its width — the width estimate used by the
-    static-analysis planner ({!Bounded_tw} cost grows with the width, so
-    spending two heuristic passes before a DP is always worth it). *)
+    static-analysis planner (the bounded-width search's cost grows with
+    the width, so spending two heuristic passes before it is always
+    worth it). *)
 val estimate : Structure.t -> t * int
 
 (** [exact s] — an optimal-width decomposition by branch-and-bound over

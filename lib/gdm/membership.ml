@@ -28,32 +28,27 @@ let require_codd d =
   if not (Gdb.codd d) then
     invalid_arg "Membership.codd_leq: source is not Codd"
 
-(* a width-w DP costs |target|^(w+1), so spending the second elimination
-   heuristic up front (Treewidth.estimate) is always worth it *)
-let decomposition_for ?decomposition d =
-  match decomposition with
-  | Some dec -> dec
-  | None -> fst (Treewidth.estimate (Gdb.structure d))
-
-let codd_leq ?decomposition d d' =
+(* the search's bound grows with the width, so spending the second
+   elimination heuristic up front (Treewidth.estimate) is always worth it *)
+let r_hom ?decomposition d d' =
   require_codd d;
-  Bounded_tw.r_hom
-    ~decomposition:(decomposition_for ?decomposition d)
-    ~source:(Gdb.structure d)
-    ~target:(Gdb.structure d')
-    ~restrict:(candidate_relation d d')
-    ()
+  let source = Gdb.structure d in
+  let decomposition =
+    match decomposition with
+    | Some dec -> dec
+    | None -> fst (Treewidth.estimate source)
+  in
+  Engine.solve
+    ~config:
+      (Engine.Config.make ~restrict:(candidate_relation d d') ~decomposition
+         ())
+    ~source ~target:(Gdb.structure d') ()
+  |> Solver.definitive
+
+let codd_leq ?decomposition d d' = Option.is_some (r_hom ?decomposition d d')
 
 let codd_leq_witness ?decomposition d d' =
-  require_codd d;
-  match
-    Bounded_tw.r_hom_witness
-      ~decomposition:(decomposition_for ?decomposition d)
-      ~source:(Gdb.structure d)
-      ~target:(Gdb.structure d')
-      ~restrict:(candidate_relation d d')
-      ()
-  with
+  match r_hom ?decomposition d d' with
   | None -> None
   | Some h1 ->
     (* Codd: each null occurs once, so the per-node data bindings never

@@ -10,8 +10,9 @@
 
     {v R(D,D') = { (ν,ν') | λ(ν) = λ′(ν′) and ρ(ν) ⪯ ρ′(ν′) } v}
 
-    which [codd_leq] decides in polynomial time by the bounded-treewidth
-    dynamic program of {!Certdb_csp.Bounded_tw} (Lemma 4).  This subsumes
+    which [codd_leq] decides in polynomial time by the engine's search
+    over a tree decomposition, memoised on separator assignments
+    ({!Certdb_csp.Engine.Config.t}'s [decomposition], Lemma 4).  This subsumes
     the PTIME algorithms of [3] for Codd tables and of [7] for XML, both
     instances of treewidth ≤ 1. *)
 

@@ -155,13 +155,12 @@ val certain_cq_resilient :
   [ `Exact of bool | `Lower_bound of bool ]
 
 (** {!certain_cq_via_decider} on {!Certdb_csp.Decider.btw}: [D_Q ⊑ D]
-    by the bounded-treewidth dynamic program of Theorem 6 over the same
-    instance, with the query's terms as the source structure, [d]'s
-    active domain as the target, and constants pinned to themselves.
-    Polynomial for a fixed decomposition width (the planner routes
-    acyclic and low-width queries here).  Of [limits] it honours
-    [timeout_ms] and [cancel]; node and backtrack budgets do not bound
-    the DP. *)
+    by Theorem 6's bounded-width search over the same instance, with the
+    query's terms as the source structure, [d]'s active domain as the
+    target, and constants pinned to themselves.  Polynomial for a fixed
+    decomposition width (the planner routes acyclic and low-width
+    queries here).  Of [limits] it honours [timeout_ms] and [cancel];
+    node and backtrack budgets do not bound it. *)
 val certain_cq_via_btw :
   ?limits:Certdb_csp.Engine.Limits.t ->
   Cq.t ->

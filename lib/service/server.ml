@@ -192,9 +192,8 @@ let find_or_prepare t entry ~limits ~policy ~backend ~no_cache ~canon ~query
         | None -> todo (Some key) scoped)))
 
 (* search-effort attribution for [explain], one label per counter:
-   [nodes] are the engine's decisions, [backtracks] the backtrack
-   budget's ticks (the engine's dead ends and the CDCL's conflicts
-   alike), [sat_decisions] and [sat_conflicts] the CDCL's own.  The
+   [nodes] are the engine's decisions, [backtracks] its dead ends,
+   [sat_decisions] and [sat_conflicts] the CDCL's own.  The
    counters are process-global, so the deltas around one evaluation are
    approximate when other requests compute concurrently (the batch
    verb); for the common single-request case they are exact *)

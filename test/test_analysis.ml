@@ -265,7 +265,7 @@ let test_routes () =
     (route (Cq.make ~head:[ "x" ] [ ("R", [ v "x"; v "y" ]) ]) = Plan.Naive_eval);
   check "path goes to the acyclic join" true
     (route path_cq = Plan.Acyclic_join);
-  check "triangle goes to the width-2 DP" true
+  check "triangle goes to the width-2 search" true
     (route triangle_cq = Plan.Bounded_width 2);
   let clique4 =
     let vars = [ "w"; "x"; "y"; "z" ] in
@@ -326,7 +326,7 @@ let qcheck_btw_agrees_with_hom =
       Certain.certain_cq_via_btw q d
       = if Certain.certain_cq_via_hom q d then `True else `False)
 
-(* the DP routes run on the ladder: a tripped cancel token stops them
+(* the bounded-width routes run on the ladder: a tripped cancel token stops them
    before any answer, so the grade is the empty lower bound even where
    the unlimited answer is true *)
 let test_dp_routes_honour_cancel () =

@@ -1,5 +1,5 @@
 (* Tests for the CSP substrate: structures, solver, matching, treewidth,
-   bounded-treewidth dynamic programming. *)
+   the engine's search over a tree decomposition. *)
 
 open Certdb_csp
 module IS = Structure.Int_set
@@ -223,7 +223,23 @@ let test_treewidth_random_valid () =
       [ `Min_degree; `Min_fill ]
   done
 
-(* bounded-treewidth DP vs backtracking solver *)
+(* Theorem 6's R-compatible hom test: the engine over a tree
+   decomposition of the source (min-degree unless given) *)
+let btw_witness ?decomposition ?restrict ~source ~target () =
+  let decomposition =
+    match decomposition with
+    | Some d -> d
+    | None -> Treewidth.of_structure source
+  in
+  Solver.definitive
+    (Engine.solve
+       ~config:(Engine.Config.make ?restrict ~decomposition ())
+       ~source ~target ())
+
+let btw_hom ?decomposition ?restrict ~source ~target () =
+  Option.is_some (btw_witness ?decomposition ?restrict ~source ~target ())
+
+(* the bounded-width search vs backtracking solver *)
 let test_bounded_tw_agreement () =
   for seed = 0 to 25 do
     let open Certdb_graph in
@@ -238,9 +254,9 @@ let test_bounded_tw_agreement () =
         (Digraph.random ~seed:(seed + 50) ~vertices:5 ~edge_prob:0.4 ())
     in
     check
-      (Printf.sprintf "seed %d: dp = solver" seed)
+      (Printf.sprintf "seed %d: btw = solver" seed)
       (Solver.exists_hom ~source ~target ())
-      (Bounded_tw.hom ~source ~target ())
+      (btw_hom ~source ~target ())
   done
 
 let test_bounded_tw_witness () =
@@ -248,7 +264,7 @@ let test_bounded_tw_witness () =
   let source = Digraph.to_structure (Digraph.path 4) in
   let target = Digraph.to_structure (Digraph.cycle 3) in
   let restrict = Domains.unconstrained in
-  match Bounded_tw.r_hom_witness ~source ~target ~restrict () with
+  match btw_witness ~source ~target ~restrict () with
   | None -> Alcotest.fail "path should map into cycle"
   | Some h ->
     check "witness is hom" true (Solver.is_hom ~source ~target h)
@@ -260,23 +276,38 @@ let test_bounded_tw_restrict () =
   (* forbid node 0 of the path from mapping anywhere: unsatisfiable *)
   let restrict = Domains.of_list [ (0, IS.empty) ] in
   check "empty restriction blocks" false
-    (Bounded_tw.r_hom ~source ~target ~restrict ());
+    (btw_hom ~source ~target ~restrict ());
   (* pin path start to cycle node 1 *)
   let restrict = Domains.singleton 0 1 in
-  (match Bounded_tw.r_hom_witness ~source ~target ~restrict () with
+  (match btw_witness ~source ~target ~restrict () with
   | Some h -> Alcotest.(check int) "pinned" 1 (Structure.Int_map.find 0 h)
   | None -> Alcotest.fail "pinned hom should exist")
 
+(* a decomposition that leaves a fact in no bag, or holds a node the
+   source lacks, is refused rather than searched *)
+let test_bounded_tw_invalid_decomposition () =
+  let bags l = Array.of_list (List.map IS.of_list l) in
+  let refused name decomposition =
+    match btw_hom ~decomposition ~source:triangle ~target:triangle () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  refused "fact in no bag"
+    { Treewidth.bags = bags [ [ 0; 1 ]; [ 1; 2 ] ]; parent = [| -1; 0 |] };
+  refused "node outside the source"
+    { Treewidth.bags = bags [ [ 0; 1; 2; 9 ] ]; parent = [| -1 |] }
+
 let test_bounded_tw_empty_source () =
   check "empty source has hom" true
-    (Bounded_tw.hom ~source:Structure.empty ~target:triangle ())
+    (btw_hom ~source:Structure.empty ~target:triangle ())
 
-(* The DP against the pre-columnar engine on random labelled instances:
-   relations of arity 0-3 with repeated variables, relations missing
-   from the target, disconnected sources (forest decompositions) and
-   random restrictions, over both heuristics' decompositions and an
-   optimal one.  The reference core ignores 0-ary constraints, so its
-   verdict is conjoined with the 0-ary facts' presence. *)
+(* The bounded-width search against the pre-columnar engine on random
+   labelled instances: relations of arity 0-3 with repeated variables,
+   relations missing from the target, disconnected sources (forest
+   decompositions) and random restrictions, over both heuristics'
+   decompositions and an optimal one, and through [Decider.btw].  The
+   reference core ignores 0-ary constraints, so its verdict is conjoined
+   with the 0-ary facts' presence. *)
 let random_instance st =
   let int n = Random.State.int st n in
   let label () = match int 4 with 0 -> Some "a" | 1 -> Some "b" | _ -> None in
@@ -343,15 +374,45 @@ let qcheck_bounded_tw_differential =
              ~config:(Engine.Config.make ~restrict ()) ~source ~target ()
            = Engine.Sat ()
       in
-      List.for_all
+      let decisions = Certdb_obs.Obs.counter "csp.solver.decisions" in
+      let config decomposition =
+        Engine.Config.make ~restrict ~decomposition ()
+      in
+      (* Theorem 6's bound: each (bag, separator values) pair is searched
+         at most once, for at most 2·|B|^k decisions on the k variables
+         homed in the bag, and the separator and those k fit in the bag *)
+      let bound decomposition =
+        Array.fold_left
+          (fun acc bag ->
+            let rec pow k =
+              if k = 0 then 1 else Structure.size target * pow (k - 1)
+            in
+            acc + (2 * pow (IS.cardinal bag)))
+          0 decomposition.Treewidth.bags
+      in
+      (Decider.btw.satisfiable (Engine.Config.make ~restrict ()) source target
+       = Engine.Sat ()
+       = expected
+      || QCheck.Test.fail_reportf "Decider.btw disagrees (expected %b)" expected)
+      && List.for_all
         (fun (name, decomposition) ->
           let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) name in
-          if Bounded_tw.r_hom ~decomposition ~restrict ~source ~target () <> expected
-          then fail "r_hom disagrees (expected %b)" expected
+          let d0 = Certdb_obs.Obs.counter_value decisions in
+          let sat =
+            Engine.satisfiable ~config:(config decomposition) ~source ~target ()
+          in
+          let spent = Certdb_obs.Obs.counter_value decisions - d0 in
+          if (sat = Engine.Sat ()) <> expected then
+            fail "satisfiable disagrees (expected %b)" expected
+          else if spent > bound decomposition then
+            fail "%d decisions, past the bound %d" spent (bound decomposition)
           else
-            match Bounded_tw.r_hom_witness ~decomposition ~restrict ~source ~target () with
-            | None -> (not expected) || fail "no witness"
-            | Some h ->
+            match
+              Engine.solve ~config:(config decomposition) ~source ~target ()
+            with
+            | Engine.Unsat -> (not expected) || fail "no witness"
+            | Engine.Unknown r -> fail "unknown: %s" (Engine.reason_to_string r)
+            | Engine.Sat h ->
               (expected || fail "witness for an unsatisfiable instance")
               && (Engine.is_hom ~source ~target h || fail "witness is not a hom")
               && (Structure.Int_map.for_all (fun v w -> Domains.mem restrict v w) h
@@ -361,6 +422,61 @@ let qcheck_bounded_tw_differential =
           ("min-fill", Treewidth.of_structure ~heuristic:`Min_fill source);
           ("exact", Treewidth.exact source);
         ])
+
+(* Sparse random digraphs into dense ones: the separators of their
+   decompositions repeat values across the search, so the memo's goods
+   and nogoods, and the values it prunes, decide much of each answer *)
+let qcheck_bounded_tw_sparse =
+  let open Certdb_graph in
+  QCheck.Test.make ~count:500 ~name:"bounded-tw search on sparse digraphs"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let sv = 6 + Random.State.int st 10 and tv = 3 + Random.State.int st 5 in
+      let source =
+        Digraph.to_structure
+          (Digraph.random ~seed ~vertices:sv
+             ~edge_prob:(1.6 /. float_of_int sv) ())
+      in
+      let target =
+        Digraph.to_structure
+          (Digraph.random ~seed:(seed + 1) ~vertices:tv
+             ~edge_prob:(0.3 +. Random.State.float st 0.4) ())
+      in
+      let restrict =
+        Domains.of_list
+          (List.filter_map
+             (fun v ->
+               if Random.State.int st 6 > 0 then None
+               else
+                 Some
+                   ( v,
+                     IS.of_list
+                       (List.filter
+                          (fun _ -> Random.State.int st 3 > 0)
+                          (List.init tv Fun.id)) ))
+             (List.init sv Fun.id))
+      in
+      let expected =
+        Engine.Reference.satisfiable
+          ~config:(Engine.Config.make ~restrict ()) ~source ~target ()
+        = Engine.Sat ()
+      in
+      List.for_all
+        (fun heuristic ->
+          let decomposition = Treewidth.of_structure ~heuristic source in
+          match
+            Engine.solve
+              ~config:(Engine.Config.make ~restrict ~decomposition ())
+              ~source ~target ()
+          with
+          | Engine.Sat h ->
+            expected
+            && Engine.is_hom ~source ~target h
+            && Structure.Int_map.for_all (fun v w -> Domains.mem restrict v w) h
+          | Engine.Unsat -> not expected
+          | Engine.Unknown _ -> false)
+        [ `Min_degree; `Min_fill ])
 
 let () =
   Alcotest.run "csp"
@@ -404,6 +520,9 @@ let () =
           Alcotest.test_case "witness" `Quick test_bounded_tw_witness;
           Alcotest.test_case "restriction" `Quick test_bounded_tw_restrict;
           Alcotest.test_case "empty source" `Quick test_bounded_tw_empty_source;
+          Alcotest.test_case "invalid decomposition" `Quick
+            test_bounded_tw_invalid_decomposition;
           QCheck_alcotest.to_alcotest qcheck_bounded_tw_differential;
+          QCheck_alcotest.to_alcotest qcheck_bounded_tw_sparse;
         ] );
     ]

@@ -139,7 +139,7 @@ let test_glb_in_class_trees () =
     check "glb leq t2" true
       (Gordering.leq via_gdm_t (Certdb_xml.Tree.to_gdb t2))
 
-(* Theorem 6: Codd membership via bounded-treewidth DP. *)
+(* Theorem 6: Codd membership via the bounded-width search. *)
 let mk_tree_gdb ~seed ~nodes ~null_prob ~domain =
   Ggen.tree ~seed ~nodes ~labels:[ "a"; "b" ] ~null_prob ~domain ()
 

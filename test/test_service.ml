@@ -663,11 +663,11 @@ let test_cancelled_certain_row () =
     (Wire.str_field "reason" row = Some "cancelled");
   check "no grade" true (Wire.str_field "grade" row = None)
 
-(* the bounded-width DP runs under the request deadline too: the 5-cycle
-   (width 2) over the complete bipartite digraph K(50,50) has no
-   homomorphism, and refuting it fills every bag table (~100 ms
-   unlimited on a 2-vCPU VM); 1 ms of solver time must answer the empty
-   lower bound long before that *)
+(* the bounded-width search runs under the request deadline too: the
+   5-cycle (width 2) over the complete bipartite digraph K(50,50) has no
+   homomorphism, and refuting it visits every (bag, separator values)
+   pair; 1 ms of solver time must answer the empty lower bound long
+   before that *)
 let test_dp_keeps_deadline () =
   let n = 50 in
   let text = "ans() :- E(_x0,_x1), E(_x1,_x2), E(_x2,_x3), E(_x3,_x4), E(_x4,_x0)" in
@@ -684,7 +684,7 @@ let test_dp_keeps_deadline () =
   in
   let q = Result.get_ok (Wire.parse_cq_result text) in
   let d = Result.get_ok (Wire.parse_instance_result db) in
-  check "routed to the DP" true
+  check "routed to the bounded-width search" true
     ((Plan.route_cq q).Plan.route = Plan.Bounded_width 2);
   let timed f =
     let t0 = Unix.gettimeofday () in
@@ -692,7 +692,7 @@ let test_dp_keeps_deadline () =
     (answer, (Unix.gettimeofday () -. t0) *. 1000.)
   in
   let unlimited, full_ms = timed (fun () -> Plan.certain q d) in
-  check "unlimited DP refutes" true (unlimited = `Exact false);
+  check "unlimited search refutes" true (unlimited = `Exact false);
   let server =
     Server.create ~config:(Server.Config.make ~cache_capacity:0 ~jobs:1 ()) ()
   in
@@ -724,9 +724,10 @@ let test_dp_keeps_deadline () =
 
 (* [explain] on a SAT-route request: the CDCL's decisions and
    conflicts are reported under labels of their own, each the delta of
-   its csp.sat.* counter, next to the engine's nodes and the backtrack
-   budget's ticks.  The 4-clique (both edge directions) into K3 is
-   pigeonhole-shaped, so the refutation needs both. *)
+   its csp.sat.* counter, next to the engine's nodes and dead ends,
+   which the CDCL's conflicts do not bump.  The 4-clique (both edge
+   directions) into K3 is pigeonhole-shaped, so the refutation needs
+   both. *)
 let test_explain_sat_effort () =
   let s =
     Server.create
@@ -784,7 +785,8 @@ let test_explain_sat_effort () =
        names)
     before;
   check "CDCL decided" true (label "sat_decisions" > 0);
-  check "CDCL conflicted" true (label "sat_conflicts" > 0)
+  check "CDCL conflicted" true (label "sat_conflicts" > 0);
+  Alcotest.(check int) "no engine backtracks" 0 (label "backtracks")
 
 let test_server_hit_on_renamed () =
   let s = mk_server () in
