@@ -6,6 +6,7 @@ module Treewidth = Certdb_csp.Treewidth
 let checks = Obs.counter "csp.analysis.hypergraph"
 
 module S = Set.Make (String)
+module Int_set = Set.Make (Int)
 
 type gyo_step =
   | Remove_vertex of {
@@ -38,63 +39,137 @@ let atom_vars (a : Cq.atom) =
 (* GYO reduction: repeatedly delete an ear vertex (occurring in exactly
    one hyperedge) or a hyperedge contained in another; the hypergraph is
    α-acyclic iff the reduction consumes every hyperedge.  Equal edges are
-   broken by absorbing the higher index into the lower. *)
+   broken by absorbing the higher index into the lower.
+
+   The reduction is driven by per-vertex occurrence counts.  A vertex
+   leaves the hypergraph only as an ear, so an edge's live vertices are
+   its original ones with a nonzero count.  Ears are removed first: a
+   removal changes no other count, so the ears present at one moment are
+   removed together, in (edge, vertex) order.  An absorption runs only
+   when no ear is left, on the lowest-indexed absorbable edge, into the
+   lowest-indexed edge that contains it.  An edge becomes absorbable only
+   by losing a vertex, so the candidates are the edges that lost one
+   since they were last found unabsorbable (initially all); an
+   absorption lowers the counts of the absorbed edge's vertices, which
+   may make new ears.  Each subset test scans the edges through the
+   tested edge's rarest vertex. *)
 let gyo edges0 =
-  let edges = ref edges0 in
-  let steps = ref [] in
-  let remove_vertex () =
-    let occurrences v =
-      List.filter (fun (_, vs) -> S.mem v vs) !edges
-    in
-    List.find_map
-      (fun (i, vs) ->
-        S.fold
-          (fun v acc ->
-            match acc with
-            | Some _ -> acc
-            | None -> (
-              match occurrences v with
-              | [ (j, _) ] when j = i -> Some (v, i)
-              | _ -> None))
-          vs None)
-      !edges
+  let edges = Array.of_list edges0 in
+  let m = Array.length edges in
+  let ids = Hashtbl.create 16 in
+  let names = ref [] in
+  let verts =
+    Array.map
+      (fun (_, vs) ->
+        Array.of_list
+          (List.map
+             (fun x ->
+               match Hashtbl.find_opt ids x with
+               | Some v -> v
+               | None ->
+                 let v = Hashtbl.length ids in
+                 Hashtbl.replace ids x v;
+                 names := x :: !names;
+                 v)
+             (S.elements vs)))
+      edges
   in
-  let absorb () =
-    List.find_map
-      (fun (i, vs) ->
-        List.find_map
-          (fun (j, ws) ->
-            if i <> j && S.subset vs ws && (not (S.equal vs ws) || i > j)
-            then Some (i, j)
-            else None)
-          !edges)
-      !edges
-  in
-  let progress = ref true in
-  while !progress && !edges <> [] do
-    match remove_vertex () with
-    | Some (v, i) ->
-      steps := Remove_vertex { vertex = v; edge = i } :: !steps;
-      (* a fully consumed hyperedge leaves the reduction *)
-      edges :=
-        List.filter_map
-          (fun (j, vs) ->
-            if j <> i then Some (j, vs)
-            else
-              let vs = S.remove v vs in
-              if S.is_empty vs then None else Some (j, vs))
-          !edges
-    | None -> (
-      match absorb () with
-      | Some (i, j) ->
-        steps := Absorb { edge = i; into = j } :: !steps;
-        edges := List.filter (fun (k, _) -> k <> i) !edges
-      | None -> progress := false)
+  let names = Array.of_list (List.rev !names) in
+  let n = Array.length names in
+  let occ = Array.make n 0 in
+  let inc = Array.make n [] in
+  for k = m - 1 downto 0 do
+    Array.iter
+      (fun v ->
+        occ.(v) <- occ.(v) + 1;
+        inc.(v) <- k :: inc.(v))
+      verts.(k)
   done;
-  if !edges = [] then Acyclic { steps = List.rev !steps }
-  else
-    Cyclic
-      { residual = List.map (fun (i, vs) -> (i, S.elements vs)) !edges }
+  let alive = Array.make m true in
+  let size = Array.map Array.length verts in
+  let live k = List.filter (fun v -> occ.(v) > 0) (Array.to_list verts.(k)) in
+  let ears = ref (List.filter (fun v -> occ.(v) = 1) (List.init n Fun.id)) in
+  let candidates = ref (Int_set.of_list (List.init m Fun.id)) in
+  let steps = ref [] in
+  let mark = Array.make n (-1) in
+  (* the lowest-indexed live edge containing [k]'s live vertices, other
+     than [k] and either strictly larger or lower-indexed *)
+  let absorber k =
+    let vs = live k in
+    let rarest =
+      List.fold_left (fun a v -> if occ.(v) < occ.(a) then v else a)
+        (List.hd vs) vs
+    in
+    List.iter (fun v -> mark.(v) <- k) vs;
+    let width = List.length vs in
+    List.find_opt
+      (fun j ->
+        j <> k && alive.(j)
+        && begin
+          let common = ref 0 in
+          Array.iter
+            (fun v -> if occ.(v) > 0 && mark.(v) = k then incr common)
+            verts.(j);
+          !common = width && (size.(j) > width || k > j)
+        end)
+      inc.(rarest)
+  in
+  let rec next_absorption () =
+    match Int_set.min_elt_opt !candidates with
+    | None -> None
+    | Some k -> (
+      candidates := Int_set.remove k !candidates;
+      if not alive.(k) then next_absorption ()
+      else
+        match absorber k with
+        | Some j -> Some (k, j)
+        | None -> next_absorption ())
+  in
+  let rec reduce () =
+    match !ears with
+    | _ :: _ as batch ->
+      ears := [];
+      List.map
+        (fun v -> (List.find (fun k -> alive.(k)) inc.(v), v))
+        batch
+      |> List.sort (fun (k, v) (k', v') ->
+             match Int.compare k k' with
+             | 0 -> String.compare names.(v) names.(v')
+             | c -> c)
+      |> List.iter (fun (k, v) ->
+             steps :=
+               Remove_vertex { vertex = names.(v); edge = fst edges.(k) }
+               :: !steps;
+             occ.(v) <- 0;
+             size.(k) <- size.(k) - 1;
+             (* a fully consumed hyperedge leaves the reduction *)
+             if size.(k) = 0 then alive.(k) <- false
+             else candidates := Int_set.add k !candidates);
+      reduce ()
+    | [] -> (
+      match next_absorption () with
+      | Some (k, j) ->
+        steps := Absorb { edge = fst edges.(k); into = fst edges.(j) } :: !steps;
+        alive.(k) <- false;
+        List.iter
+          (fun v ->
+            occ.(v) <- occ.(v) - 1;
+            if occ.(v) = 1 then ears := v :: !ears)
+          (live k);
+        reduce ()
+      | None -> ())
+  in
+  reduce ();
+  let residual =
+    List.filter_map
+      (fun k ->
+        if alive.(k) then
+          Some (fst edges.(k), List.map (fun v -> names.(v)) (live k))
+        else None)
+      (List.init m Fun.id)
+  in
+  if residual = [] then Acyclic { steps = List.rev !steps }
+  else Cyclic { residual }
 
 let width_estimate vars atoms =
   if S.is_empty vars then 0

@@ -136,7 +136,7 @@ let route_cq ?(width_threshold = default_width_threshold) ?(fds = [])
     in
     { route; hypergraph = Some hg }
 
-let certain ?policy ?limits ?jobs:_ ?width_threshold ?fds ?backend
+let certain ?policy ?limits ?jobs:_ ?width_threshold ?fds ?backend ?target
     (q : Cq.t) d =
   if q.head <> [] then invalid_arg "Plan.certain: Boolean query only";
   let dec =
@@ -148,7 +148,8 @@ let certain ?policy ?limits ?jobs:_ ?width_threshold ?fds ?backend
      ladder; CDCL crosses to the CSP engine on exhaustion, so a SAT route
      can never weaken an answer *)
   let ladder ?fallback decider =
-    Certain.certain_cq_resilient ?policy ?limits ?fallback decider q d
+    Certain.certain_cq_resilient ?policy ?limits ?fallback ?target decider q
+      d
   in
   (* the route label on this span is what [explain:true] surfaces; it
      always matches the query.plan.* counter bumped just above *)
@@ -161,8 +162,8 @@ let certain ?policy ?limits ?jobs:_ ?width_threshold ?fds ?backend
       | Components _ | Hom_ladder | Fd_naive _ -> ladder Decider.engine
       | Sat_backend _ -> ladder ~fallback:Decider.engine (Sat_choice.decider ()))
 
-let certain_answers u d =
+let certain_answers ?target u d =
   count_route Naive_eval;
   Trace.with_span "query.plan"
     ~labels:[ ("route", route_to_string Naive_eval) ]
-    (fun () -> Certain.certain_ucq u d)
+    (fun () -> Certain.certain_ucq ?target u d)

@@ -88,8 +88,12 @@ val route_cq :
     [jobs] is accepted and ignored: one request runs on one domain.
     Every route keeps the ladder's one deadline, and an exhausted ladder
     answers [`Lower_bound false].  Unlimited [limits] always yield
-    [`Exact].
-    @raise Invalid_argument on a non-Boolean query. *)
+    [`Exact].  [target], when given, is [d] prepared by
+    {!Certdb_relational.Hom.target} (a server holds one per loaded
+    database): every route searches onto it instead of onto a target
+    built for this call.  It never changes an answer.
+    @raise Invalid_argument on a non-Boolean query, or when [target] was
+    built from another instance. *)
 val certain :
   ?policy:Certdb_csp.Resilient.Policy.t ->
   ?limits:Certdb_csp.Engine.Limits.t ->
@@ -97,13 +101,18 @@ val certain :
   ?width_threshold:int ->
   ?fds:Fd.fd list ->
   ?backend:Certdb_sat.Backend.choice ->
+  ?target:Certdb_relational.Hom.target ->
   Certdb_query.Cq.t ->
   Certdb_relational.Instance.t ->
   [ `Exact of bool | `Lower_bound of bool ]
 
-(** [certain_answers u d] — certain answers of a UCQ by naïve evaluation
-    (Theorem 4); recorded as a [Naive_eval] route. *)
+(** [certain_answers ?target u d] — certain answers of a UCQ by naïve
+    evaluation (Theorem 4); recorded as a [Naive_eval] route.  [target]
+    is as for {!certain}.
+    @raise Invalid_argument when [target] was built from another
+    instance. *)
 val certain_answers :
+  ?target:Certdb_relational.Hom.target ->
   Certdb_query.Ucq.t ->
   Certdb_relational.Instance.t ->
   Certdb_relational.Instance.t

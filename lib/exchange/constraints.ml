@@ -33,35 +33,40 @@ let frontier_restriction body head h =
     (fun acc (n, v) -> if Value.Set.mem n fr then Valuation.bind acc n v else acc)
     Valuation.empty (Valuation.bindings h)
 
-let tgd_violations d (r : tgd) =
+(* Violations of one rule in the instance prepared as [t]: every body
+   match and every head-extension test searches onto the same target,
+   so a [satisfies] call or a chase round builds it once for all its
+   rules. *)
+let tgd_violations t (r : tgd) =
   let violations = ref [] in
-  let into_d = Hom.exists_into d in
-  Hom.iter r.tgd_body d (fun h ->
+  Hom.iter_onto t r.tgd_body (fun h ->
       let head' = Instance.apply (frontier_restriction r.tgd_body r.tgd_head h) r.tgd_head in
-      if not (into_d head') then violations := head' :: !violations;
+      if not (Hom.exists_onto t head') then violations := head' :: !violations;
       `Continue);
   List.rev !violations
 
-let egd_violations d (r : egd) =
+let egd_violations t (r : egd) =
   let violations = ref [] in
-  Hom.iter r.egd_body d (fun h ->
+  Hom.iter_onto t r.egd_body (fun h ->
       let l = Valuation.apply h r.left and rr = Valuation.apply h r.right in
       if not (Value.equal l rr) then violations := (l, rr) :: !violations;
       `Continue);
   List.rev !violations
 
 let satisfies d c =
-  List.for_all (fun r -> tgd_violations d r = []) c.tgds
-  && List.for_all (fun r -> egd_violations d r = []) c.egds
+  let t = Hom.target d in
+  List.for_all (fun r -> tgd_violations t r = []) c.tgds
+  && List.for_all (fun r -> egd_violations t r = []) c.egds
 
 let satisfies_b ?(limits = Engine.Limits.unlimited) d c =
   Engine.decision_of_outcome
     (Engine.Budget.run limits (fun budget ->
+         let t = Hom.target d in
          let check violations rs =
            List.for_all
              (fun r ->
                Engine.Budget.tick_node budget;
-               violations d r = [])
+               violations t r = [])
              rs
          in
          if check tgd_violations c.tgds && check egd_violations c.egds then
@@ -328,11 +333,12 @@ let chase_budgeted ~budget ~max_rounds d c =
     Certdb_obs.Fault.hit "exchange.chase.step";
     Engine.Budget.tick_node budget;
     (* egds first: they only shrink the instance *)
+    let t = Hom.target d in
     let step =
-      match List.concat_map (egd_violations d) c.egds with
+      match List.concat_map (egd_violations t) c.egds with
       | (l, r) :: _ -> Some (fun () -> unify_step d (l, r))
       | [] -> (
-        match List.concat_map (tgd_violations d) c.tgds with
+        match List.concat_map (tgd_violations t) c.tgds with
         | [] -> None
         | head' :: _ ->
           Some

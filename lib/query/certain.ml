@@ -21,10 +21,10 @@ let naive_eval_fo ~head q d =
   Trace.with_span "query.naive_eval" @@ fun () ->
   count_answers (drop_null_tuples (Fo.answers ~head d q))
 
-let naive_eval_ucq u d =
+let naive_eval_ucq ?target u d =
   Obs.incr naive_evals;
   Trace.with_span "query.naive_eval" @@ fun () ->
-  count_answers (drop_null_tuples (Ucq.answers u d))
+  count_answers (drop_null_tuples (Ucq.answers ?target u d))
 
 let naive_holds q d =
   Obs.incr naive_evals;
@@ -68,16 +68,19 @@ module Sat_backend = Certdb_sat.Backend
 
 (* [D_Q ⊑ D] as an R-compatible hom problem, built once per call by
    every Boolean-certainty route: the query's variables are frozen to
-   fresh nulls and its atoms with arguments go through [Hom.encode], so
+   fresh nulls and its atoms with arguments go through [Hom.encode_onto], so
    source nodes are numbered by first occurrence in the query and
    constants are pinned.  The DPs and the reference core ignore 0-ary
    facts, so 0-ary atoms are checked against [d] directly: [settled] is
    [Some b] when they, or an empty remainder, decide the query without a
-   search. *)
+   search.  The target half is [target] when the caller holds one for
+   [d] (checked first); otherwise it is built, and only when a search
+   is needed. *)
 type instance = { settled : bool option; hom : Hom.encoding Lazy.t }
 
-let instance q d =
+let instance ?target q d =
   if q.Cq.head <> [] then invalid_arg "Certain: Boolean query only";
+  let target = Option.map (fun t -> Hom.target_for ~target:t d) target in
   let zero_ary, positive =
     List.partition (fun (a : Cq.atom) -> a.args = []) q.Cq.atoms
   in
@@ -105,12 +108,11 @@ let instance q d =
        else None);
     hom =
       lazy
-        (Hom.encode
+        (Hom.encode_onto (Hom.target_for ?target d)
            (List.map
               (fun (a : Cq.atom) ->
                 Instance.fact a.rel (List.map value a.args))
-              positive)
-           d);
+              positive));
   }
 
 let decide (decider : Decider.t) ~limits inst =
@@ -123,10 +125,10 @@ let decide (decider : Decider.t) ~limits inst =
 
 (* the one span of every Boolean-certainty route, labelled with the
    solver that decides it *)
-let with_instance ~solver q d f =
+let with_instance ?target ~solver q d f =
   Obs.incr certain_checks;
   Trace.with_span "query.certain_cq" ~labels:[ ("solver", solver) ]
-  @@ fun () -> f (instance q d)
+  @@ fun () -> f (instance ?target q d)
 
 let decide_cq ?(limits = Engine.Limits.unlimited) (decider : Decider.t) q d =
   with_instance ~solver:decider.name q d (decide decider ~limits)
@@ -168,8 +170,8 @@ let resilient_exact = Obs.counter "query.resilient.exact"
 let resilient_degraded = Obs.counter "query.resilient.degraded"
 
 let certain_cq_resilient ?policy ?(limits = Engine.Limits.unlimited)
-    ?fallback (decider : Decider.t) q d =
-  with_instance ~solver:decider.name q d @@ fun inst ->
+    ?fallback ?target (decider : Decider.t) q d =
+  with_instance ?target ~solver:decider.name q d @@ fun inst ->
   let fallback =
     Option.map
       (fun (f : Decider.t) -> (f.name, fun limits -> decide f ~limits inst))

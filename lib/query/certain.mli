@@ -18,7 +18,7 @@ val naive_eval_fo : head:string list -> Fo.t -> Instance.t -> Instance.t
 
 (** [naive_eval_ucq u d] — naïve evaluation through the tableau-based CQ
     evaluator (faster than FO enumeration). *)
-val naive_eval_ucq : Ucq.t -> Instance.t -> Instance.t
+val naive_eval_ucq : ?target:Hom.target -> Ucq.t -> Instance.t -> Instance.t
 
 (** [naive_holds q d] — Boolean naïve evaluation: [d |= q] with nulls as
     values. *)
@@ -68,9 +68,13 @@ val possible_holds_cwa : Fo.t -> Instance.t -> bool
     one. *)
 val possible_ucq : Ucq.t -> Instance.t -> Instance.t
 
-(** [certain_ucq u d] — certain answers of a UCQ, by naïve evaluation
-    (provably equal to the enumeration semantics). *)
-val certain_ucq : Ucq.t -> Instance.t -> Instance.t
+(** [certain_ucq ?target u d] — certain answers of a UCQ, by naïve
+    evaluation (provably equal to the enumeration semantics).  [target],
+    when given, is [d] prepared by {!Hom.target}; every disjunct searches
+    onto it.
+    @raise Invalid_argument when [target] was built from another
+    instance. *)
+val certain_ucq : ?target:Hom.target -> Ucq.t -> Instance.t -> Instance.t
 
 (** {1 Prop. 2 — the three equivalent views for Boolean CQs}
 
@@ -144,11 +148,17 @@ val certain_cq_dimacs : ?symmetry:bool -> Cq.t -> Instance.t -> string
     Never returns an [`Unknown], and never lets an injected crash
     ([Certdb_obs.Fault.Injected]) escape: a crashed attempt is an
     [Unknown] like any other.  [query.resilient.exact] /
-    [query.resilient.degraded] count which grade was answered. *)
+    [query.resilient.degraded] count which grade was answered.
+
+    [target], when given, is [d] prepared by {!Hom.target}: the instance
+    is encoded onto it instead of onto a target built for this call.
+    @raise Invalid_argument when [target] was built from another
+    instance. *)
 val certain_cq_resilient :
   ?policy:Certdb_csp.Resilient.Policy.t ->
   ?limits:Certdb_csp.Engine.Limits.t ->
   ?fallback:Certdb_csp.Decider.t ->
+  ?target:Hom.target ->
   Certdb_csp.Decider.t ->
   Cq.t ->
   Instance.t ->

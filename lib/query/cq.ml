@@ -82,11 +82,12 @@ let of_instance d =
   in
   boolean atoms
 
-let answers q d =
+let answers ?target q d =
+  let target = Certdb_relational.Hom.target_for ?target d in
   let tableau, assignment = freeze q in
   let head_nulls = List.map (fun x -> String_map.find x assignment) q.head in
   let results = ref Instance.empty in
-  Certdb_relational.Hom.iter tableau d (fun h ->
+  Certdb_relational.Hom.iter_onto target tableau (fun h ->
       let tuple = List.map (Valuation.apply h) head_nulls in
       results := Instance.add_fact !results "ans" tuple;
       `Continue);

@@ -30,8 +30,12 @@ val of_instance : Instance.t -> t
 
 (** [answers q d] evaluates [q] over [d] {e as if complete} (nulls are
     values), via homomorphism search on the tableau — result is a relation
-    ["ans"]; for a Boolean query the 0-ary fact [ans()] encodes [true]. *)
-val answers : t -> Instance.t -> Instance.t
+    ["ans"]; for a Boolean query the 0-ary fact [ans()] encodes [true].
+    The search runs onto [target] when given ([d] prepared by
+    {!Hom.target}), onto a target built for this call otherwise.
+    @raise Invalid_argument when [target] was built from another
+    instance. *)
+val answers : ?target:Hom.target -> t -> Instance.t -> Instance.t
 
 (** [holds q d] — Boolean CQ satisfaction [d |= q]. *)
 val holds : t -> Instance.t -> bool

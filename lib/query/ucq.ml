@@ -14,9 +14,10 @@ let make = function
 
 let to_fo u = Fo.disj (List.map Cq.to_fo u)
 
-let answers u d =
+let answers ?target u d =
+  let target = Hom.target_for ?target d in
   List.fold_left
-    (fun acc q -> Instance.union acc (Cq.answers q d))
+    (fun acc q -> Instance.union acc (Cq.answers ~target q d))
     Instance.empty u
 
 let holds u d = List.exists (fun q -> Cq.holds q d) u

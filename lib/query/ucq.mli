@@ -9,7 +9,14 @@ type t = Cq.t list
 val make : Cq.t list -> t
 
 val to_fo : t -> Fo.t
-val answers : t -> Instance.t -> Instance.t
+
+(** [answers ?target u d] — the union of {!Cq.answers} over the
+    disjuncts, every one searching onto the same target: [target] when
+    given, one built for this call otherwise.
+    @raise Invalid_argument when [target] was built from another
+    instance. *)
+val answers : ?target:Hom.target -> t -> Instance.t -> Instance.t
+
 val holds : t -> Instance.t -> bool
 
 (** [contained u1 u2] — each disjunct of [u1] contained in some disjunct of

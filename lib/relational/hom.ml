@@ -21,15 +21,20 @@ type encoding = {
 }
 
 (* Target nodes are numbered in the order of the active domain.  The
-   target half of an encoding depends on [d'] alone, so a caller testing
-   many sources against one [d'] builds it once (see [exists_into]). *)
+   target half of an encoding depends on [d'] alone, so it is built once
+   per [d'] and reused by every source tested against it; its columnar
+   view is forced here, so a target shared between domains is never
+   written again. *)
 type target = {
+  instance : Instance.t;
   structure : Structure.t;
   values : Value.t array;
   ids : int Value.Map.t;
 }
 
-let target d' =
+let targets_built = Certdb_obs.Obs.counter "relational.hom.targets"
+
+let build d' =
   let values =
     Array.of_list (Value.Set.elements (Instance.active_domain d'))
   in
@@ -39,18 +44,27 @@ let target d' =
          (fun (i, m) v -> (i + 1, Value.Map.add v i m))
          (0, Value.Map.empty) values)
   in
-  {
-    structure =
-      Structure.make
-        ~nodes:(List.init (Array.length values) (fun i -> (i, None)))
-        ~tuples:
-          (List.map
-             (fun (f : Instance.fact) ->
-               (f.rel, [ Array.map (fun v -> Value.Map.find v ids) f.args ]))
-             (Instance.facts d'));
-    values;
-    ids;
-  }
+  let structure =
+    Structure.make
+      ~nodes:(List.init (Array.length values) (fun i -> (i, None)))
+      ~tuples:
+        (List.map
+           (fun (f : Instance.fact) ->
+             (f.rel, [ Array.map (fun v -> Value.Map.find v ids) f.args ]))
+           (Instance.facts d'))
+  in
+  ignore (Structure.columnar structure);
+  { instance = d'; structure; values; ids }
+
+let target d' =
+  Certdb_obs.Obs.incr targets_built;
+  build d'
+
+let target_for ?target:t d' =
+  match t with
+  | None -> target d'
+  | Some t when t.instance == d' -> t
+  | Some _ -> invalid_arg "Hom.target_for: target built from another instance"
 
 (* Source nodes are numbered in order of first occurrence along [facts].
    A constant is pinned to itself, which is the empty set when it is
@@ -99,7 +113,7 @@ let encode_onto t facts =
 let encode facts d' = encode_onto (target d') facts
 
 let encode_endo ?(fixed = Value.Set.empty) d =
-  let t = target d in
+  let t = build d in
   let pins = ref [] in
   Array.iteri
     (fun i v ->
@@ -124,34 +138,34 @@ let valuation e h =
 let config ?(limits = Engine.Limits.unlimited) e =
   Engine.Config.make ~limits ~restrict:e.restrict ()
 
-let find_b ?limits d d' =
-  let e = encode (Instance.facts d) d' in
-  Engine.map_outcome (valuation e)
-    (Engine.solve ~config:(config ?limits e) ~source:e.source
-       ~target:e.target ())
-
 let satisfiable ?limits e =
   Engine.satisfiable ~config:(config ?limits e) ~source:e.source
     ~target:e.target ()
 
-let exists_b ?limits d d' =
+let find_b_onto ?limits t d =
+  let e = encode_onto t (Instance.facts d) in
+  Engine.map_outcome (valuation e)
+    (Engine.solve ~config:(config ?limits e) ~source:e.source
+       ~target:e.target ())
+
+let exists_b_onto ?limits t d =
   Engine.decision_of_outcome
-    (satisfiable ?limits (encode (Instance.facts d) d'))
+    (satisfiable ?limits (encode_onto t (Instance.facts d)))
 
-let find d d' = Solver.definitive (find_b d d')
+let exists_onto t d =
+  Option.is_some
+    (Solver.definitive (satisfiable (encode_onto t (Instance.facts d))))
 
-let exists_into d' =
-  let t = target d' in
-  fun d ->
-    Option.is_some
-      (Solver.definitive (satisfiable (encode_onto t (Instance.facts d))))
-
-let exists d d' = exists_into d' d
-
-let iter d d' f =
-  let e = encode (Instance.facts d) d' in
+let iter_onto t d f =
+  let e = encode_onto t (Instance.facts d) in
   Solver.iter_homs ~restrict:e.restrict ~source:e.source ~target:e.target
     (fun h -> f (valuation e h))
+
+let find_b ?limits d d' = find_b_onto ?limits (target d') d
+let exists_b ?limits d d' = exists_b_onto ?limits (target d') d
+let find d d' = Solver.definitive (find_b d d')
+let exists d d' = exists_onto (target d') d
+let iter d d' f = iter_onto (target d') d f
 
 let count d d' =
   let e = encode (Instance.facts d) d' in

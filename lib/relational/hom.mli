@@ -28,6 +28,34 @@ type encoding = {
   tgt_values : Value.t array;
 }
 
+(** {1 Prepared targets}
+
+    The target half of every encoding onto [d'] — the structure over
+    adom([d']), the value-to-node ids and the structure's
+    {!Certdb_csp.Structure.columnar} view, forced on construction —
+    depends on [d'] alone.  A caller that tests many sources against one
+    instance builds it once with {!target} and passes it to the [_onto]
+    forms below; each [d']-taking entry point is one such call on a
+    fresh target.  A target is immutable once built, so one value may
+    serve concurrent searches on several domains. *)
+
+type target
+
+(** [target d'] prepares [d'] as a target; the target carries [d'].
+    Counted by [relational.hom.targets]. *)
+val target : Instance.t -> target
+
+(** [target_for ?target d'] — [target] when it was built from [d']
+    itself (physical equality), a fresh {!target} of [d'] when [target]
+    is absent.
+    @raise Invalid_argument when [target] was built from another
+    instance. *)
+val target_for : ?target:target -> Instance.t -> target
+
+(** [encode_onto t facts] — the hom problem [facts → d'] for [t] built
+    from [d'], as {!encode} builds it, with [t] as its target half. *)
+val encode_onto : target -> Instance.fact list -> encoding
+
 val encode : Instance.fact list -> Instance.t -> encoding
 
 (** [encode_endo ?fixed d] — the endomorphism problem [d → d], with one
@@ -35,7 +63,8 @@ val encode : Instance.fact list -> Instance.t -> encoding
     active domain, in order) in the source as in the target, and
     [src_values] is [tgt_values].  [restrict] pins each constant, and
     each null in [fixed], to itself; it leaves every other node
-    unconstrained. *)
+    unconstrained.  This is query-side work (a core test's [D_Q → D_Q]),
+    not a prepared target: [relational.hom.targets] does not count it. *)
 val encode_endo : ?fixed:Value.Set.t -> Instance.t -> encoding
 
 (** [valuation e h] — the engine's witness [h] for [e], read back as a
@@ -49,9 +78,8 @@ val find : Instance.t -> Instance.t -> Valuation.t option
 
 val exists : Instance.t -> Instance.t -> bool
 
-(** [exists_into d'] is [fun d -> exists d d'], with the target half of
-    the encoding built once for every source it is applied to. *)
-val exists_into : Instance.t -> Instance.t -> bool
+(** [exists_onto t d] is [exists d d'] for [t] built from [d']. *)
+val exists_onto : target -> Instance.t -> bool
 
 (** [find_b ?limits d d'] — the budgeted search.  [Sat h] carries a
     witness, [Unsat] means the search space was exhausted, and
@@ -65,6 +93,13 @@ val find_b :
 val exists_b :
   ?limits:Engine.Limits.t -> Instance.t -> Instance.t -> Engine.decision
 
+(** {!find_b} and {!exists_b} onto a prepared target. *)
+val find_b_onto :
+  ?limits:Engine.Limits.t -> target -> Instance.t -> Valuation.t Engine.outcome
+
+val exists_b_onto :
+  ?limits:Engine.Limits.t -> target -> Instance.t -> Engine.decision
+
 (** [iter d d' f] enumerates the homomorphisms until [f] returns
     [`Stop].  Only bindings of nulls occurring in [d] are reported. *)
 val iter :
@@ -72,6 +107,10 @@ val iter :
   Instance.t ->
   (Valuation.t -> [ `Continue | `Stop ]) ->
   unit
+
+(** [iter_onto t d f] is [iter d d' f] for [t] built from [d']. *)
+val iter_onto :
+  target -> Instance.t -> (Valuation.t -> [ `Continue | `Stop ]) -> unit
 
 (** [count d d'] — the number of homomorphisms, as maps on the nulls of
     [d]. *)

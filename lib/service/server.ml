@@ -39,7 +39,16 @@ type answer =
   | Graded of [ `Exact of bool | `Lower_bound of bool ]
   | Tuples of Instance.t
 
-type db_entry = { instance : Instance.t; fingerprint : string }
+(* [target] is [instance] prepared for hom search, built once per load
+   and read by every request against this version; eager, because
+   connections run on concurrent domains and a [Lazy.t] forced from two
+   of them raises.  A load of the same name replaces the whole entry, so
+   the target never outlives its instance. *)
+type db_entry = {
+  instance : Instance.t;
+  fingerprint : string;
+  target : Hom.target;
+}
 
 type t = {
   config : Config.t;
@@ -99,7 +108,13 @@ let load_entry t ~name ~source =
   match Wire.parse_instance_result source with
   | Error m -> Error m
   | Ok d ->
-    let entry = { instance = d; fingerprint = Canon.db_fingerprint d } in
+    let entry =
+      {
+        instance = d;
+        fingerprint = Canon.db_fingerprint d;
+        target = Hom.target d;
+      }
+    in
     locked t (fun () -> Hashtbl.replace t.registry name entry);
     Ok entry
 
@@ -212,8 +227,12 @@ let compute_pending p =
     if p.p_q.Cq.head = [] then
       Graded
         (Plan.certain ~policy:p.p_policy ~limits:p.p_limits
-           ~backend:p.p_backend p.p_q p.p_entry.instance)
-    else Tuples (Plan.certain_answers (Ucq.make [ p.p_q ]) p.p_entry.instance)
+           ~backend:p.p_backend ~target:p.p_entry.target p.p_q
+           p.p_entry.instance)
+    else
+      Tuples
+        (Plan.certain_answers ~target:p.p_entry.target
+           (Ucq.make [ p.p_q ]) p.p_entry.instance)
   in
   List.iter2
     (fun (label, c) v0 ->

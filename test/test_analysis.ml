@@ -172,6 +172,97 @@ let test_gyo_cyclic () =
   | Hypergraph.Acyclic _ -> Alcotest.fail "triangle must be cyclic");
   Alcotest.(check int) "triangle width estimate" 2 r.Hypergraph.width_estimate
 
+(* The list-based O(E^3) reduction that [Hypergraph.analyze] ran before
+   its occurrence-count GYO, kept here as the oracle: same verdict, same
+   residual (the higher index still absorbs into the lower), and a step
+   list that replays legally. *)
+let gyo_oracle edges0 =
+  let edges = ref edges0 in
+  let steps = ref [] in
+  let remove_vertex () =
+    let occurrences v = List.filter (fun (_, vs) -> S.mem v vs) !edges in
+    List.find_map
+      (fun (i, vs) ->
+        S.fold
+          (fun v acc ->
+            match acc with
+            | Some _ -> acc
+            | None -> (
+              match occurrences v with
+              | [ (j, _) ] when j = i -> Some (v, i)
+              | _ -> None))
+          vs None)
+      !edges
+  in
+  let absorb () =
+    List.find_map
+      (fun (i, vs) ->
+        List.find_map
+          (fun (j, ws) ->
+            if i <> j && S.subset vs ws && ((not (S.equal vs ws)) || i > j)
+            then Some (i, j)
+            else None)
+          !edges)
+      !edges
+  in
+  let progress = ref true in
+  while !progress && !edges <> [] do
+    match remove_vertex () with
+    | Some (v, i) ->
+      steps := Hypergraph.Remove_vertex { vertex = v; edge = i } :: !steps;
+      edges :=
+        List.filter_map
+          (fun (j, vs) ->
+            if j <> i then Some (j, vs)
+            else
+              let vs = S.remove v vs in
+              if S.is_empty vs then None else Some (j, vs))
+          !edges
+    | None -> (
+      match absorb () with
+      | Some (i, j) ->
+        steps := Hypergraph.Absorb { edge = i; into = j } :: !steps;
+        edges := List.filter (fun (k, _) -> k <> i) !edges
+      | None -> progress := false)
+  done;
+  if !edges = [] then Hypergraph.Acyclic { steps = List.rev !steps }
+  else
+    Hypergraph.Cyclic
+      { residual = List.map (fun (i, vs) -> (i, S.elements vs)) !edges }
+
+(* random hypergraphs over few vertices, so that ears, duplicate edges,
+   strict containments and cyclic residuals all occur; an atom may hold a
+   constant or no variable at all *)
+let gen_hypergraph_cq =
+  QCheck.Gen.(
+    int_range 1 7 >>= fun nv ->
+    list_size (int_range 1 9)
+      (list_size (int_range 0 4)
+         (frequency
+            [
+              (6, map (fun i -> v (Printf.sprintf "v%d" i)) (int_range 0 (nv - 1)));
+              (1, return (Fo.Val (c 0)));
+            ]))
+    >|= fun atoms -> Cq.boolean (List.map (fun args -> ("R", args)) atoms))
+
+let qcheck_gyo_matches_oracle =
+  QCheck.Test.make ~count:2000
+    ~name:"GYO agrees with the list-based reduction"
+    (QCheck.make ~print:(Format.asprintf "%a" Cq.pp) gen_hypergraph_cq)
+    (fun q ->
+      let got = (Hypergraph.analyze q).Hypergraph.certificate in
+      let want =
+        gyo_oracle
+          (List.filter (fun (_, vs) -> not (S.is_empty vs)) (edges_of_cq q))
+      in
+      match (got, want) with
+      | Hypergraph.Acyclic { steps }, Hypergraph.Acyclic { steps = s' } ->
+        (* the new reduction also keeps the old one's step order *)
+        replay q steps && steps = s'
+      | Hypergraph.Cyclic { residual }, Hypergraph.Cyclic { residual = r' } ->
+        residual = r'
+      | _ -> false)
+
 (* --- weak acyclicity and the certified chase bound --- *)
 
 let nx = Value.null 9001
@@ -630,6 +721,7 @@ let () =
           Alcotest.test_case "GYO trace replays" `Quick test_gyo_acyclic;
           Alcotest.test_case "cyclic residual irreducible" `Quick
             test_gyo_cyclic;
+          QCheck_alcotest.to_alcotest qcheck_gyo_matches_oracle;
         ] );
       ( "weak acyclicity",
         [

@@ -203,6 +203,25 @@ let test_xml_exchange_incomparable_solutions () =
   check "s2 not universal" false
     (Xml_exchange.is_universal_vs mapping ~source s2 ~solutions:[ s1 ])
 
+(* every rule of a [satisfies] call or of one chase round reads the
+   instance through one prepared hom target *)
+let test_one_target_per_round () =
+  let targets = Certdb_obs.Obs.counter "relational.hom.targets" in
+  let built f =
+    let v0 = Certdb_obs.Obs.counter_value targets in
+    let r = f () in
+    (r, Certdb_obs.Obs.counter_value targets - v0)
+  in
+  let n1 = Value.fresh_null () in
+  let d = Instance.of_list [ ("T", [ [ c 1; c 2 ]; [ c 1; n1 ] ]) ] in
+  let constraints = Constraints.make ~tgds:[ tag_tgd ] ~egds:[ fd_egd ] () in
+  (* round 1 unifies n1 with 2, round 2 adds U(2,_), round 3 finds none *)
+  let chased, n = built (fun () -> Constraints.chase d constraints) in
+  Alcotest.(check int) "one target per chase round" 3 n;
+  let ok, n = built (fun () -> Constraints.satisfies chased constraints) in
+  check "chased instance satisfies" true ok;
+  Alcotest.(check int) "one target per satisfies" 1 n
+
 let () =
   Alcotest.run "chase"
     [
@@ -218,6 +237,8 @@ let () =
           Alcotest.test_case "growing tgd terminates" `Quick
             test_hom_check_terminates_growing_tgd;
           Alcotest.test_case "round limit" `Quick test_round_limit_guard;
+          Alcotest.test_case "one target per round" `Quick
+            test_one_target_per_round;
           Alcotest.test_case "exchange + constraints" `Quick
             test_exchange_with_target_constraints;
         ] );

@@ -83,7 +83,7 @@ let prop_relational =
         | Engine.Unknown _ -> false
       in
       (* one staged target, applied to several sources *)
-      let into_d' = Hom.exists_into d' in
+      let into_d' = Hom.exists_onto (Hom.target d') in
       Hom.exists d d' = (homs <> [])
       && into_d' d = (homs <> [])
       && into_d' d'

@@ -1021,6 +1021,166 @@ let test_row_shapes () =
   check "oversized message" true
     (Wire.str_field "error" j = Some "request line exceeds 256 bytes")
 
+(* ---- prepared targets -------------------------------------------------- *)
+
+module Hom = Certdb_relational.Hom
+
+let targets = Obs.counter "relational.hom.targets"
+
+(* the serve benchmark's query families, anchored at constant [a] *)
+let family_atoms family a =
+  let pairs k f =
+    List.concat_map
+      (fun i -> List.filter_map (fun j -> f i j) (List.init k Fun.id))
+      (List.init k Fun.id)
+  in
+  let path k = List.init k (fun i -> ("R", [ var i; var (i + 1) ])) in
+  let tclique ?(base = 0) k =
+    pairs k (fun i j ->
+        if i < j then Some ("R", [ var (base + i); var (base + j) ]) else None)
+  in
+  let bclique k =
+    pairs k (fun i j -> if i <> j then Some ("R", [ var i; var j ]) else None)
+  in
+  let anchor = ("R", [ Fo.Val (Value.int a); var 0 ]) in
+  anchor
+  ::
+  (match family with
+  | `Path -> path 4
+  | `Cycle -> cycle_atoms ~base:0 5
+  | `Tclique -> tclique 4
+  | `Components -> tclique 4 @ cycle_atoms ~base:4 3
+  | `Bclique -> bclique 4
+  | `Loop -> [ ("R", [ var 0; var 1 ]); ("R", [ var 1; var 0 ]) ])
+
+(* one query per route: the route each takes is asserted below *)
+let route_queries =
+  let module Backend = Certdb_sat.Backend in
+  [
+    ("naive-eval", Backend.Csp, Cq.make ~head:[ "x0" ] (family_atoms `Loop 1));
+    ("acyclic-join", Backend.Csp, Cq.boolean (family_atoms `Path 1));
+    ("bounded-width(2)", Backend.Csp, Cq.boolean (family_atoms `Cycle 2));
+    ("components(2)", Backend.Csp, Cq.boolean (family_atoms `Components 1));
+    ("hom-ladder", Backend.Csp, Cq.boolean (family_atoms `Tclique 3));
+    ("sat-backend(3)", Backend.Auto, Cq.boolean (family_atoms `Bclique 2));
+  ]
+
+let targets_db =
+  "R(1,2); R(2,3); R(3,1); R(1,3); R(3,4); R(4,1); R(2,4); R(4,2); \
+   R(1,_n0); R(_n0,2); R(3,_n1); R(_n1,_n0)"
+
+(* A load builds its database's one target; no query on any route builds
+   another, cache on or off; a reload builds one more *)
+let test_targets_built_once () =
+  List.iter
+    (fun (want, backend, q) ->
+      Alcotest.(check string)
+        (Format.asprintf "route of %a" Cq.pp q)
+        want
+        (Plan.route_to_string (Plan.route_cq ~backend q).Plan.route))
+    route_queries;
+  List.iter
+    (fun cache_capacity ->
+      let s = Server.create ~config:(Server.Config.make ~cache_capacity ()) () in
+      let v0 = Obs.counter_value targets in
+      (match Server.load s ~name:"g" ~source:targets_db with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m);
+      Alcotest.(check int) "load builds one target" 1
+        (Obs.counter_value targets - v0);
+      List.iter
+        (fun (route, backend, q) ->
+          match Server.eval_query s ~db:"g" ~backend q with
+          | Ok _ -> ()
+          | Error m -> Alcotest.failf "%s: %s" route m)
+        route_queries;
+      Alcotest.(check int) "queries on every route build none" 1
+        (Obs.counter_value targets - v0);
+      (match Server.load s ~name:"g" ~source:targets_db with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m);
+      Alcotest.(check int) "a reload builds one more" 2
+        (Obs.counter_value targets - v0))
+    [ 0; 64 ];
+  let d = Result.get_ok (Wire.parse_instance_result targets_db) in
+  let other = Hom.target (Result.get_ok (Wire.parse_instance_result targets_db)) in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: a target of another instance was used" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (route, backend, (q : Cq.t)) ->
+      if q.head = [] then
+        raises route (fun () -> ignore (Plan.certain ~backend ~target:other q d))
+      else
+        raises route (fun () ->
+            ignore (Plan.certain_answers ~target:other [ q ] d)))
+    route_queries
+
+(* random digraphs over constants and nulls *)
+let gen_digraph =
+  QCheck.Gen.(
+    int_range 2 6 >>= fun n ->
+    int_range 0 3 >>= fun nulls ->
+    let node =
+      if nulls = 0 then map (Printf.sprintf "%d") (int_range 1 n)
+      else
+        frequency
+          [
+            (3, map (Printf.sprintf "%d") (int_range 1 n));
+            (1, map (Printf.sprintf "_n%d") (int_range 0 (nulls - 1)));
+          ]
+    in
+    list_size (int_range 1 16) (pair node node) >|= fun edges ->
+    String.concat "; " (List.map (fun (a, b) -> Printf.sprintf "R(%s,%s)" a b) edges))
+
+let gen_target_query =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, gen_query);
+        ( 3,
+          map2
+            (fun family a ->
+              let atoms = family_atoms family a in
+              if family = `Loop then Cq.make ~head:[ "x0" ] atoms
+              else Cq.boolean atoms)
+            (oneofl [ `Path; `Cycle; `Tclique; `Components; `Bclique; `Loop ])
+            (int_range 1 6) );
+      ])
+
+(* With a target or without, through [Plan] or through the server: the
+   same answer on every route *)
+let qcheck_target_changes_nothing =
+  let module Backend = Certdb_sat.Backend in
+  QCheck.Test.make ~count:300 ~name:"a prepared target changes no answer"
+    (QCheck.make
+       ~print:(fun (src, q) -> Format.asprintf "%s  |  %a" src Cq.pp q)
+       QCheck.Gen.(pair gen_digraph gen_target_query))
+    (fun (src, q) ->
+      let s =
+        Server.create ~config:(Server.Config.make ~cache_capacity:0 ()) ()
+      in
+      let d = Result.get_ok (Server.load s ~name:"g" ~source:src) in
+      let target = Hom.target d in
+      let served backend =
+        match Server.eval_query s ~db:"g" ~backend q with
+        | Ok (a, _) -> a
+        | Error m -> QCheck.Test.fail_reportf "eval failed: %s" m
+      in
+      if q.Cq.head <> [] then
+        let direct = Plan.certain_answers [ q ] d in
+        Instance.equal (Plan.certain_answers ~target [ q ] d) direct
+        && answer_eq (served Backend.Csp) (Server.Tuples direct)
+      else
+        List.for_all
+          (fun backend ->
+            let direct = Plan.certain ~backend q d in
+            Plan.certain ~backend ~target q d = direct
+            && answer_eq (served backend) (Server.Graded direct))
+          [ Backend.Csp; Backend.Auto ])
+
 let () =
   Alcotest.run "service"
     [
@@ -1076,6 +1236,9 @@ let () =
           Alcotest.test_case "protocol rows" `Quick test_server_protocol;
           Alcotest.test_case "batch verb" `Quick test_server_batch_verb;
           Alcotest.test_case "wire CQ syntax" `Quick test_wire_parse;
+          Alcotest.test_case "one target per loaded database" `Quick
+            test_targets_built_once;
+          QCheck_alcotest.to_alcotest qcheck_target_changes_nothing;
         ] );
       ( "wire",
         [
