@@ -1,37 +1,46 @@
-(* E27 — the SAT backend on the planner's own certificate family.
+(* E27 — symmetry breaking on the planner's own certificate family.
 
-   The profile the [Auto] route certifies for SAT — cyclic, wide, dense,
-   with a large class of interchangeable variables — is exactly where
-   chronological backtracking pays the k! permutation tax: a k-clique
-   query against the complete digraph on k-1 constants is
-   pigeonhole-shaped, and the CSP ladder refutes it leaf by leaf while
-   the CDCL core's learned clauses plus the encoder's ordering clauses
-   over the interchangeable class cut the blowup to a short refutation.
+   The profile the [Auto] route certifies as [Sat_backend k] — cyclic,
+   wide, dense, with a large class of interchangeable variables — is
+   where chronological backtracking pays the k! permutation tax: a
+   k-clique query against the complete digraph on k-1 constants is
+   pigeonhole-shaped, and a search that does not break the class's
+   symmetry refutes it once per permutation.  Two searches break it: the
+   engine's lex-leader constraint h(x_i) <= h(x_(i+1)) along the class
+   (what [Auto] and [Csp] run), and the CNF encoder's ordering clauses
+   under CDCL (what [--backend sat] runs).
 
    Claims, oracle-checked in-process:
 
    - routing: [Plan.route_cq ~backend:Auto] sends every member of the
      family to [Sat_backend k] with the whole clique as one class;
-   - agreement: the CSP and SAT answers are identical on every instance,
-     refuted and witnessed alike (gauge [bench.sat.agreed] counts them);
-   - speed: on the refuted family, [--backend auto] beats the CSP
-     ladder at the largest size — gauge [bench.sat.speedup], CI asserts
-     >= 2x.  The CSP column is the bitset engine, which every route now
-     runs; the two are about even at k <= 6 and SAT is ahead from
-     k = 7 on;
-   - same work: gauges [bench.sat.clauses] and [bench.sat.conflicts] sum
-     the encoded clauses and the CDCL's conflicts over the refuted
-     family.  Both are deterministic, and CI pins them, so a change to
-     the encoder or the kernel may move time but not the search;
-   - the serve benchmark's SAT keys: bclique-4@m anchored at 2..7, where
-     [Auto] routes to CDCL and the engine is several times faster (the
-     threshold is set by the planner, not here). *)
+   - agreement: the csp, auto and sat answers are identical on every
+     instance, refuted and witnessed alike (gauge [bench.sat.agreed]
+     counts them);
+   - the engine's work: gauge [bench.sym.decisions] sums its decisions
+     over the refuted family (k = 5, 6, 8, 9), 2^(k-1) - 1 each — the
+     increasing chains of the pigeonhole, not its k! leaves.
+     Deterministic; CI pins it;
+   - speed: gauge [bench.sym.speedup] is CDCL's time over the engine's
+     at the largest refuted member (k = 9), each decider alone on the
+     frozen instance ([Certain.certain_cq_via_sat_b] against
+     [certain_cq_via_hom_b]); CI asserts >= 2x.  The table also times
+     both through the planner, where the routing they share narrows
+     the gap;
+   - the CDCL's work: gauges [bench.sat.clauses] and [bench.sat.conflicts]
+     sum the encoded clauses and the CDCL's conflicts over the refuted
+     family under [--backend sat].  Both are deterministic, and CI pins
+     them, so a change to the encoder or the kernel may move time but
+     not the search;
+   - the serve benchmark's symmetric keys: bclique-4@m anchored at 2..7,
+     which [Auto] routes to [Sat_backend] and now answers with the
+     engine, as [Csp] does. *)
 
-module Engine = Certdb_csp.Engine
 module Obs = Certdb_obs.Obs
 module Backend = Certdb_sat.Backend
 module Fo = Certdb_query.Fo
 module Cq = Certdb_query.Cq
+module Certain = Certdb_query.Certain
 module Plan = Certdb_analysis.Plan
 module Instance = Certdb_relational.Instance
 module Value = Certdb_values.Value
@@ -65,11 +74,7 @@ let complete_digraph n =
           ids );
     ]
 
-(* k-clique into K_{k-1}: refuted (pigeonhole); into K_k: witnessed.
-   CDCL and the bitset engine are about even at k <= 6; SAT is ahead
-   from k = 7 and the CSP cost grows factorially past it (measured on a
-   2-vCPU VM: k = 7 about 1.7x, k = 8 about 4.5x, k = 9 about 17x in
-   SAT's favour) *)
+(* k-clique into K_{k-1}: refuted (pigeonhole); into K_k: witnessed *)
 let family =
   [
     (5, 4, false);
@@ -124,7 +129,7 @@ let answer backend q d =
   | `Lower_bound _ -> failwith "E27: degraded under an unlimited budget"
 
 let run () =
-  Bench_util.banner "E27  SAT backend vs the CSP ladder on clique families";
+  Bench_util.banner "E27  symmetry breaking: the engine's lex-leader vs CDCL";
   let agreed = ref 0 in
   List.iter
     (fun (k, n, expected) ->
@@ -136,65 +141,77 @@ let run () =
           (Printf.sprintf "E27: clique %d routed to %s under auto" k
              (Plan.route_to_string r)));
       let d = complete_digraph n in
-      let csp = answer Backend.Csp q d in
-      let sat = answer Backend.Auto q d in
-      if csp <> sat then failwith "E27: backends disagree";
-      if csp <> expected then failwith "E27: wrong certain answer";
+      let answers = List.map (fun b -> answer b q d) Backend.[ Csp; Auto; Sat ] in
+      if List.exists (fun a -> a <> expected) answers then
+        failwith "E27: wrong certain answer";
       incr agreed)
     family;
   Obs.set_int (Obs.gauge "bench.sat.agreed") !agreed;
-  Bench_util.subsection "refuted family: K_k query into K_{k-1}";
-  Bench_util.row "%-6s %-14s %-14s %-10s" "k" "csp(ms)" "auto(ms)" "speedup";
-  let speedups =
+  let refuted =
     List.filter_map
-      (fun (k, n, expected) ->
-        if expected then None
-        else begin
-          let q = clique_cq k and d = complete_digraph n in
-          let t_csp =
-            Bench_util.time_ms_median (fun () ->
-                ignore (answer Backend.Csp q d))
-          in
-          let t_sat =
-            Bench_util.time_ms_median (fun () ->
-                ignore (answer Backend.Auto q d))
-          in
-          let s = t_csp /. t_sat in
-          Bench_util.row "%-6d %-14.2f %-14.2f %-10.2f" k t_csp t_sat s;
-          Some s
-        end)
+      (fun (k, n, expected) -> if expected then None else Some (k, n))
       family
   in
-  (* the headline gauge is the largest family member's speedup: the
-     permutation tax grows factorially, the refutation doesn't *)
-  let speedup = List.fold_left Float.max 0.0 speedups in
-  Obs.set (Obs.gauge "bench.sat.speedup") speedup;
-  Bench_util.row "agreement: %d/%d instances; speedup gauge: %.2fx" !agreed
-    (List.length family) speedup;
-  (* deterministic work over the refuted family: the clauses encoded and
-     the conflicts the CDCL needs — what a faster kernel must leave as
-     it is (CI pins both) *)
+  Bench_util.subsection "refuted family: K_k query into K_{k-1}";
+  (* [auto] and [sat] are the planner's answers; [engine] and [cdcl] the
+     two deciders alone on the same frozen instance, without the
+     routing both columns pay *)
+  Bench_util.row "%-4s %-10s %-10s %-10s %-11s %-10s %-10s" "k" "decisions"
+    "auto(ms)" "sat(ms)" "engine(ms)" "cdcl(ms)" "cdcl/eng";
+  let rows =
+    List.map
+      (fun (k, n) ->
+        let q = clique_cq k and d = complete_digraph n in
+        let _, decisions =
+          Bench_util.with_counter "csp.solver.decisions" (fun () ->
+              answer Backend.Auto q d)
+        in
+        let time f = Bench_util.time_ms_median ~runs:11 ~warmup:3 f in
+        let t_auto = time (fun () -> ignore (answer Backend.Auto q d)) in
+        let t_sat = time (fun () -> ignore (answer Backend.Sat q d)) in
+        let t_engine =
+          time (fun () -> ignore (Certain.certain_cq_via_hom_b q d))
+        in
+        let t_cdcl = time (fun () -> ignore (Certain.certain_cq_via_sat_b q d)) in
+        Bench_util.row "%-4d %-10d %-10.3f %-10.3f %-11.3f %-10.3f %-10.2f" k
+          decisions t_auto t_sat t_engine t_cdcl (t_cdcl /. t_engine);
+        (k, decisions, t_cdcl /. t_engine))
+      refuted
+  in
+  let decisions = List.fold_left (fun acc (_, d, _) -> acc + d) 0 rows in
+  (* the headline gauge is the largest refuted member's ratio *)
+  let _, _, speedup =
+    List.fold_left
+      (fun ((k0, _, _) as best) ((k, _, _) as r) -> if k > k0 then r else best)
+      (List.hd rows) rows
+  in
+  Obs.set_int (Obs.gauge "bench.sym.decisions") decisions;
+  Obs.set (Obs.gauge "bench.sym.speedup") speedup;
+  Bench_util.row
+    "agreement: %d/%d instances; engine decisions %d; CDCL/engine at the \
+     largest k: %.2fx"
+    !agreed (List.length family) decisions speedup;
+  (* deterministic work over the refuted family under --backend sat: the
+     clauses encoded and the conflicts the CDCL needs — what a faster
+     kernel must leave as it is (CI pins both) *)
   let clauses = ref 0 and conflicts = ref 0 in
   List.iter
-    (fun (k, n, expected) ->
-      if not expected then begin
-        let (_, dconf), dcls =
-          Bench_util.with_counter "csp.sat.clauses" (fun () ->
-              Bench_util.with_counter "csp.sat.conflicts" (fun () ->
-                  answer Backend.Auto (clique_cq k) (complete_digraph n)))
-        in
-        clauses := !clauses + dcls;
-        conflicts := !conflicts + dconf
-      end)
-    family;
+    (fun (k, n) ->
+      let (_, dconf), dcls =
+        Bench_util.with_counter "csp.sat.clauses" (fun () ->
+            Bench_util.with_counter "csp.sat.conflicts" (fun () ->
+                answer Backend.Sat (clique_cq k) (complete_digraph n)))
+      in
+      clauses := !clauses + dcls;
+      conflicts := !conflicts + dconf)
+    refuted;
   Obs.set_int (Obs.gauge "bench.sat.clauses") !clauses;
   Obs.set_int (Obs.gauge "bench.sat.conflicts") !conflicts;
   Bench_util.row "refuted family: %d clauses encoded, %d conflicts" !clauses
     !conflicts;
-  Bench_util.subsection
-    "serve benchmark's bclique-4@m keys: auto (CDCL) vs csp (engine)";
-  Bench_util.row "%-8s %-14s %-14s %-10s" "anchor" "csp(ms)" "auto(ms)"
-    "auto/csp";
+  Bench_util.subsection "serve benchmark's bclique-4@m keys";
+  Bench_util.row "%-8s %-12s %-12s %-12s %-10s" "anchor" "csp(ms)" "auto(ms)"
+    "sat(ms)" "auto/csp";
   let d = miss_m_digraph () in
   List.iter
     (fun a ->
@@ -205,22 +222,24 @@ let run () =
         failwith
           (Printf.sprintf "E27: bclique-4@%d routed to %s under auto" a
              (Plan.route_to_string r)));
-      if answer Backend.Csp q d <> answer Backend.Auto q d then
-        failwith "E27: backends disagree on bclique-4@m";
+      (match List.map (fun b -> answer b q d) Backend.[ Csp; Auto; Sat ] with
+      | [ x; y; z ] when x = y && y = z -> ()
+      | _ -> failwith "E27: backends disagree on bclique-4@m");
       let time backend =
         Bench_util.time_ms_median ~runs:21 ~warmup:5 (fun () ->
             ignore (answer backend q d))
       in
       let t_csp = time Backend.Csp in
-      let t_sat = time Backend.Auto in
-      Bench_util.row "%-8d %-14.3f %-14.3f %-10.2f" a t_csp t_sat
-        (t_sat /. t_csp))
+      let t_auto = time Backend.Auto in
+      let t_sat = time Backend.Sat in
+      Bench_util.row "%-8d %-12.3f %-12.3f %-12.3f %-10.2f" a t_csp t_auto
+        t_sat (t_auto /. t_csp))
     [ 2; 3; 4; 5; 6; 7 ]
 
 let micro () =
   let q = clique_cq 6 and d = complete_digraph 5 in
   Bench_util.micro
     [
-      ("e27/csp-clique6", fun () -> ignore (answer Backend.Csp q d));
-      ("e27/sat-clique6", fun () -> ignore (answer Backend.Auto q d));
+      ("e27/engine-clique6", fun () -> ignore (answer Backend.Auto q d));
+      ("e27/sat-clique6", fun () -> ignore (answer Backend.Sat q d));
     ]

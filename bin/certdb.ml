@@ -269,9 +269,11 @@ let backend_arg =
           "Solver backend for Boolean certainty: csp (backtracking hom \
            search, the default), sat (CNF + CDCL with symmetry breaking \
            over interchangeable nulls), or auto (route per instance on the \
-           planner's certificates).  On the SAT route, an exhausted ladder \
-           crosses to the CSP engine within the time left; the CSP ladder \
-           answers its lower bound directly.")
+           planner's certificates; every route runs the backtracking \
+           search, which breaks the symmetry of interchangeable nulls \
+           itself).  Under sat, an exhausted ladder crosses to the CSP \
+           engine within the time left; the CSP ladder answers its lower \
+           bound directly.")
 
 let certain_cmd =
   let run query degrade explain backend limits max_attempts escalate d =

@@ -145,8 +145,10 @@ let certain ?policy ?limits ?jobs:_ ?width_threshold ?fds ?backend ?target
   in
   count_route dec.route;
   (* the search routes differ only in the decider pair they hand the one
-     ladder; CDCL crosses to the CSP engine on exhaustion, so a SAT route
-     can never weaken an answer *)
+     ladder; CDCL runs only when [~backend:Sat] asks for it, and crosses
+     to the CSP engine on exhaustion, so it can never weaken an answer.
+     Under [Auto] the symmetric route runs the engine, whose lex-leader
+     constraint breaks the class's symmetry as the ordering clauses do *)
   let ladder ?fallback decider =
     Certain.certain_cq_resilient ?policy ?limits ?fallback ?target decider q
       d
@@ -160,7 +162,9 @@ let certain ?policy ?limits ?jobs:_ ?width_threshold ?fds ?backend ?target
       | Naive_eval -> assert false (* Boolean queries never route here *)
       | Acyclic_join | Bounded_width _ -> ladder Decider.btw
       | Components _ | Hom_ladder | Fd_naive _ -> ladder Decider.engine
-      | Sat_backend _ -> ladder ~fallback:Decider.engine (Sat_choice.decider ()))
+      | Sat_backend _ when backend = Some Sat_choice.Sat ->
+        ladder ~fallback:Decider.engine (Sat_choice.decider ())
+      | Sat_backend _ -> ladder Decider.engine)
 
 let certain_answers ?target u d =
   count_route Naive_eval;

@@ -24,12 +24,14 @@
       [Hom_ladder];
     - under [~backend:Auto], cyclic + wide + dense (at least as many
       atoms as variables) + a class of ≥ 3 pairwise-interchangeable
-      variables → [Sat_backend k]: encode to CNF and give it to
-      {!Certdb_sat}'s CDCL core, whose symmetry-breaking ordering
-      clauses collapse the [k!] permutations of interchangeable fresh
-      nulls that chronological backtracking enumerates (counted by
-      [query.plan.sat]); [~backend:Sat] forces this route, and the
-      default [~backend:Csp] never picks it;
+      variables → [Sat_backend k] (counted by [query.plan.sat]): the
+      certificate that the [k!] permutations of interchangeable fresh
+      nulls dominate the search.  Under [Auto] the bitset engine
+      answers it, whose lex-leader constraint along each class
+      ({!Certdb_csp.Engine.satisfiable}) collapses those permutations;
+      [~backend:Sat] forces this route for every Boolean query and runs
+      it on {!Certdb_sat}'s CDCL core, whose ordering clauses do the
+      same; the default [~backend:Csp] never picks it;
     - everything else → [Hom_ladder]: the budgeted Prop. 2 hom check
       under the {!Certdb_csp.Resilient} retry/escalation ladder.
 
@@ -51,7 +53,9 @@ type route =
       (** the certainly-satisfied key FD that licensed the route *)
   | Sat_backend of int
       (** the size of the largest interchangeable-variable class that
-          licensed (or was measured when forcing) the SAT route *)
+          licensed the route under [Auto] (where the engine runs it), or
+          was measured when [~backend:Sat] forced it (where CDCL runs
+          it) *)
 
 type decision = {
   route : route;
@@ -83,7 +87,8 @@ val route_cq :
     Theorem 6 search ({!Certdb_csp.Decider.btw}), which honours the
     deadline and the cancel token of [limits] but not its node and
     backtrack budgets; [Components], [Hom_ladder] and [Fd_naive] the
-    bitset engine; and [Sat_backend] the CDCL decider with the bitset
+    bitset engine, and so does [Sat_backend] under [~backend:Auto]; under
+    [~backend:Sat], [Sat_backend] runs the CDCL decider with the bitset
     engine as its fallback, so crossing solvers never weakens an answer.
     [jobs] is accepted and ignored: one request runs on one domain.
     Every route keeps the ladder's one deadline, and an exhausted ladder

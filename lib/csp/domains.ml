@@ -155,6 +155,27 @@ module Dense = struct
     m.counts.(v) <- m.counts.(v) - !cleared;
     !cleared
 
+  (* the bits of word [k] at values >= [lo] *)
+  let bits_from k lo =
+    let base = k * Bitset.bits_per_word in
+    if lo <= base then -1
+    else if lo >= base + Bitset.bits_per_word then 0
+    else lnot ((1 lsl (lo - base)) - 1)
+
+  let clip_row m v ~lo ~hi =
+    let off = row_off m v in
+    let cleared = ref 0 in
+    for k = 0 to m.words - 1 do
+      let before = m.bits.(off + k) in
+      let after = before land bits_from k lo land lnot (bits_from k (hi + 1)) in
+      if after <> before then begin
+        cleared := !cleared + Bitset.popcount_word (before lxor after);
+        m.bits.(off + k) <- after
+      end
+    done;
+    m.counts.(v) <- m.counts.(v) - !cleared;
+    !cleared
+
   let save_row m v =
     Array.sub m.bits (row_off m v) m.words
 

@@ -95,6 +95,11 @@ module Dense : sig
       refreshes the cached count. *)
   val inter_row : matrix -> int -> Bitset.bs -> int
 
+  (** [clip_row m v ~lo ~hi] — row [v] keeps only the values in
+      [\[lo, hi\]] ([hi < max_int]); returns bits cleared and refreshes
+      the cached count. *)
+  val clip_row : matrix -> int -> lo:int -> hi:int -> int
+
   (** Trail support: a saved row is an opaque word array restored
       verbatim. *)
   val save_row : matrix -> int -> int array

@@ -428,6 +428,96 @@ module Compiled = struct
       components ~nvars:cp.nvars ~init ~cstrs:cp.cstrs ~by_var:cp.by_var
     in
     { cp with init; comp; ncomps }
+
+  (* Two variables are interchangeable when they have one label and one
+     initial row, and swapping them maps the source's facts onto
+     themselves.  A swap that does moves each occurrence of [a] at a
+     (relation, position) to one of [b] there, so both have as many
+     occurrences at each; a sum of per-(relation, position) hashes over
+     the occurrences is a cheap necessary condition, and only variables
+     that agree on it and on their label meet a swap test.  The test
+     looks each swapped fact up in the source's per-position index, so
+     an instance without symmetry builds no table.  Classes grow
+     greedily from their smallest member, as transpositions with it. *)
+  let interchangeable_classes c =
+    let src = c.csrc in
+    let n = c.nvars in
+    let occ = Array.make (max 1 n) 0 in
+    Array.iteri
+      (fun ri (cr : Structure.crel) ->
+        for p = 0 to cr.Structure.arity - 1 do
+          let h = Hashtbl.hash (ri, p) in
+          for ti = 0 to cr.Structure.count - 1 do
+            let x = cr.Structure.flat.((ti * cr.Structure.arity) + p) in
+            occ.(x) <- occ.(x) + h
+          done
+        done)
+      src.Structure.crels;
+    let label = src.Structure.node_labels in
+    let order = Array.init n Fun.id in
+    let by_sig a b =
+      let d = Int.compare label.(a) label.(b) in
+      if d <> 0 then d else Int.compare occ.(a) occ.(b)
+    in
+    (* ascending ids within a run of equal signatures *)
+    Array.stable_sort by_sig order;
+    let sw a b x = if x = a then b else if x = b then a else x in
+    (* is the fact [ti] of [cr], with [a] and [b] swapped, a fact? *)
+    let swapped_mem (cr : Structure.crel) a b ti =
+      let ar = cr.Structure.arity and flat = cr.Structure.flat in
+      let base = ti * ar in
+      let bucket = cr.Structure.by_pos.(0).(sw a b flat.(base)) in
+      let found = ref false and i = ref 0 in
+      while (not !found) && !i < Array.length bucket do
+        let base' = bucket.(!i) * ar in
+        let p = ref 1 in
+        while !p < ar && flat.(base' + !p) = sw a b flat.(base + !p) do
+          incr p
+        done;
+        if !p = ar then found := true;
+        incr i
+      done;
+      !found
+    in
+    let swap_ok a b =
+      c.init.(a) = c.init.(b)
+      && Array.for_all
+           (fun (cr : Structure.crel) ->
+             Array.for_all
+               (fun idx ->
+                 Array.for_all (swapped_mem cr a b) idx.(a)
+                 && Array.for_all (swapped_mem cr a b) idx.(b))
+               cr.Structure.by_pos)
+           src.Structure.crels
+    in
+    let used = Array.make (max 1 n) false in
+    let classes = ref [] in
+    let i = ref 0 in
+    while !i < n do
+      let j = ref (!i + 1) in
+      while !j < n && by_sig order.(!i) order.(!j) = 0 do
+        incr j
+      done;
+      for x = !i to !j - 1 do
+        let v = order.(x) in
+        if not used.(v) then begin
+          let members = ref [ v ] in
+          for y = x + 1 to !j - 1 do
+            let u = order.(y) in
+            if (not used.(u)) && swap_ok v u then begin
+              used.(u) <- true;
+              members := u :: !members
+            end
+          done;
+          if List.length !members >= 2 then
+            classes := Array.of_list (List.rev !members) :: !classes
+        end
+      done;
+      i := !j
+    done;
+    let classes = Array.of_list !classes in
+    Array.sort (fun a b -> Int.compare a.(0) b.(0)) classes;
+    classes
 end
 
 (* {1 Clusters}
@@ -590,6 +680,37 @@ let decomposition_clusters (cp : Compiled.t) (d : Treewidth.t) =
    instance under the root alone. *)
 exception Cut of int
 
+(* {1 Lex-leader symmetry breaking}
+
+   Any permutation of a class of interchangeable variables
+   ({!Compiled.interchangeable_classes}) is an automorphism of the source
+   that keeps every initial row, so a homomorphism exists iff one sorted
+   along the class on dense target ids does: h(x_1) <= h(x_2) <= ...
+   (the lex-leader constraint of Crawford, Ginsberg, Luks & Roy, KR
+   1996).  The existence search imposes it on consecutive members in one
+   component only — a pair across components would tie together what it
+   solves apart — and forward-checks it: after [v <- b], values below [b]
+   leave [next.(v)]'s row and values above [b] leave [prev.(v)]'s. *)
+type lex = { next : int array; prev : int array (* -1: none *) }
+
+let lex_order (cp : Compiled.t) =
+  let n = max 1 cp.Compiled.nvars in
+  let next = Array.make n (-1) and prev = Array.make n (-1) in
+  let any = ref false in
+  Array.iter
+    (fun cls ->
+      for i = 0 to Array.length cls - 2 do
+        let a = cls.(i) and b = cls.(i + 1) in
+        let c = cp.Compiled.comp.(a) in
+        if c >= 0 && c = cp.Compiled.comp.(b) then begin
+          next.(a) <- b;
+          prev.(b) <- a;
+          any := true
+        end
+      done)
+    (Compiled.interchangeable_classes cp);
+  if !any then Some { next; prev } else None
+
 type memo_entry = Good of int array | Nogood
 
 (* [f ()], then [restore ()] however [f] ends *)
@@ -600,7 +721,7 @@ let protect restore f =
     restore ();
     raise e
 
-let run_search_compiled ~budget ~exists ?decomposition (cp : Compiled.t)
+let run_search_compiled ~budget ~exists ?decomposition ?lex (cp : Compiled.t)
     on_solution =
   let module Bitset = Domains.Bitset in
   let module Dense = Domains.Dense in
@@ -795,9 +916,33 @@ let run_search_compiled ~budget ~exists ?decomposition (cp : Compiled.t)
       done;
       !ok
     in
+    (* [u]'s row narrowed to [lo, hi], saved on [trail] first *)
+    let clip trail u ~lo ~hi =
+      if saved_stamp.(u) <> !stamp then begin
+        saved_stamp.(u) <- !stamp;
+        trail := (u, Dense.save_row m u, Dense.count m u) :: !trail
+      end;
+      Obs.add fc_prunes (Dense.clip_row m u ~lo ~hi);
+      Dense.count m u > 0
+      || begin
+        Obs.incr wipeouts;
+        false
+      end
+    in
+    (* forward-check the lex-leader pairs on [v]: an assigned partner
+       already holds, since its own assignment clipped [v]'s row *)
+    let lex_ok trail v b =
+      match lex with
+      | None -> true
+      | Some l ->
+        let s = l.next.(v) and p = l.prev.(v) in
+        (s < 0 || assigned s || clip trail s ~lo:b ~hi:(cp.Compiled.cap - 1))
+        && (p < 0 || assigned p || clip trail p ~lo:0 ~hi:b)
+    in
     let n_assigned = ref 0 in
     (* [v <- b], checked or forward-checked against each constraint on
-       [v]; the rows it narrows are saved on [trail] *)
+       [v] and its lex-leader pairs; the rows it narrows are saved on
+       [trail] *)
     let assign trail v b =
       assignment.(v) <- b;
       incr n_assigned;
@@ -807,6 +952,7 @@ let run_search_compiled ~budget ~exists ?decomposition (cp : Compiled.t)
           if Array.for_all assigned c.Compiled.cvars then check_full c
           else propagate_cstr trail c v b)
         cp.Compiled.by_var.(v)
+      && lex_ok trail v b
     in
     let unassign trail v =
       List.iter (fun (u, row, cnt) -> Dense.restore_row m u row cnt) !trail;
@@ -1023,11 +1169,14 @@ let solve_compiled ?(limits = Limits.unlimited) cp = solve_cp limits cp
 let satisfiable ?(config = Config.default) ~source ~target () =
   Trace.with_span "csp.engine.satisfiable" @@ fun () ->
   let cp = Compiled.make ?restrict:config.restrict ~source ~target () in
+  let lex =
+    match config.decomposition with None -> lex_order cp | Some _ -> None
+  in
   Budget.run config.limits (fun budget ->
       let found = ref false in
       (match
          run_search_compiled ~budget ~exists:true
-           ?decomposition:config.decomposition cp
+           ?decomposition:config.decomposition ?lex cp
            (fun _ _ free_vars ->
              Obs.add exists_skipped_vars (List.length free_vars);
              found := true;

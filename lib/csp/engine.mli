@@ -222,6 +222,20 @@ module Compiled : sig
       variable) as its initial candidates, and its components
       recomputed: a row narrowed to one candidate pins its variable. *)
   val with_init : t -> Domains.Bitset.bs array -> t
+
+  (** [interchangeable_classes c] — classes (size ≥ 2, ascending dense
+      var ids, ordered by their smallest member) of source variables
+      that are pairwise interchangeable: equal labels, equal initial
+      rows, and every transposition with the class's smallest member
+      maps the source fact set to itself.  Transpositions through a
+      common element generate the symmetric group, so any permutation
+      within a class is a source automorphism fixing everything else
+      and keeping every initial row: what makes the engine's lex-leader
+      constraint in {!satisfiable} and the CNF encoder's ordering
+      clauses sound.  Only variables with one label and equal
+      occurrence counts at every (relation, position) meet a swap
+      test. *)
+  val interchangeable_classes : t -> int array array
 end
 
 val compile :
@@ -269,7 +283,22 @@ val solve :
     never branched on (their candidate sets are only checked non-empty),
     so it explores no more — and on instances with unconstrained nodes
     strictly fewer — nodes than [solve].  It splits into components, or
-    follows [config.decomposition], as {!solve} does. *)
+    follows [config.decomposition], as {!solve} does.
+
+    Without a decomposition it also breaks the symmetry of
+    interchangeable variables ({!Compiled.interchangeable_classes}):
+    consecutive members [x_i], [x_(i+1)] of a class, when both lie in
+    one component, must map to dense target ids [h(x_i) <= h(x_(i+1))]
+    (lex-leader; Crawford, Ginsberg, Luks & Roy, KR 1996).  A class
+    permutation is an automorphism of the source that keeps every
+    initial row, so some homomorphism is sorted whenever any exists:
+    the answer is unchanged, and a k-clique into K_(k-1) is refuted in
+    at most 2^(k-1) - 1 decisions instead of about (k-1)!.  Forward
+    checking enforces it: after [v <- b], values below [b] leave the
+    row of [v]'s successor and values above [b] the row of its
+    predecessor, counted in [csp.solver.fc_prunes] (an emptied row is a
+    wipeout).  {!solve}, {!solve_compiled}, {!iter}, {!count} and
+    {!Reference} do not impose it. *)
 val satisfiable :
   ?config:Config.t ->
   source:Structure.t ->

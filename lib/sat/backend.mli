@@ -6,7 +6,8 @@
 module Engine = Certdb_csp.Engine
 
 (** Which solver family answers a hom / certainty instance.  [Auto]
-    defers the pick to {!Certdb_analysis}'s certificates. *)
+    defers the route to {!Certdb_analysis}'s certificates; every route
+    it picks runs the CSP engine, so only [Sat] runs CDCL. *)
 type choice = Csp | Sat | Auto
 
 val choice_to_string : choice -> string

@@ -3,59 +3,6 @@ module Structure = Certdb_csp.Structure
 module Domains = Certdb_csp.Domains
 module Bitset = Domains.Bitset
 
-let interchangeable_classes (c : Engine.Compiled.t) =
-  let tables =
-    Array.map
-      (fun (cr : Structure.crel) ->
-        let tbl = Hashtbl.create (max 16 cr.count) in
-        for ti = 0 to cr.count - 1 do
-          Hashtbl.replace tbl (Array.sub cr.flat (ti * cr.arity) cr.arity) ()
-        done;
-        tbl)
-      c.csrc.crels
-  in
-  let swap_ok a b =
-    c.csrc.node_labels.(a) = c.csrc.node_labels.(b)
-    && c.init.(a) = c.init.(b)
-    &&
-    let sw x = if x = a then b else if x = b then a else x in
-    try
-      Array.iteri
-        (fun ri (cr : Structure.crel) ->
-          let tbl = tables.(ri) in
-          for ti = 0 to cr.count - 1 do
-            let base = ti * cr.arity in
-            let touches = ref false in
-            for p = 0 to cr.arity - 1 do
-              let x = cr.flat.(base + p) in
-              if x = a || x = b then touches := true
-            done;
-            if !touches then
-              let row = Array.init cr.arity (fun p -> sw cr.flat.(base + p)) in
-              if not (Hashtbl.mem tbl row) then raise Exit
-          done)
-        c.csrc.crels;
-      true
-    with Exit -> false
-  in
-  let used = Array.make (max 1 c.nvars) false in
-  let classes = ref [] in
-  for v = 0 to c.nvars - 1 do
-    if not used.(v) then begin
-      used.(v) <- true;
-      let members = ref [ v ] in
-      for u = v + 1 to c.nvars - 1 do
-        if (not used.(u)) && swap_ok v u then begin
-          used.(u) <- true;
-          members := u :: !members
-        end
-      done;
-      if List.length !members >= 2 then
-        classes := Array.of_list (List.rev !members) :: !classes
-    end
-  done;
-  Array.of_list (List.rev !classes)
-
 type stats = {
   sel_vars : int;
   tuple_vars : int;
@@ -198,7 +145,9 @@ module Make (Solv : Solver.S) = struct
        (ascending var ids) force h(v_i) <= h(v_{i+1}) on dense target
        ids.  Sound because any class permutation is a source
        automorphism. *)
-    let classes = if symmetry then interchangeable_classes c else [||] in
+    let classes =
+      if symmetry then Engine.Compiled.interchangeable_classes c else [||]
+    in
     Array.iter
       (fun cls ->
         for i = 0 to Array.length cls - 2 do

@@ -9,8 +9,9 @@
     [y_{c,t}] (at least one supporting target tuple per source fact,
     each implying its positions' selectors) read off the columnar
     {!Certdb_csp.Structure} indexes.  Optionally, symmetry-breaking
-    ordering clauses over classes of interchangeable source variables —
-    the interchangeable fresh nulls of naïve tables — cut the [k!]
+    ordering clauses over classes of interchangeable source variables
+    ({!Certdb_csp.Engine.Compiled.interchangeable_classes}) — the
+    interchangeable fresh nulls of naïve tables — cut the [k!]
     permutation blowup that chronological backtracking pays.
 
     [make] finds every constraint's supporting tuples before it
@@ -26,16 +27,6 @@
     [Sat]. *)
 
 module Engine = Certdb_csp.Engine
-
-(** [interchangeable_classes c] — classes (size ≥ 2, ascending dense
-    var ids) of source variables that are pairwise interchangeable:
-    equal labels, equal initial domains, and every transposition with
-    the class representative maps the source fact set to itself.
-    Transpositions through a common element generate the symmetric
-    group, so any permutation within a class is a source automorphism
-    fixing everything else — which is what makes the ordering clauses
-    sound. *)
-val interchangeable_classes : Engine.Compiled.t -> int array array
 
 type stats = {
   sel_vars : int;  (** selector variables *)

@@ -478,6 +478,242 @@ let qcheck_bounded_tw_sparse =
           | Engine.Unknown _ -> false)
         [ `Min_degree; `Min_fill ])
 
+(* --- lex-leader symmetry breaking in [Engine.satisfiable] --- *)
+
+let edges_of pairs =
+  List.map (fun (a, b) -> [| a; b |]) pairs
+
+(* the complete digraph on 0 .. k - 1 *)
+let clique k =
+  let ids = List.init k Fun.id in
+  Structure.make ~nodes:[]
+    ~tuples:
+      [
+        ( "E",
+          List.concat_map
+            (fun i ->
+              List.filter_map
+                (fun j -> if i <> j then Some [| i; j |] else None)
+                ids)
+            ids );
+      ]
+
+let decisions_of f =
+  let c = Certdb_obs.Obs.counter "csp.solver.decisions" in
+  let d0 = Certdb_obs.Obs.counter_value c in
+  let r = f () in
+  (r, Certdb_obs.Obs.counter_value c - d0)
+
+(* K_k into K_(k-1): pigeonhole.  Sorted along the class and forward
+   checked, the refutation walks increasing chains only: at most
+   2^(k-1) - 1 decisions where the plain search pays (k-1)! leaves *)
+let test_lex_pigeonhole () =
+  List.iter
+    (fun (k, bound) ->
+      let r, spent =
+        decisions_of (fun () ->
+            Engine.satisfiable ~source:(clique k) ~target:(clique (k - 1)) ())
+      in
+      check (Printf.sprintf "K%d -/-> K%d" k (k - 1)) true (r = Engine.Unsat);
+      if spent > bound then
+        Alcotest.failf "K%d -> K%d: %d decisions, past %d" k (k - 1) spent
+          bound)
+    [ (5, 15); (6, 31); (7, 63); (8, 127); (9, 255); (10, 511) ];
+  check "K5 -> K5" true
+    (Engine.satisfiable ~source:(clique 5) ~target:(clique 5) () = Engine.Sat ())
+
+(* The classes the search orders: a member that a restriction narrows
+   leaves its class. *)
+let test_lex_classes () =
+  (* a member narrowed away from the smallest value, which some member
+     takes in every solution: ordering it first in the class would
+     refute a satisfiable instance *)
+  let restrict = Domains.of_list [ (0, IS.of_list [ 1; 2 ]) ] in
+  check "narrowed member satisfiable" true
+    (Engine.satisfiable
+       ~config:(Engine.Config.make ~restrict ())
+       ~source:(clique 3) ~target:(clique 3) ()
+    = Engine.Sat ());
+  let source = clique 4 and target = clique 5 in
+  let classes restrict =
+    Engine.Compiled.interchangeable_classes
+      (Engine.compile ?restrict ~source ~target ())
+  in
+  check "one class of four" true (classes None = [| [| 0; 1; 2; 3 |] |]);
+  check "a narrowed member leaves" true
+    (classes (Some (Domains.of_list [ (3, IS.of_list [ 0; 1; 2 ]) ]))
+    = [| [| 0; 1; 2 |] |])
+
+(* Enumeration and [solve] keep every symmetric copy *)
+let test_lex_enumeration () =
+  let count source target =
+    match Engine.count ~source ~target () with
+    | Engine.Sat n -> n
+    | _ -> Alcotest.fail "count interrupted"
+  in
+  Alcotest.(check int) "K3 -> K4" 24 (count (clique 3) (clique 4));
+  let biclique =
+    Structure.make ~nodes:[]
+      ~tuples:[ ("E", edges_of [ (0, 2); (0, 3); (1, 2); (1, 3) ]) ]
+  in
+  (* one side on one node (3 ways) leaves 2 x 2 for the other, on two
+     nodes (6 ways) leaves 1 *)
+  Alcotest.(check int) "K(2,2) -> K3" 18 (count biclique (clique 3));
+  let seen = ref [] in
+  ignore
+    (Engine.iter ~source:(clique 3) ~target:(clique 3) (fun h ->
+         seen := h :: !seen;
+         `Continue));
+  Alcotest.(check int) "iter K3 -> K3" 6
+    (List.length (List.sort_uniq compare (List.map Structure.Int_map.bindings !seen)));
+  match Engine.solve ~source:(clique 4) ~target:(clique 4) () with
+  | Engine.Sat h ->
+    check "solve witness" true
+      (Engine.is_hom ~source:(clique 4) ~target:(clique 4) h)
+  | _ -> Alcotest.fail "K4 -> K4"
+
+(* Random instances with planted classes: cliques, bicliques,
+   back-and-forth pairs, disjoint copies (so members in different
+   components), stars and ternary fans on a shared anchor, over a few
+   random base facts.  A class may carry one label, or lose a member to
+   another label or to a restriction of its own; a whole class may share
+   a restriction.  The targets are dense enough that about half the
+   instances are satisfiable.  [satisfiable] must agree with the
+   reference core, which breaks no symmetry. *)
+let planted_instance st =
+  let int n = Random.State.int st n in
+  let tn = 2 + int 4 in
+  let density = 0.4 +. Random.State.float st 0.5 in
+  let coin p = Random.State.float st 1.0 < p in
+  let nodes = List.init tn Fun.id in
+  let pairs = List.concat_map (fun a -> List.map (fun b -> [| a; b |]) nodes) nodes in
+  let target =
+    Structure.make
+      ~nodes:((tn, Some "a") :: List.map (fun v -> (v, None)) nodes)
+      ~tuples:
+        [
+          ("R", [| tn; tn |] :: List.filter (fun _ -> coin density) pairs);
+          ("Q", List.filter (fun _ -> coin density) pairs);
+          ("U", [| tn |] :: List.filter_map (fun v -> if coin 0.7 then Some [| v |] else None) nodes);
+          ( "S",
+            List.init (tn * tn) (fun _ -> [| int tn; int tn; int tn |])
+            @ List.filter_map
+                (fun v -> if coin 0.5 then Some [| 0; v; v |] else None)
+                nodes );
+          ("Z", if coin 0.8 then [ [||] ] else []);
+        ]
+  in
+  let next = ref 3 in
+  let fresh () =
+    incr next;
+    !next
+  in
+  let facts = ref [] and classes = ref [] in
+  let add rel t = facts := (rel, t) :: !facts in
+  (* a few base facts over nodes 0..3 *)
+  for _ = 1 to int 3 do
+    add (if coin 0.5 then "R" else "Q") [| int 4; int 4 |]
+  done;
+  if coin 0.3 then add "Z" [||];
+  let members k = List.init k (fun _ -> fresh ()) in
+  for _ = 0 to int 3 do
+    let rel = if int 3 = 0 then "Q" else "R" in
+    match int 6 with
+    | 0 ->
+      let xs = members (2 + int 3) in
+      List.iter
+        (fun a -> List.iter (fun b -> if a <> b then add rel [| a; b |]) xs)
+        xs;
+      classes := xs :: !classes
+    | 1 ->
+      let xs = members (1 + int 3) and ys = members (1 + int 3) in
+      List.iter (fun a -> List.iter (fun b -> add rel [| a; b |]) ys) xs;
+      classes := xs :: ys :: !classes
+    | 2 ->
+      let x = fresh () and y = fresh () in
+      add rel [| x; y |];
+      add rel [| y; x |];
+      classes := [ x; y ] :: !classes
+    | 3 ->
+      (* disjoint copies of one gadget: a loop, or a unary fact *)
+      let xs = members (2 + int 3) in
+      let loop = coin 0.5 in
+      List.iter (fun x -> if loop then add rel [| x; x |] else add "U" [| x |]) xs;
+      classes := xs :: !classes
+    | 4 ->
+      let anchor = int 4 in
+      let xs = members (2 + int 3) in
+      List.iter (fun x -> add rel [| anchor; x |]) xs;
+      if coin 0.5 then List.iter (fun x -> add "U" [| x |]) xs;
+      classes := xs :: !classes
+    | _ ->
+      let xs = members (2 + int 3) in
+      List.iter (fun x -> add "S" [| 0; x; x |]) xs;
+      classes := xs :: !classes
+  done;
+  (* a random subset, or the low or the high values: a member ordered
+     against its class by mistake then has no room to move *)
+  let row () =
+    let k = 1 + int (tn - 1) in
+    IS.of_list
+      (List.filter
+         (match int 3 with
+         | 0 -> fun _ -> coin 0.7
+         | 1 -> fun v -> v < k
+         | _ -> fun v -> v >= k)
+         (tn :: nodes))
+  in
+  let one_of xs = List.nth xs (int (List.length xs)) in
+  let labels = ref [] and rows = ref [] in
+  List.iter
+    (fun xs ->
+      (match int 8 with
+      | 0 -> labels := List.map (fun x -> (x, Some "a")) xs @ !labels
+      | 1 -> labels := (one_of xs, Some "a") :: !labels
+      | _ -> ());
+      match int 4 with
+      | 0 ->
+        let r = row () in
+        rows := List.map (fun x -> (x, r)) xs @ !rows
+      | 1 -> rows := (one_of xs, row ()) :: !rows
+      | _ -> ())
+    !classes;
+  let source =
+    List.fold_left
+      (fun s (rel, t) -> Structure.add_tuple s rel t)
+      (Structure.make ~nodes:!labels ~tuples:[])
+      !facts
+  in
+  (source, target, Domains.of_list !rows)
+
+let qcheck_lex_planted =
+  let print seed =
+    let source, target, _ = planted_instance (Random.State.make [| seed |]) in
+    Format.asprintf "seed %d@.source %a@.target %a" seed Structure.pp source
+      Structure.pp target
+  in
+  QCheck.Test.make ~count:3000
+    ~name:"lex-leader satisfiable agrees with Engine.Reference"
+    (QCheck.make ~print QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let source, target, restrict =
+        planted_instance (Random.State.make [| seed |])
+      in
+      let config = Engine.Config.make ~restrict () in
+      let zero_ok =
+        List.for_all
+          (fun t -> Structure.mem_tuple target "Z" t)
+          (Structure.tuples_of source "Z")
+      in
+      let expected =
+        zero_ok
+        && Engine.Reference.satisfiable ~config ~source ~target ()
+           = Engine.Sat ()
+      in
+      let got = Engine.satisfiable ~config ~source ~target () = Engine.Sat () in
+      got = expected
+      || QCheck.Test.fail_reportf "satisfiable %b, reference %b" got expected)
+
 let () =
   Alcotest.run "csp"
     [
@@ -524,5 +760,13 @@ let () =
             test_bounded_tw_invalid_decomposition;
           QCheck_alcotest.to_alcotest qcheck_bounded_tw_differential;
           QCheck_alcotest.to_alcotest qcheck_bounded_tw_sparse;
+        ] );
+      ( "symmetry",
+        [
+          Alcotest.test_case "pigeonhole decisions" `Quick test_lex_pigeonhole;
+          Alcotest.test_case "classes" `Quick test_lex_classes;
+          Alcotest.test_case "enumeration keeps every copy" `Quick
+            test_lex_enumeration;
+          QCheck_alcotest.to_alcotest qcheck_lex_planted;
         ] );
     ]

@@ -392,7 +392,7 @@ let test_interchangeable_classes () =
       ~tuples:[ ("E", [ [| 0; 1 |] ]) ]
   in
   let compiled = Engine.compile ~source ~target () in
-  match Encode.interchangeable_classes compiled with
+  match Engine.Compiled.interchangeable_classes compiled with
   | [| cls |] -> check "class of three" true (Array.length cls = 3)
   | other ->
     Alcotest.failf "expected one class, got %d" (Array.length other)
@@ -508,11 +508,39 @@ let test_plan_sat_route () =
   | _ -> ());
   (* explicit --backend sat forces the route, and the counter tracks it *)
   let before = counter_value "query.plan.sat" in
+  let solves = counter_value "csp.sat.solves" in
   check "forced route answers" true
     (Plan.certain ~backend:Backend.Sat triangle_cq k3 = `Exact true);
   Alcotest.(check int)
     "query.plan.sat counted" (before + 1)
-    (counter_value "query.plan.sat")
+    (counter_value "query.plan.sat");
+  check "forced route runs CDCL" true (counter_value "csp.sat.solves" > solves);
+  (* under auto the symmetric route is counted, but the engine answers
+     it: CDCL never runs *)
+  let before = counter_value "query.plan.sat" in
+  let solves = counter_value "csp.sat.solves" in
+  check "auto refutes K4 into K3" true
+    (Plan.certain ~backend:Backend.Auto (clique_cq 4) k3 = `Exact false);
+  let k4 =
+    Instance.of_list
+      [
+        ( "E",
+          List.concat_map
+            (fun a ->
+              List.filter_map
+                (fun b -> if a <> b then Some [ c a; c b ] else None)
+                [ 1; 2; 3; 4 ])
+            [ 1; 2; 3; 4 ] );
+      ]
+  in
+  check "auto finds K4 in K4" true
+    (Plan.certain ~backend:Backend.Auto (clique_cq 4) k4 = `Exact true);
+  Alcotest.(check int)
+    "query.plan.sat counted under auto" (before + 2)
+    (counter_value "query.plan.sat");
+  Alcotest.(check int)
+    "no CDCL solve under auto" solves
+    (counter_value "csp.sat.solves")
 
 (* --- golden CNFs and pinned search ---
 

@@ -1181,6 +1181,128 @@ let qcheck_target_changes_nothing =
             && answer_eq (served backend) (Server.Graded direct))
           [ Backend.Csp; Backend.Auto ])
 
+(* ---- the symmetric route's oracle ------------------------------------- *)
+
+(* The serve benchmark's symmetric keys, which [Auto] routes to
+   [Sat_backend] and answers with the engine's lex-leader search: the
+   served answer must equal CDCL's ([certain_cq_via_sat_b]) and the
+   reference core's, neither of which the serving path runs.  The
+   instances are the benchmark's draws, up to its constant offset. *)
+let splitmix s =
+  let s = ref (s land 0x3fffffffffffffff) in
+  fun bound ->
+    s := (!s + 0x1e3779b97f4a7c15) land 0x3fffffffffffffff;
+    let z = ref !s in
+    z := (!z lxor (!z lsr 30)) * 0x3f58476d1ce4e5b9 land 0x3fffffffffffffff;
+    z := (!z lxor (!z lsr 27)) * 0x14d049bb133111eb land 0x3fffffffffffffff;
+    z := !z lxor (!z lsr 31);
+    !z mod bound
+
+let render facts =
+  String.concat "; "
+    (List.map
+       (fun (rel, ts) ->
+         Printf.sprintf "%s(%s)" rel
+           (String.concat ","
+              (List.map
+                 (function `C c -> string_of_int c | `N k -> Printf.sprintf "_n%d" k)
+                 ts)))
+       facts)
+
+(* miss's "m": 20 constants, out-degree 4, ten edges into five nulls *)
+let miss_m =
+  let next = splitmix 0x3155 in
+  let edges =
+    List.concat_map
+      (fun a -> List.init 4 (fun _ -> ("R", [ `C (1 + a); `C (1 + next 20) ])))
+      (List.init 20 Fun.id)
+  in
+  let null_edges = List.init 10 (fun k -> ("R", [ `C (1 + next 20); `N (k mod 5) ])) in
+  render (edges @ null_edges)
+
+let k5 =
+  render
+    (List.concat_map
+       (fun a ->
+         List.filter_map
+           (fun b -> if a <> b then Some ("R", [ `C a; `C b ]) else None)
+           [ 1; 2; 3; 4; 5 ])
+       [ 1; 2; 3; 4; 5 ])
+
+(* churn's first version *)
+let churn_c =
+  let next = splitmix 0xc4a2 in
+  let v () = if next 10 < 8 then `C (1 + next 10) else `N (next 4) in
+  let base =
+    List.init 30 (fun _ -> ("A", [ v (); v () ]))
+    @ List.init 30 (fun _ -> ("B", [ v (); v () ]))
+    @ List.init 30 (fun _ -> ("C", [ v (); v (); v () ]))
+  in
+  render (("A", [ `C 20; `C 21 ]) :: base)
+
+let bclique_atoms ?(rel = "R") k =
+  List.concat_map
+    (fun i ->
+      List.filter_map
+        (fun j -> if i <> j then Some (rel, [ var i; var j ]) else None)
+        (List.init k Fun.id))
+    (List.init k Fun.id)
+
+let test_symmetric_keys_oracle () =
+  let module Backend = Certdb_sat.Backend in
+  let module Certain = Certdb_query.Certain in
+  let anchored ?(rel = "R") a atoms = (rel, [ Fo.Val (Value.int a); var 0 ]) :: atoms in
+  let cases =
+    List.map
+      (fun a -> ("m", Backend.Auto, Cq.boolean (anchored a (bclique_atoms 4))))
+      [ 2; 3; 4; 5; 6; 7 ]
+    @ List.map
+        (fun b -> ("k", b, Cq.boolean (bclique_atoms 6)))
+        [ Backend.Auto; Backend.Csp ]
+    @ List.map
+        (fun a ->
+          ( "c", Backend.Auto,
+            Cq.boolean (anchored ~rel:"A" a (bclique_atoms ~rel:"A" 4)) ))
+        [ 1; 2 ]
+  in
+  let s = Server.create ~config:(Server.Config.make ~cache_capacity:0 ()) () in
+  let dbs = [ ("m", miss_m); ("k", k5); ("c", churn_c) ] in
+  List.iter
+    (fun (name, source) ->
+      match Server.load s ~name ~source with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m)
+    dbs;
+  let verdict = function
+    | `True -> true
+    | `False -> false
+    | `Unknown _ -> Alcotest.fail "an unlimited oracle gave up"
+  in
+  let certain = ref 0 in
+  List.iter
+    (fun (db, backend, q) ->
+      let name = Format.asprintf "%s %s: %a" db (Backend.choice_to_string backend) Cq.pp q in
+      if backend = Backend.Auto then
+        (match (Plan.route_cq ~backend q).Plan.route with
+        | Plan.Sat_backend _ -> ()
+        | r -> Alcotest.failf "%s routed to %s" name (Plan.route_to_string r));
+      let d = Result.get_ok (Wire.parse_instance_result (List.assoc db dbs)) in
+      let sat = verdict (Certain.certain_cq_via_sat_b q d) in
+      let reference =
+        verdict (Certain.certain_cq_via_decider Certdb_csp.Decider.reference q d)
+      in
+      Alcotest.(check bool) (name ^ ": CDCL = reference") reference sat;
+      if sat then incr certain;
+      match Server.eval_query s ~db ~backend q with
+      | Ok (Server.Graded (`Exact b), _) ->
+        Alcotest.(check bool) (name ^ ": served = CDCL") sat b
+      | Ok _ -> Alcotest.failf "%s: not an exact answer" name
+      | Error m -> Alcotest.failf "%s: %s" name m)
+    cases;
+  (* both verdicts occur among the keys *)
+  check "some certain" true (!certain > 0);
+  check "some not certain" true (!certain < List.length cases)
+
 let () =
   Alcotest.run "service"
     [
@@ -1227,6 +1349,8 @@ let () =
             test_cancelled_certain_row;
           Alcotest.test_case "explain reports CDCL effort" `Quick
             test_explain_sat_effort;
+          Alcotest.test_case "symmetric keys match CDCL and the reference"
+            `Quick test_symmetric_keys_oracle;
           Alcotest.test_case "hit on renamed query" `Quick
             test_server_hit_on_renamed;
           Alcotest.test_case "no cache, no hits" `Quick
