@@ -34,7 +34,8 @@ let experiments =
     ("e17", "Prop. 3/9: ordering = homomorphism", E17_prop3.run);
     ("e18", "1990s lifts: nested relations vs XML", E18_nineties.run);
     ("e19", "Engine.Batch: domain-parallel hom-search throughput", E19_engine_batch.run);
-    ("e20", "Resilient: retry/escalation policies under starved budgets", E20_resilience.run);
+    ("e20", "Resilient: one attempt against the replay of a retry ladder",
+     E20_resilience.run);
     ("e21", "Planner: certificate-driven routing vs fixed strategies", E21_planner.run);
     ("e22", "Service: semantic cache on a Zipf-skewed replay", E22_service.run);
     ("e23", "Tracing: request-span overhead on the e22 replay", E23_tracing.run);

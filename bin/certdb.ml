@@ -179,45 +179,33 @@ let parse_cq s =
     Printf.eprintf "query parse error: %s\n" msg;
     exit 2
 
-(* shared retry/budget flags (certain, batch, serve) *)
+(* shared budget-multiplier flag (certain, batch, serve) *)
 let max_attempts_arg =
   Arg.(
     value & opt int 1
     & info [ "max-attempts" ] ~docv:"N"
         ~doc:
-          "Budgeted attempts per problem: an unknown outcome is retried \
-           with node/backtrack budgets multiplied by the --escalate factor \
-           each time.")
+          "Budget multiplier: the one budgeted attempt runs under the node \
+           and backtrack budgets x 4^(N-1), the total that N escalating \
+           attempts would buy.  The timeout is not scaled.")
 
-let escalate_arg =
-  Arg.(
-    value & opt float 4.0
-    & info [ "escalate" ] ~docv:"K"
-        ~doc:"Per-retry budget multiplier (attempt i runs under node and \
-              backtrack budgets x K^(i-1); the timeout is not scaled).")
-
-(* the one place the CLI builds a retry policy *)
-let policy_of_flags max_attempts escalate =
+(* the one place the CLI builds a budget policy *)
+let policy_of_flags max_attempts =
   if max_attempts < 1 then begin
     Printf.eprintf "--max-attempts must be >= 1\n";
     exit 2
   end;
-  if escalate < 1.0 then begin
-    Printf.eprintf "--escalate must be >= 1.0\n";
-    exit 2
-  end;
-  Certdb_csp.Resilient.Policy.make ~max_attempts ~escalation:escalate ()
+  Certdb_csp.Resilient.Policy.make ~max_attempts ()
 
 (* shared search budget flags (certain, serve) *)
 let limits_term =
   let serve = " For serve, the default for requests that set none." in
   let budget what =
     what
-    ^ " Attempt 1 of the retry ladder runs under it, and attempt i under \
-       it x K^(i-1) (see --escalate).  It counts the search's branching \
-       decisions, so it does not bound the acyclic and bounded-width \
-       routes, whose decisions the query's width bounds instead \
-       (--timeout-ms does)."
+    ^ " The search runs once, under it x 4^(N-1) for --max-attempts N.  It \
+       counts the search's branching decisions, so it does not bound the \
+       acyclic and bounded-width routes, whose decisions the query's \
+       width bounds instead (--timeout-ms does)."
     ^ serve
   in
   let nodes =
@@ -239,10 +227,9 @@ let limits_term =
       & opt (some float) None
       & info [ "timeout-ms" ] ~docv:"MS"
           ~doc:
-            ("Wall-clock budget: one deadline for the retry ladder, \
-              counted from its start.  Every attempt, and the SAT route's \
-              fallback, runs with the time left; once none is left, \
-              nothing more starts."
+            ("Wall-clock budget: one deadline for the search, counted \
+              from its start.  The SAT route's fallback runs with the \
+              time left; once none is left, it does not start."
             ^ serve))
   in
   Term.(
@@ -271,17 +258,17 @@ let backend_arg =
            over interchangeable nulls), or auto (route per instance on the \
            planner's certificates; every route runs the backtracking \
            search, which breaks the symmetry of interchangeable nulls \
-           itself).  Under sat, an exhausted ladder crosses to the CSP \
-           engine within the time left; the CSP ladder answers its lower \
-           bound directly.")
+           itself).  Under sat, a search that trips its budget crosses to \
+           the CSP engine within the time left; the CSP search answers its \
+           lower bound directly.")
 
 let certain_cmd =
-  let run query degrade explain backend limits max_attempts escalate d =
-    let policy = policy_of_flags max_attempts escalate in
+  let run query degrade explain backend limits max_attempts d =
+    let policy = policy_of_flags max_attempts in
     let d = parse_instance_arg d in
     let q = parse_cq query in
     (* --explain: root a trace around the evaluation and print its span
-       tree (route, rung, attempts, timings) as one JSON line on stderr,
+       tree (route, rung, timings) as one JSON line on stderr,
        leaving stdout untouched *)
     let code, tid =
       Trace.with_trace "certdb.certain" @@ fun tid ->
@@ -336,7 +323,7 @@ let certain_cmd =
       & info [ "degrade" ]
           ~doc:
             "Boolean query only: print the planner's graded answer, \
-             'exact: B' or, when every attempt tripped its budget or the \
+             'exact: B' or, when the search tripped its budget or the \
              deadline passed, 'lower-bound: false' (no witness within \
              budget); exit 1 unless it certifies truth.")
   in
@@ -345,8 +332,8 @@ let certain_cmd =
       value & flag
       & info [ "explain" ]
           ~doc:
-            "Print the request's trace summary (plan route, ladder rung, \
-             attempt count, span timings) as one JSON line on stderr.")
+            "Print the request's trace summary (plan route, resilient \
+             rung, span timings) as one JSON line on stderr.")
   in
   let d = instance_pos ~pos:0 ~doc:"Incomplete instance." in
   Cmd.v
@@ -357,7 +344,7 @@ let certain_cmd =
     (with_stats
        Term.(
          const run $ query $ degrade $ explain $ backend_arg
-         $ limits_term $ max_attempts_arg $ escalate_arg $ d))
+         $ limits_term $ max_attempts_arg $ d))
 
 (* chase *)
 let split_arrow s =
@@ -662,10 +649,10 @@ let tree_member_cmd =
    "node_budget", "backtrack_budget", "timeout_ms", and "backend" on
    certain lines.  Output is JSONL in input order regardless of --jobs,
    one of status sat / unsat / unknown / error.  leq and member run
-   under the retry ladder of --max-attempts / --escalate, and an unknown
+   once under the budgets scaled by --max-attempts, and an unknown
    carries the tripped limit as "reason".  A certain line must be
    Boolean and is decided by the planner, as certain and serve decide
-   it: an exhausted ladder's lower bound is "grade":"lower-bound", with
+   it: an exhausted search's lower bound is "grade":"lower-bound", with
    status sat when it certifies truth and unknown otherwise. *)
 module Json = Obs.Json
 module Engine = Certdb_csp.Engine
@@ -674,8 +661,8 @@ module Supervisor = Certdb_service.Supervisor
 module Client = Certdb_service.Client
 
 let batch_cmd =
-  let run jobs max_attempts escalate on_error backend file =
-    let policy = policy_of_flags max_attempts escalate in
+  let run jobs max_attempts on_error backend file =
+    let policy = policy_of_flags max_attempts in
     let cancel, failure_policy =
       match on_error with
       | `Continue -> (None, Engine.Batch.Continue)
@@ -776,7 +763,7 @@ let batch_cmd =
           domain pool; output is JSONL in input order.")
     (with_stats
        Term.(
-         const run $ jobs $ max_attempts_arg $ escalate_arg $ on_error
+         const run $ jobs $ max_attempts_arg $ on_error
          $ backend_arg $ file))
 
 (* serve: the long-running query server (lib/service).  JSONL over stdio
@@ -820,10 +807,10 @@ let start_metrics_writer ~path ~interval_ms =
 
 let serve_cmd =
   let run socket cache_capacity no_cache canon_budget jobs backend
-      max_attempts escalate default_limits slow_ms metrics_file
+      max_attempts default_limits slow_ms metrics_file
       metrics_interval_ms trace_buffer preload conns queue_capacity
       request_timeout_ms max_line_bytes backlog retry_after_ms =
-    let policy = policy_of_flags max_attempts escalate in
+    let policy = policy_of_flags max_attempts in
     Option.iter Trace.set_capacity trace_buffer;
     let config =
       Server.Config.make
@@ -1007,7 +994,7 @@ let serve_cmd =
     (with_stats
        Term.(
          const run $ socket $ cache_capacity $ no_cache $ canon_budget $ jobs
-         $ backend_arg $ max_attempts_arg $ escalate_arg $ limits_term
+         $ backend_arg $ max_attempts_arg $ limits_term
          $ slow_ms $ metrics_file $ metrics_interval_ms $ trace_buffer
          $ preload $ conns $ queue_capacity $ request_timeout_ms
          $ max_line_bytes $ backlog $ retry_after_ms))

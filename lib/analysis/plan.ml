@@ -1,8 +1,12 @@
 open Certdb_query
+module Value = Certdb_values.Value
+module Instance = Certdb_relational.Instance
+module Hom = Certdb_relational.Hom
 module Obs = Certdb_obs.Obs
 module Trace = Certdb_obs.Trace
 module Sat_choice = Certdb_sat.Backend
 module Decider = Certdb_csp.Decider
+module Engine = Certdb_csp.Engine
 
 let plan_naive = Obs.counter "query.plan.naive_eval"
 let plan_acyclic = Obs.counter "query.plan.acyclic_join"
@@ -59,45 +63,51 @@ let key_fd_for (q : Cq.t) fds =
         q.atoms)
     fds
 
-(* Largest class of query variables that are pairwise interchangeable:
-   swapping the two variables everywhere maps the atom multiset to
-   itself.  These are the interchangeable fresh nulls of the naïve
-   tableau — the permutation symmetry the SAT encoder breaks with
-   ordering clauses, and the thing chronological backtracking pays [k!]
-   for.  Classes are built greedily against a representative;
-   transpositions through a common element generate the symmetric
-   group, so membership is mutual. *)
-let largest_interchangeable_class (q : Cq.t) =
-  let vars =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun (a : Cq.atom) ->
-           List.filter_map
-             (function Fo.Var v -> Some v | Fo.Val _ -> None)
-             a.args)
-         q.atoms)
-  in
-  let canon swap =
-    List.sort compare
-      (List.map
-         (fun (a : Cq.atom) ->
-           ( a.rel,
-             List.map
-               (function Fo.Var v -> Fo.Var (swap v) | t -> t)
-               a.args ))
-         q.atoms)
-  in
-  let id = canon (fun v -> v) in
-  let swap_ok a b =
-    canon (fun v -> if v = a then b else if v = b then a else v) = id
-  in
-  let rec classes = function
-    | [] -> 0
-    | rep :: rest ->
-      let members, others = List.partition (swap_ok rep) rest in
-      max (1 + List.length members) (classes others)
-  in
-  classes vars
+(* Size of the largest class of pairwise-interchangeable query
+   variables (swapping two of them maps the query's atom set to itself):
+   0 without variables, 1 when no two are interchangeable.  These are the
+   interchangeable fresh nulls of the naïve tableau — the permutation
+   symmetry that the engine's lex-leader constraint and the SAT encoder's
+   ordering clauses break, and that chronological backtracking pays [k!]
+   for.  The classes are the engine's own, over the endomorphism problem
+   of the frozen tableau: the query's values are pinned, and each
+   variable is a null numbered past every null the query holds. *)
+let interchangeable_class_size (q : Cq.t) =
+  match Cq.vars q with
+  | [] -> 0
+  | vars ->
+    let fixed =
+      Value.Set.of_list
+        (List.concat_map
+           (fun (a : Cq.atom) ->
+             List.filter_map
+               (function Fo.Val v when Value.is_null v -> Some v | _ -> None)
+               a.args)
+           q.atoms)
+    in
+    let base =
+      Value.Set.fold
+        (fun v m -> match v with Value.Null i -> max i m | Value.Const _ -> m)
+        fixed 0
+    in
+    let frozen = Hashtbl.create 16 in
+    List.iteri
+      (fun i x -> Hashtbl.replace frozen x (Value.null (base + 1 + i)))
+      vars;
+    let value = function Fo.Val v -> v | Fo.Var x -> Hashtbl.find frozen x in
+    let e =
+      Hom.encode_endo ~fixed
+        (Instance.of_facts
+           (List.map
+              (fun (a : Cq.atom) -> Instance.fact a.rel (List.map value a.args))
+              q.atoms))
+    in
+    Array.fold_left
+      (fun m c -> max m (Array.length c))
+      1
+      (Engine.Compiled.interchangeable_classes
+         (Engine.compile ~restrict:e.restrict ~source:e.source
+            ~target:e.target ()))
 
 let route_cq ?(width_threshold = default_width_threshold) ?(fds = [])
     ?(backend = Sat_choice.Csp) (q : Cq.t) =
@@ -108,7 +118,7 @@ let route_cq ?(width_threshold = default_width_threshold) ?(fds = [])
       match backend with
       | Sat_choice.Sat ->
         (* explicit opt-in: the whole instance goes to the CDCL core *)
-        Sat_backend (largest_interchangeable_class q)
+        Sat_backend (interchangeable_class_size q)
       | Sat_choice.Csp | Sat_choice.Auto -> (
         match hg.certificate with
         | Acyclic _ -> Acyclic_join
@@ -126,7 +136,7 @@ let route_cq ?(width_threshold = default_width_threshold) ?(fds = [])
                  beats chronological backtracking *)
               let sym =
                 if backend = Sat_choice.Auto then
-                  largest_interchangeable_class q
+                  interchangeable_class_size q
                 else 0
               in
               if sym >= 3 && hg.atom_count >= hg.var_count then
@@ -145,11 +155,11 @@ let certain ?policy ?limits ?jobs:_ ?width_threshold ?fds ?backend ?target
   in
   count_route dec.route;
   (* the search routes differ only in the decider pair they hand the one
-     ladder; CDCL runs only when [~backend:Sat] asks for it, and crosses
+     resilient run; CDCL runs only when [~backend:Sat] asks for it, and crosses
      to the CSP engine on exhaustion, so it can never weaken an answer.
      Under [Auto] the symmetric route runs the engine, whose lex-leader
      constraint breaks the class's symmetry as the ordering clauses do *)
-  let ladder ?fallback decider =
+  let solve ?fallback decider =
     Certain.certain_cq_resilient ?policy ?limits ?fallback ?target decider q
       d
   in
@@ -160,11 +170,11 @@ let certain ?policy ?limits ?jobs:_ ?width_threshold ?fds ?backend ?target
     (fun () ->
       match dec.route with
       | Naive_eval -> assert false (* Boolean queries never route here *)
-      | Acyclic_join | Bounded_width _ -> ladder Decider.btw
-      | Components _ | Hom_ladder | Fd_naive _ -> ladder Decider.engine
+      | Acyclic_join | Bounded_width _ -> solve Decider.btw
+      | Components _ | Hom_ladder | Fd_naive _ -> solve Decider.engine
       | Sat_backend _ when backend = Some Sat_choice.Sat ->
-        ladder ~fallback:Decider.engine (Sat_choice.decider ())
-      | Sat_backend _ -> ladder Decider.engine)
+        solve ~fallback:Decider.engine (Sat_choice.decider ())
+      | Sat_backend _ -> solve Decider.engine)
 
 let certain_answers ?target u d =
   count_route Naive_eval;

@@ -13,18 +13,21 @@
       [O(bags · |adom|^(w+1))];
     - cyclic, wide, but ≥ 2 connected components in the atoms-share-a-
       variable graph → [Components c]: the component count is kept as
-      the route's certificate; evaluation runs the same decider and
-      ladder as [Hom_ladder], whose engine solves the components one at
+      the route's certificate; evaluation runs the same budgeted
+      decider as [Hom_ladder], whose engine solves the components one at
       a time ({!Certdb_csp.Engine.satisfiable});
     - cyclic, wide, but some query relation carries a {e certainly
       satisfied key FD} (checked by the caller with {!Fd.check} and
       passed via [?fds]) → [Fd_naive]: that relation is key-determined
       in every completion.  The FD is recorded as the route's
-      certificate; evaluation runs the same budgeted ladder as
+      certificate; evaluation runs the same budgeted search as
       [Hom_ladder];
     - under [~backend:Auto], cyclic + wide + dense (at least as many
       atoms as variables) + a class of ≥ 3 pairwise-interchangeable
-      variables → [Sat_backend k] (counted by [query.plan.sat]): the
+      variables (the largest class of
+      {!Certdb_csp.Engine.Compiled.interchangeable_classes} over the
+      endomorphism problem of the frozen tableau) → [Sat_backend k]
+      (counted by [query.plan.sat]): the
       certificate that the [k!] permutations of interchangeable fresh
       nulls dominate the search.  Under [Auto] the bitset engine
       answers it, whose lex-leader constraint along each class
@@ -32,11 +35,11 @@
       [~backend:Sat] forces this route for every Boolean query and runs
       it on {!Certdb_sat}'s CDCL core, whose ordering clauses do the
       same; the default [~backend:Csp] never picks it;
-    - everything else → [Hom_ladder]: the budgeted Prop. 2 hom check
-      under the {!Certdb_csp.Resilient} retry/escalation ladder.
+    - everything else → [Hom_ladder]: the budgeted Prop. 2 hom check,
+      run once by {!Certdb_csp.Resilient.run}.
 
     Routing never changes an answer, only its cost: every route decides
-    [D_Q ⊑ D] exactly (the ladder answers [`Lower_bound false] only when
+    [D_Q ⊑ D] exactly (the search answers [`Lower_bound false] only when
     limits are imposed and exhausted).  Chosen routes are counted
     by [query.plan.naive_eval] / [query.plan.acyclic_join] /
     [query.plan.bounded_width] / [query.plan.components] /
@@ -91,8 +94,9 @@ val route_cq :
     [~backend:Sat], [Sat_backend] runs the CDCL decider with the bitset
     engine as its fallback, so crossing solvers never weakens an answer.
     [jobs] is accepted and ignored: one request runs on one domain.
-    Every route keeps the ladder's one deadline, and an exhausted ladder
-    answers [`Lower_bound false].  Unlimited [limits] always yield
+    Every route runs one search (plus, under [~backend:Sat], the
+    fallback) under the budgets scaled by [policy] and the request's
+    one deadline, and an exhausted run answers [`Lower_bound false].  Unlimited [limits] always yield
     [`Exact].  [target], when given, is [d] prepared by
     {!Certdb_relational.Hom.target} (a server holds one per loaded
     database): every route searches onto it instead of onto a target

@@ -1,99 +1,98 @@
-(** Policy-driven resilience around budgeted search: retry and
-    escalation for [Unknown] outcomes.
+(** One budgeted attempt around a search, with an optional fallback
+    decider.
 
-    A budgeted search that trips a limit returns [Unknown r] — honest,
-    but terminal.  {!run} turns it into a {e ladder}, for any budgeted
-    procedure (a decider on an encoded hom instance, an ordering,
-    membership, certain answers):
+    A budgeted search that trips a limit returns [Unknown r]: honest,
+    but terminal.  {!run} runs a budgeted procedure (a decider on an
+    encoded hom instance, an ordering, membership, certain answers)
+    once, under the caller's limits scaled by the policy
+    ({!Policy.scale_limits}):
 
-    + {b budgeted search} — attempt 1 runs under the caller's limits;
-    + {b escalated retries} — on [Unknown], attempt [i] re-runs with
-      the node and backtrack budgets multiplied by
-      [escalation^(i-1)];
-    + {b cross-backend fallback} — when every attempt trips and a
-      [?fallback] was supplied (the CSP engine when CDCL was primary,
-      see [Certain.certain_cq_resilient]), it runs once under the fully
-      escalated budgets; a definitive answer gets rung
-      [Fallback name], an [Unknown] keeps the primary's outcome;
-    + {b exhausted} — otherwise the final [Unknown] is reported with
-      rung {!Exhausted}; domain layers (certain answers) turn it into a
+    + {b search} — the one attempt; a definitive answer gets rung
+      {!Search};
+    + {b cross-backend fallback} — when the attempt trips (and the
+      cancel token did not fire) and a [?fallback] was supplied (the
+      CSP engine when CDCL was primary, see
+      [Certain.certain_cq_resilient]), it runs once under the same
+      budgets; a definitive answer gets rung [Fallback name], an
+      [Unknown] keeps the primary's outcome;
+    + {b exhausted} — otherwise the [Unknown] is reported with rung
+      {!Exhausted}; domain layers (certain answers) turn it into a
       graded answer with {!graded}.
 
+    There is no retry.  Neither the engine nor CDCL is randomized, and a
+    search's path never reads its budget (budgets are only ticked), so a
+    definitive answer at budget [B] is the same answer at any [B' >= B]:
+    a second attempt under a larger budget would first replay the whole
+    first one.  One attempt at the larger budget settles the same cases
+    for less work.
+
     One deadline covers the whole run.  When [limits.timeout_ms] is set,
-    the deadline is fixed once, when the run starts: attempt 1 gets the
-    whole timeout, and every later attempt and the fallback run with
-    [timeout_ms] set to the time left.  Once no time is left, nothing
-    more starts, and the run ends [Unknown Deadline] on rung
-    {!Exhausted}.  Without a timeout the clock is never read.
+    the deadline is fixed once, when the run starts: the attempt gets
+    the whole timeout, and the fallback runs with [timeout_ms] set to
+    the time left.  Once no time is left the fallback does not start,
+    and the run ends [Unknown Deadline] on rung {!Exhausted}.  Without a
+    timeout the clock is never read.
 
-    Invariant (qcheck-checked in [test_resilient.ml]): no policy ever
-    converts a definitive [Sat]/[Unsat] into anything else — a
-    definitive outcome stops the ladder at once, and retries can only
-    turn [Unknown] into a definitive answer, never the reverse.
-
-    Cancellation is special-cased: a tripped {!Engine.Cancel.t} stays
-    tripped, so retrying after [Unknown Cancelled] would spin — the
-    ladder stops immediately instead. *)
+    Invariant (qcheck-checked in [test_resilient.ml]): a definitive
+    [Sat]/[Unsat] is never converted into anything else — the fallback
+    only runs on [Unknown]. *)
 
 module Policy : sig
   type t = {
-    max_attempts : int;  (** total budgeted attempts, [>= 1] *)
-    escalation : float;
-        (** per-retry budget multiplier ([>= 1.0]): attempt [i] runs
-            under [nodes × escalation^(i-1)] (likewise backtracks).  The
-            wall-clock deadline is {e not} scaled: every attempt shares
-            the run's one deadline, and the cancel token is shared too. *)
+    max_attempts : int;
+        (** the budget multiplier's exponent, [>= 1]: the one attempt
+            runs under [nodes × escalation^(max_attempts-1)] (likewise
+            backtracks), the budget the last attempt of a retry ladder
+            of [max_attempts] attempts would get.  The wall-clock
+            deadline is {e not} scaled. *)
+    escalation : float;  (** budget multiplier base, finite and [>= 1.0] *)
   }
 
-  (** Defaults: 3 attempts, ×4 escalation.
-      @raise Invalid_argument on [max_attempts < 1] or
-      [escalation < 1.0]. *)
+  (** Defaults: [max_attempts] 3, [escalation] 4.0 (budgets ×16).
+      @raise Invalid_argument on [max_attempts < 1], or on an
+      [escalation] below [1.0] or not finite. *)
   val make : ?max_attempts:int -> ?escalation:float -> unit -> t
 
   val default : t
 
-  (** One attempt: behaves exactly like the bare call. *)
+  (** [max_attempts] 1: behaves exactly like the bare call. *)
   val no_retry : t
+
+  (** [scale_limits p l] — the node and backtrack budgets {!run} gives
+      its attempt: each multiplied by [escalation^(max_attempts-1)],
+      rounded up, at least 1 and saturating at [max_int]; the identity
+      for [max_attempts = 1].  [timeout_ms] and [cancel] are left as
+      they are. *)
+  val scale_limits : t -> Engine.Limits.t -> Engine.Limits.t
 end
 
-(** Which rung of the ladder produced the outcome. *)
+(** Which rung produced the outcome. *)
 type rung =
-  | Search of int  (** settled by budgeted attempt [n] (1-based) *)
+  | Search  (** settled by the budgeted attempt *)
   | Fallback of string
-      (** every primary attempt tripped and the named fallback backend
-          settled it definitively *)
+      (** the attempt tripped and the named fallback backend settled it
+          definitively *)
   | Exhausted
-      (** every attempt tripped, the cancel token fired, or the run's
-          deadline passed; the outcome is the last [Unknown] *)
+      (** the attempt tripped and no fallback settled it, the cancel
+          token fired, or the run's deadline passed; the outcome is the
+          attempt's [Unknown] *)
 
 val rung_to_string : rung -> string
 
-type 'a run = {
-  outcome : 'a Engine.outcome;
-  attempts : int;  (** budgeted attempts actually started *)
-  rung : rung;
-}
+type 'a run = { outcome : 'a Engine.outcome; rung : rung }
 
-val decision : 'a run -> Engine.decision
+(** [run ?policy ?fallback ~limits f] calls [f] once on
+    [Policy.scale_limits policy limits].  [f] is responsible for
+    honouring the limits it is given.  Counted under
+    [csp.resilient.runs] and [csp.resilient.attempts] (one each per
+    run); an [Exhausted] run under [csp.resilient.exhausted].
 
-(** [scale_limits policy ~attempt l] — the node and backtrack budgets
-    attempt [attempt] (1-based) runs under; the identity for
-    [attempt <= 1].  [timeout_ms] and [cancel] are left as they are. *)
-val scale_limits : Policy.t -> attempt:int -> Engine.Limits.t -> Engine.Limits.t
-
-(** [run ?policy ?fallback ~limits f] — the retry ladder: attempt [i]
-    calls [f] on [scale_limits policy ~attempt:i limits], with
-    [timeout_ms] replaced by the time left before the run's deadline
-    from attempt 2 on.  [f] is responsible for honouring the limits it
-    is given.
-
-    [fallback] is [(name, call)]: when every attempt of [f] trips (and
-    the cancel token did not fire), [call] runs once under the fully
-    escalated budgets and the time left.  A definitive answer is
-    returned with rung [Fallback name]; an [Unknown] keeps [f]'s final
-    outcome.  The no-flip invariant is preserved by construction: the
-    fallback only ever runs on [Unknown].  Counted under
-    [csp.resilient.crossed] / [csp.resilient.crossed_recovered]. *)
+    [fallback] is [(name, call)]: when [f] returns an [Unknown] other
+    than [Cancelled] and time is left, [call] runs once under the same
+    budgets and the time left.  A definitive answer is returned with
+    rung [Fallback name]; an [Unknown] keeps [f]'s outcome.  Counted
+    under [csp.resilient.crossed] / [csp.resilient.crossed_recovered].
+    The rung is annotated on the enclosing trace span. *)
 val run :
   ?policy:Policy.t ->
   ?fallback:string * (Engine.Limits.t -> 'a Engine.outcome) ->
@@ -102,15 +101,15 @@ val run :
   'a run
 
 (** A graded certain answer: [`Exact b] settles the question,
-    [`Lower_bound b] is what a layer can still certify once every
-    attempt tripped. *)
+    [`Lower_bound b] is what a layer can still certify once the run
+    was exhausted. *)
 type graded = [ `Exact of bool | `Lower_bound of bool ]
 
-(** [graded ~exact ~degraded ~exhausted r] — the ladder run of a
-    certainty layer as a graded answer: [Sat] is [`Exact true] and
-    [Unsat] is [`Exact false], both counted on [exact]; an [Unknown]
-    counts on [degraded] and answers [exhausted ()], the layer's own
-    sound reading of "no verdict within budget". *)
+(** [graded ~exact ~degraded ~exhausted r] — the run of a certainty
+    layer as a graded answer: [Sat] is [`Exact true] and [Unsat] is
+    [`Exact false], both counted on [exact]; an [Unknown] counts on
+    [degraded] and answers [exhausted ()], the layer's own sound reading
+    of "no verdict within budget". *)
 val graded :
   exact:Certdb_obs.Obs.counter ->
   degraded:Certdb_obs.Obs.counter ->

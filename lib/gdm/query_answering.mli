@@ -44,9 +44,9 @@ val certain_existential_b :
 
     - existential positive [f]: [`Exact], by naïve evaluation (Theorem
       7(a) — exact, polynomial, no search to trip);
-    - existential [f]: the coNP image enumeration under the
-      retry/escalation ladder of {!Certdb_csp.Resilient}; if every
-      attempt trips, one cheap completion (all nulls fresh) is checked —
+    - existential [f]: the coNP image enumeration as one budgeted
+      {!Certdb_csp.Resilient.run}; if it trips, one cheap completion
+      (all nulls fresh) is checked —
       [f] false there is a sound refutation ([`Exact false]), otherwise
       nothing is certified ([`Lower_bound false]; a sentence with
       negation true on one completion says nothing about the rest);

@@ -236,12 +236,12 @@ let chrome evs =
    rendered as JSON numbers when they parse *)
 let headline_keys =
   [
-    "route"; "rung"; "attempts"; "cache"; "nodes"; "backtracks";
-    "sat_decisions"; "sat_conflicts";
+    "route"; "rung"; "cache"; "nodes"; "backtracks"; "sat_decisions";
+    "sat_conflicts";
   ]
 
 let numeric_keys =
-  [ "attempts"; "nodes"; "backtracks"; "sat_decisions"; "sat_conflicts" ]
+  [ "nodes"; "backtracks"; "sat_decisions"; "sat_conflicts" ]
 
 let summary ?root tid =
   let evs = by_start (events_of tid) in

@@ -117,8 +117,8 @@ val chrome : event list -> Json.t
 
 (** [summary ?root tid] is the [explain:true] object for trace [tid]:
     trace id, root span name, wall-clock, hoisted headline labels (route,
-    rung, attempts, cache, nodes, backtracks, sat_decisions,
-    sat_conflicts — taken from the first span carrying each), and the
+    rung, cache, nodes, backtracks, sat_decisions, sat_conflicts — taken
+    from the first span carrying each), and the
     span tree as a flat list with [parent] links and start offsets
     relative to the root.  [root] restricts to the
     subtree under that span id.  Call it {e after} the root span closed:

@@ -181,7 +181,7 @@ let certain_cq_resilient ?policy ?(limits = Engine.Limits.unlimited)
       decide decider ~limits inst)
   |> Resilient.graded ~exact:resilient_exact ~degraded:resilient_degraded
        ~exhausted:(fun () ->
-         (* by Prop. 2 any further evaluation would ask the ladder's own
+         (* by Prop. 2 any further evaluation would ask the search's own
             question with no budget left; a Boolean CQ's only positive
             certificate is a witness, so nothing sound is left to
             certify *)

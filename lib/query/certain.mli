@@ -129,24 +129,24 @@ val certain_cq_dimacs : ?symmetry:bool -> Cq.t -> Instance.t -> string
 
 (** [certain_cq_resilient ?policy ?limits ?fallback decider q d] —
     Boolean CQ certainty under a budget, as a graded answer.  The
-    instance is encoded once; [decider] then runs under the
-    retry/escalation ladder of {!Certdb_csp.Resilient.run}, which keeps
-    one deadline for every attempt, and when every attempt trips,
-    [fallback] (if any) runs once with the time left under the fully
-    escalated budgets (rung [fallback[<name>]]).  Crossing solvers never
-    flips a definitive answer: the fallback only runs on [Unknown].
+    instance is encoded once; [decider] then runs once under
+    {!Certdb_csp.Resilient.run}, with the budgets scaled by [policy],
+    and when it trips, [fallback] (if any) runs once under the same
+    budgets with the time left before the run's one deadline (rung
+    [fallback[<name>]]).  Crossing solvers never flips a definitive
+    answer: the fallback only runs on [Unknown].
     Which decider pair a query gets is the planner's job
     ([Certdb_analysis.Plan.certain]), the one caller outside tests.
     Results:
 
     - [`Exact b] — a decider settled it: [b] is the certain answer;
-    - [`Lower_bound false] — the ladder was exhausted: no witness was
+    - [`Lower_bound false] — the run was exhausted: no witness was
       found within the budget, and the query may or may not be certain.
-      Nothing runs after the ladder: by Prop. 2 any further evaluation
-      would ask the ladder's own question without a budget.
+      Nothing runs after it: by Prop. 2 any further evaluation would
+      ask the search's own question without a budget.
 
     Never returns an [`Unknown], and never lets an injected crash
-    ([Certdb_obs.Fault.Injected]) escape: a crashed attempt is an
+    ([Certdb_obs.Fault.Injected]) escape: a crashed search is an
     [Unknown] like any other.  [query.resilient.exact] /
     [query.resilient.degraded] count which grade was answered.
 

@@ -130,17 +130,18 @@ let lookup t db =
 
 (* [`Lower_bound] answers depend on the budget that produced them, so
    their cache key carries the budget; [`Exact] answers (and non-Boolean
-   answer sets, always exact by Theorem 4) are budget-independent. *)
-let limits_sig ?(backend = Sat_backend.Csp) (l : Engine.Limits.t)
-    (p : Resilient.Policy.t) =
+   answer sets, always exact by Theorem 4) are budget-independent.  The
+   key is the budget the search actually runs under, so two requests
+   that buy the same search share one lower bound. *)
+let limits_sig ?(backend = Sat_backend.Csp) l p =
+  let l = Resilient.Policy.scale_limits p l in
   let i = function None -> "-" | Some n -> string_of_int n in
   let f = function None -> "-" | Some x -> Printf.sprintf "%g" x in
   let base =
-    Printf.sprintf "b:%s,%s,%s;a:%d;e:%g" (i l.nodes) (i l.backtracks)
-      (f l.timeout_ms) p.Resilient.Policy.max_attempts
-      p.Resilient.Policy.escalation
+    Printf.sprintf "b:%s,%s,%s" (i l.Engine.Limits.nodes) (i l.backtracks)
+      (f l.timeout_ms)
   in
-  (* the default backend keeps its historical key; non-default backends
+  (* the default backend adds no suffix; non-default backends
      scope their lower bounds apart (an Exact answer is still shared —
      routing never changes answers, only whether a budget trips) *)
   match backend with

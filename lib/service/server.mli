@@ -49,8 +49,8 @@
     Every [query] runs under a request-rooted {!Certdb_obs.Trace} trace;
     a [batch] shares one trace across its worker-domain tasks.  With
     [explain:true] the response row gains a ["trace"] object — the
-    per-request span tree with the plan route, resilient-ladder rung and
-    attempt count, cache disposition ([hit]/[miss]/[bypass]/[off]) and
+    per-request span tree with the plan route, resilient rung
+    ([search]/[fallback[<name>]]/[exhausted]), cache disposition ([hit]/[miss]/[bypass]/[off]) and
     search effort (node/backtrack counter deltas, approximate when other
     requests compute concurrently).  Responses without [explain] are
     byte-identical to the pre-trace protocol.  The [trace] verb dumps
@@ -69,10 +69,11 @@
     answers (and non-Boolean answer sets) live under the plain key and
     are served to any request; a [`Lower_bound] produced under an
     exhausted budget is cached under a budget-scoped key and reused
-    only by requests imposing the same budget, so a degraded answer is
-    never served where a better one could be computed.  Engine
-    [Unknown] outcomes never reach this layer (the resilient ladder
-    grades them away) and are never cached.  Requests whose
+    only by requests whose search runs under the same budget (node and
+    backtrack budgets after {!Resilient.Policy.scale_limits}, and the
+    timeout), so a degraded answer is never served where a better one
+    could be computed.  Engine [Unknown] outcomes never reach this
+    layer (the resilient run grades them away) and are never cached.  Requests whose
     canonicalisation exceeds its node budget, or that set
     [no_cache:true], bypass the cache (counted).
 
@@ -96,7 +97,9 @@ module Config : sig
   type t = {
     cache_capacity : int;  (** [<= 0] disables the cache *)
     canon_budget : int;  (** {!Canon.cq_key} search budget *)
-    policy : Resilient.Policy.t;  (** default retry policy *)
+    policy : Resilient.Policy.t;
+        (** default budget policy; a request's [max_attempts] overrides
+            its [max_attempts] *)
     default_limits : Engine.Limits.t;
         (** per-request admission default; request fields override *)
     jobs : int;

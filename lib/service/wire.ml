@@ -288,7 +288,7 @@ let describe_exn = function
 (* batch tasks *)
 
 type work =
-  | Retried of
+  | Budgeted of
       Engine.Limits.t * (Engine.Limits.t -> (string * Json.t) list Engine.outcome)
   | Certain of {
       limits : Engine.Limits.t;
@@ -324,7 +324,7 @@ let parse_task ?cancel ?backend idx line =
         let* d1 = instance "d1" in
         let* d2 = instance "d2" in
         Ok
-          (Retried
+          (Budgeted
              ( limits,
                fun limits ->
                  match Hom.find_b ~limits d1 d2 with
@@ -342,7 +342,7 @@ let parse_task ?cancel ?backend idx line =
         let* d = instance "d" in
         let* r = instance "r" in
         Ok
-          (Retried
+          (Budgeted
              ( limits,
                fun limits ->
                  match Semantics.mem_b ~limits r d with
@@ -366,25 +366,18 @@ let run_task ~policy (idx, (id, op, work)) =
   let fields =
     match work with
     | Error msg -> error_fields msg
-    | Ok (Retried (limits, f)) -> (
-      match Resilient.run ~policy ~limits f with
-      | r ->
-        let base =
-          match r.Resilient.outcome with
-          | Engine.Sat extra -> status "sat" :: extra
-          | Engine.Unsat -> [ status "unsat" ]
-          | Engine.Unknown reason ->
-            [
-              status "unknown";
-              ("reason", Json.String (Engine.reason_to_string reason));
-            ]
-        in
-        if policy.Resilient.Policy.max_attempts > 1 then
-          base @ [ ("attempts", Json.Int r.Resilient.attempts) ]
-        else base
+    | Ok (Budgeted (limits, f)) -> (
+      match (Resilient.run ~policy ~limits f).Resilient.outcome with
+      | Engine.Sat extra -> status "sat" :: extra
+      | Engine.Unsat -> [ status "unsat" ]
+      | Engine.Unknown reason ->
+        [
+          status "unknown";
+          ("reason", Json.String (Engine.reason_to_string reason));
+        ]
       | exception e -> error_fields (describe_exn e))
     | Ok (Certain { limits; backend; q; d }) -> (
-      (* the planner's ladder is the only ladder: no outer retry *)
+      (* the planner runs the one resilient attempt: no outer one *)
       match Certdb_analysis.Plan.certain ~policy ~limits ~backend q d with
       | `Exact true -> [ status "sat" ]
       | `Exact false -> [ status "unsat" ]

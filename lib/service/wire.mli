@@ -76,7 +76,7 @@ val describe_exn : exn -> string
 (** {1 Batch tasks} *)
 
 (** A parsed batch line, ready to run: [leq] and [member] under the
-    {!Certdb_csp.Resilient} retry ladder, [certain] as one
+    one {!Certdb_csp.Resilient.run}, [certain] as one
     {!Certdb_analysis.Plan.certain} call. *)
 type work
 
@@ -100,9 +100,9 @@ val parse_task :
 (** [run_task ~policy (idx, task)] runs a parsed task and renders its
     response row.  [leq] / [member] run under {!Certdb_csp.Resilient.run}
     with [policy]: [status] ∈ [sat] / [unsat] / [unknown] (with the
-    tripped limit as [reason]), plus [attempts] when the policy retries.
-    [certain] goes through the planner exactly as [certdb serve] does,
-    with [policy] as its ladder's policy: [`Exact b] is [sat]/[unsat];
+    tripped limit as [reason]).  [certain] goes through the planner
+    exactly as [certdb serve] does, with [policy] as its resilient run's
+    policy: [`Exact b] is [sat]/[unsat];
     [`Lower_bound true] is [sat] and [`Lower_bound false] is [unknown],
     both with ["grade":"lower-bound"], except that a [`Lower_bound false]
     whose cancel token was tripped is [unknown] with

@@ -59,8 +59,8 @@ let leq_resilient ?policy ?(limits = Engine.Limits.unlimited) t t' =
   |> Resilient.graded ~exact:resilient_exact ~degraded:resilient_degraded
        ~exhausted:(fun () ->
          (* for tree hom existence the only positive certificate is a
-            witness, and the only negative one is exhaustion; once every
-            retry trips there is nothing sound left to certify *)
+            witness, and the only negative one is exhaustion; once the
+            search trips there is nothing sound left to certify *)
          `Lower_bound false)
 
 let mem_resilient ?policy ?limits t' t =

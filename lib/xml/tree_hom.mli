@@ -63,12 +63,11 @@ val mem : Tree.t -> Tree.t -> bool
 (** Budgeted membership. *)
 val mem_b : ?limits:Engine.Limits.t -> Tree.t -> Tree.t -> Engine.decision
 
-(** [leq_resilient ?policy ?limits t t'] — [⊑] under the
-    retry/escalation ladder of {!Resilient}, never [`Unknown]:
-    [`Exact b] when some attempt settled the search; [`Lower_bound
-    false] when every attempt tripped — for hom existence the only
-    positive certificate is a witness and the only negative one is
-    exhaustion, so an exhausted ladder certifies nothing (unlike the
+(** [leq_resilient ?policy ?limits t t'] — [⊑] as one budgeted
+    {!Resilient.run}, never [`Unknown]: [`Exact b] when the search
+    settled; [`Lower_bound false] when it tripped — for hom existence
+    the only positive certificate is a witness and the only negative
+    one is exhaustion, so an exhausted search certifies nothing (unlike the
     relational certain-answer case, where naïve evaluation supplies a
     sound [`Lower_bound true]). *)
 val leq_resilient :

@@ -375,6 +375,104 @@ let test_routes () =
     | Plan.Bounded_width 3 -> true
     | _ -> false)
 
+(* The list-based interchangeable-class detector the planner used
+   before it read the classes off the engine, kept as the oracle: the
+   largest class of query variables such that swapping two of them
+   maps the query's atom set to itself (0 without variables). *)
+let interchangeable_oracle (q : Cq.t) =
+  let atoms =
+    List.sort_uniq compare
+      (List.map (fun (a : Cq.atom) -> (a.rel, a.args)) q.atoms)
+  in
+  let vars =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun (_, args) ->
+           List.filter_map
+             (function Fo.Var v -> Some v | Fo.Val _ -> None)
+             args)
+         atoms)
+  in
+  let canon swap =
+    List.sort compare
+      (List.map
+         (fun (rel, args) ->
+           ( rel,
+             List.map (function Fo.Var v -> Fo.Var (swap v) | t -> t) args ))
+         atoms)
+  in
+  let swap_ok a b =
+    canon (fun v -> if v = a then b else if v = b then a else v) = atoms
+  in
+  let rec classes = function
+    | [] -> 0
+    | rep :: rest ->
+      let members, others = List.partition (swap_ok rep) rest in
+      max (1 + List.length members) (classes others)
+  in
+  classes vars
+
+(* symmetric blocks (a directed or undirected clique, optionally with a
+   unary atom on every member) beside random atoms over constants, a
+   query null and the same variables, so that classes of every size
+   occur and are broken by the extra atoms *)
+let symmetric_cq st =
+  let var i = Fo.Var (Printf.sprintf "x%d" i) in
+  let k = Random.State.int st 6 in
+  let directed = Random.State.bool st in
+  let block =
+    List.concat
+      (List.init k (fun i ->
+           List.filter_map
+             (fun j ->
+               if i <> j && (directed || i < j) then
+                 Some ("R", [ var i; var j ])
+               else None)
+             (List.init k Fun.id)))
+  in
+  let unary =
+    if Random.State.bool st then List.init k (fun i -> ("S", [ var i ]))
+    else []
+  in
+  let term () =
+    match Random.State.int st 8 with
+    | 0 -> Fo.Val (c 1)
+    | 1 -> Fo.Val (Value.null 9001)
+    | _ -> var (Random.State.int st 7)
+  in
+  let extra =
+    List.init (Random.State.int st 4) (fun _ ->
+        if Random.State.int st 3 = 0 then ("S", [ term () ])
+        else ("R", [ term (); term () ]))
+  in
+  Cq.boolean (block @ unary @ extra)
+
+let qcheck_interchangeable_class_matches_oracle =
+  QCheck.Test.make ~count:1000
+    ~name:"the planner's interchangeable class matches the list oracle"
+    (QCheck.make ~print:(Format.asprintf "%a" Cq.pp) symmetric_cq)
+    (fun q ->
+      let k = interchangeable_oracle q in
+      let route backend = (Plan.route_cq ~backend q).Plan.route in
+      (* under [sat] the route carries the class size *)
+      let sat_ok = route Certdb_sat.Backend.Sat = Plan.Sat_backend k in
+      (* under [auto] the class decides between the symmetric route and
+         the plain one the csp backend takes *)
+      let hg = Hypergraph.analyze q in
+      let auto_expected =
+        match route Certdb_sat.Backend.Csp with
+        | (Plan.Components _ | Plan.Hom_ladder)
+          when k >= 3 && hg.Hypergraph.atom_count >= hg.Hypergraph.var_count ->
+          Plan.Sat_backend k
+        | r -> r
+      in
+      if sat_ok && route Certdb_sat.Backend.Auto = auto_expected then true
+      else
+        QCheck.Test.fail_reportf "oracle class %d, sat route %s, auto route %s"
+          k
+          (Plan.route_to_string (route Certdb_sat.Backend.Sat))
+          (Plan.route_to_string (route Certdb_sat.Backend.Auto)))
+
 (* random Boolean CQs over a binary R, and random instances mixing
    constants with repeated nulls *)
 let random_cq st =
@@ -737,6 +835,8 @@ let () =
       ( "planner",
         [
           Alcotest.test_case "routes" `Quick test_routes;
+          QCheck_alcotest.to_alcotest
+            qcheck_interchangeable_class_matches_oracle;
           QCheck_alcotest.to_alcotest qcheck_planner_agrees_with_oracle;
           QCheck_alcotest.to_alcotest qcheck_btw_agrees_with_hom;
           QCheck_alcotest.to_alcotest qcheck_certain_matches_definition;

@@ -1,8 +1,8 @@
-(* Csp.Resilient: the retry/escalation ladder never corrupts definitive
-   answers, recovers from every Unknown reason it can (budget, crash),
-   stops where it must (cancel, the run's one deadline), and the graded
-   certain-answer layers built on it degrade soundly against the
-   unlimited oracles. *)
+(* Csp.Resilient: one budgeted attempt never corrupts definitive
+   answers, a larger budget never changes one, the fallback runs only
+   in the time left, the run stops where it must (cancel, the one
+   deadline), and the graded certain-answer layers built on it degrade
+   soundly against the unlimited oracles. *)
 
 open Certdb_csp
 open Certdb_values
@@ -28,22 +28,22 @@ let clique n =
   in
   Structure.make ~nodes ~tuples:[ ("E", edges) ]
 
-let random_structure seed =
+let random_digraph ?(max_nodes = 5) ?(p = 0.35) seed =
   let st = Random.State.make [| seed |] in
-  let n = 2 + Random.State.int st 4 in
+  let n = 2 + Random.State.int st (max_nodes - 1) in
   let nodes = List.init n (fun v -> (v, None)) in
   let edges = ref [] in
   for a = 0 to n - 1 do
     for b = 0 to n - 1 do
-      if Random.State.float st 1.0 < 0.35 then edges := [| a; b |] :: !edges
+      if Random.State.float st 1.0 < p then edges := [| a; b |] :: !edges
     done
   done;
   Structure.make ~nodes ~tuples:[ ("E", !edges) ]
 
-(* --- the ladder invariant: definitive answers agree with the naive
-   oracle under any (tight) budget and any escalation policy --- *)
+(* --- the invariant: definitive answers agree with the naive oracle
+   under any (tight) budget --- *)
 
-(* the bitset engine under the ladder, with a witness to verify *)
+(* the bitset engine under one resilient run, with a witness to verify *)
 let solve ?policy ?fallback ~limits ~source ~target () =
   Resilient.run ?policy ?fallback ~limits (fun limits ->
       Engine.solve ~config:(Engine.Config.make ~limits ()) ~source ~target ())
@@ -53,7 +53,7 @@ let qcheck_ladder_sound =
     ~name:"Resilient.run definitive answers agree with find_hom_naive"
     QCheck.(triple (int_range 0 5000) (int_range 0 5000) (int_range 1 8))
     (fun (s1, s2, nodes) ->
-      let source = random_structure s1 and target = random_structure s2 in
+      let source = random_digraph s1 and target = random_digraph s2 in
       let naive = Solver.find_hom_naive ~source ~target () in
       let r =
         solve ~limits:(Engine.Limits.make ~nodes ()) ~source ~target ()
@@ -64,42 +64,103 @@ let qcheck_ladder_sound =
       | Engine.Unsat -> Option.is_none naive
       | Engine.Unknown _ -> r.Resilient.rung = Resilient.Exhausted)
 
-(* --- one unit test per Unknown reason x ladder rung --- *)
+(* What one attempt rests on: a search's path never reads its budget, so
+   a definitive answer under node and backtrack budgets [b] is the same
+   answer under any [b' >= b], on every decider the planner runs. *)
+let deciders =
+  [ Decider.engine; Decider.btw; Certdb_sat.Backend.decider () ]
+
+let qcheck_budget_monotone =
+  let budget = QCheck.(pair (int_range 0 12) (int_range 0 12)) in
+  QCheck.Test.make ~count:500
+    ~name:"a definitive answer stands under any larger budget"
+    QCheck.(
+      quad (pair (int_range 0 100_000) (int_range 0 100_000)) budget
+        (pair (int_range 0 40) (int_range 0 40))
+        (int_range 0 2))
+    (fun ((s1, s2), (n, b), (dn, db), which) ->
+      let source = random_digraph ~max_nodes:8 ~p:0.5 s1
+      and target = random_digraph ~max_nodes:5 ~p:0.45 s2 in
+      let decider = List.nth deciders which in
+      let at nodes backtracks =
+        decider.Decider.satisfiable
+          (Engine.Config.make
+             ~limits:(Engine.Limits.make ~nodes ~backtracks ())
+             ())
+          source target
+      in
+      match at n b with
+      | Engine.Unknown _ -> true
+      | definitive -> (
+        match (definitive, at (n + dn) (b + db)) with
+        | Engine.Sat (), Engine.Sat () | Engine.Unsat, Engine.Unsat -> true
+        | _ ->
+          QCheck.Test.fail_reportf "%s changed its answer at (%d, %d)"
+            decider.Decider.name (n + dn) (b + db)))
+
+(* a saturated budget is the largest one: max_attempts 40 settles, with
+   the same answer, every instance that max_attempts 3 settles *)
+let test_saturated_budget_settles_more () =
+  let run max_attempts (source, target) =
+    (Resilient.run
+       ~policy:(Resilient.Policy.make ~max_attempts ())
+       ~limits:(Engine.Limits.make ~nodes:10 ~backtracks:10 ())
+       (fun limits ->
+         Decider.engine.satisfiable (Engine.Config.make ~limits ()) source
+           target))
+      .Resilient.outcome
+  in
+  List.iter
+    (fun seed ->
+      let pair =
+        ( random_digraph ~max_nodes:9 ~p:0.5 seed,
+          random_digraph ~max_nodes:6 ~p:0.3 (seed + 7919) )
+      in
+      match (run 3 pair, run 40 pair) with
+      | Engine.Unknown _, _ -> ()
+      | Engine.Sat (), Engine.Sat () | Engine.Unsat, Engine.Unsat -> ()
+      | _ -> Alcotest.failf "seed %d: max_attempts 40 lost an answer" seed)
+    (List.init 60 Fun.id)
+
+(* --- one unit test per Unknown reason x rung --- *)
 
 (* the triangle onto itself takes three decisions: a one-node budget
-   trips attempt 1, and x10 escalation recovers *)
+   trips the bare call, and the same budget x10^2 settles it in the one
+   attempt *)
 let test_recover_from_node_budget () =
+  let limits = Engine.Limits.make ~nodes:1 () in
+  check "the bare budget trips" true
+    ((solve ~policy:Resilient.Policy.no_retry ~limits ~source:triangle
+        ~target:triangle ())
+       .Resilient.outcome = Engine.Unknown Engine.Node_budget);
   let policy =
     Resilient.Policy.make ~max_attempts:3 ~escalation:10.0 ()
   in
-  let r =
-    solve ~policy ~limits:(Engine.Limits.make ~nodes:1 ()) ~source:triangle
-      ~target:triangle ()
-  in
+  let r = solve ~policy ~limits ~source:triangle ~target:triangle () in
   (match r.Resilient.outcome with
   | Engine.Sat h ->
     check "witness verifies" true
       (Engine.is_hom ~source:triangle ~target:triangle h)
-  | _ -> Alcotest.fail "expected Sat after escalation");
-  check "settled by a retry" true
-    (match r.Resilient.rung with Resilient.Search n -> n > 1 | _ -> false)
+  | _ -> Alcotest.fail "expected Sat under the scaled budget");
+  check "settled by the search" true (r.Resilient.rung = Resilient.Search)
 
-(* backtrack budget trips attempt 1 on an Unsat instance (K4 has no hom
-   into K3, and forward checking still meets dead ends refuting it);
-   escalation recovers the definitive Unsat *)
+(* a one-backtrack budget trips on an Unsat instance (K4 has no hom into
+   K3, and forward checking still meets dead ends refuting it); the
+   budget x50^3 settles the definitive Unsat in one attempt *)
 let test_recover_from_backtrack_budget () =
+  let limits = Engine.Limits.make ~backtracks:1 () in
+  check "the bare budget trips" true
+    ((solve ~policy:Resilient.Policy.no_retry ~limits ~source:(clique 4)
+        ~target:(clique 3) ())
+       .Resilient.rung = Resilient.Exhausted);
   let policy = Resilient.Policy.make ~max_attempts:4 ~escalation:50.0 () in
-  let r =
-    solve ~policy ~limits:(Engine.Limits.make ~backtracks:1 ())
-      ~source:(clique 4) ~target:(clique 3) ()
-  in
-  check "Unsat recovered" true (r.Resilient.outcome = Engine.Unsat);
-  check "by a retry" true
-    (match r.Resilient.rung with Resilient.Search n -> n > 1 | _ -> false)
+  let r = solve ~policy ~limits ~source:(clique 4) ~target:(clique 3) () in
+  check "Unsat settled" true (r.Resilient.outcome = Engine.Unsat);
+  check "by the search" true (r.Resilient.rung = Resilient.Search)
 
-(* A clock that only moves when an attempt says so: every attempt spends
-   [spend] ms and trips its node budget.  Records the timeout each
-   attempt and the fallback were handed. *)
+(* A clock that only moves when a call says so: the call spends [spend]
+   ms and trips its node budget.  Records the timeout each call was
+   handed. *)
 let with_fake_clock f =
   let now = ref 0. in
   Fun.protect
@@ -114,76 +175,67 @@ let spending now ~spend seen (l : Engine.Limits.t) =
   now := !now +. spend;
   Engine.Unknown Engine.Node_budget
 
-(* every later attempt and the fallback run with the time left before
-   the run's one deadline, never the full timeout again *)
-let test_attempts_share_one_deadline () =
+let attempts () = Obs.counter_value (Obs.counter "csp.resilient.attempts")
+
+(* the attempt gets the whole timeout, the fallback only the time left
+   before the run's one deadline *)
+let test_fallback_gets_time_left () =
   with_fake_clock @@ fun now ->
   let seen = ref [] and fallback_saw = ref [] in
-  let policy = Resilient.Policy.make ~max_attempts:3 () in
+  let before = attempts () in
   let r =
-    Resilient.run ~policy
+    Resilient.run
       ~fallback:("other", spending now ~spend:0. fallback_saw)
       ~limits:(Engine.Limits.make ~nodes:1 ~timeout_ms:100. ())
       (spending now ~spend:30. seen)
   in
   Alcotest.(check (list (option (float 1e-9))))
-    "attempts see 100, 70, 40 ms" [ Some 100.; Some 70.; Some 40. ]
-    (List.rev !seen);
+    "the attempt sees 100 ms" [ Some 100. ] !seen;
   Alcotest.(check (list (option (float 1e-9))))
-    "the fallback sees the last 10 ms" [ Some 10. ] !fallback_saw;
+    "the fallback sees the last 70 ms" [ Some 70. ] !fallback_saw;
+  Alcotest.(check int) "one attempt counted" 1 (attempts () - before);
   check "outcome keeps the primary's reason" true
     (r.Resilient.outcome = Engine.Unknown Engine.Node_budget);
   check "rung Exhausted" true (r.Resilient.rung = Resilient.Exhausted)
 
-(* once no time is left nothing more starts: neither a retry nor the
-   fallback, and the run reports the deadline *)
+(* once no time is left the fallback does not start, and the run
+   reports the deadline *)
 let test_deadline_exhausts () =
   with_fake_clock @@ fun now ->
   let seen = ref [] and fallback_saw = ref [] in
-  let policy = Resilient.Policy.make ~max_attempts:3 () in
   let r =
-    Resilient.run ~policy
+    Resilient.run
       ~fallback:("other", spending now ~spend:0. fallback_saw)
       ~limits:(Engine.Limits.make ~timeout_ms:100. ())
-      (spending now ~spend:60. seen)
+      (spending now ~spend:100. seen)
   in
   check "outcome is Unknown Deadline" true
     (r.Resilient.outcome = Engine.Unknown Engine.Deadline);
   check "rung Exhausted" true (r.Resilient.rung = Resilient.Exhausted);
-  Alcotest.(check int) "two attempts started" 2 r.Resilient.attempts;
+  Alcotest.(check int) "one attempt started" 1 (List.length !seen);
   Alcotest.(check int) "fallback never started" 0 (List.length !fallback_saw)
 
-(* a tripped cancel token stays tripped: no retry, Exhausted at once *)
+(* a tripped cancel token stays tripped: no fallback, Exhausted at once *)
 let test_cancelled_never_retries () =
   let cancel = Engine.Cancel.create () in
   Engine.Cancel.cancel cancel;
-  let policy = Resilient.Policy.make ~max_attempts:5 () in
+  let fallback_ran = ref false in
   let r =
-    solve ~policy ~limits:(Engine.Limits.make ~cancel ()) ~source:triangle
+    solve
+      ~fallback:
+        ( "other",
+          fun _ ->
+            fallback_ran := true;
+            Engine.Unsat )
+      ~limits:(Engine.Limits.make ~cancel ()) ~source:triangle
       ~target:triangle ()
   in
   check "outcome is Unknown Cancelled" true
     (r.Resilient.outcome = Engine.Unknown Engine.Cancelled);
   check "rung Exhausted" true (r.Resilient.rung = Resilient.Exhausted);
-  Alcotest.(check int) "exactly one attempt" 1 r.Resilient.attempts
+  check "fallback never started" false !fallback_ran
 
-(* a one-shot injected crash on the first search node is absorbed by the
-   retry rung *)
-let test_recover_from_injected_crash () =
-  Fault.with_armed [ ("csp.search.node", Fault.Nth 1) ] @@ fun () ->
-  let r =
-    solve ~limits:Engine.Limits.unlimited ~source:triangle ~target:triangle ()
-  in
-  (match r.Resilient.outcome with
-  | Engine.Sat h ->
-    check "witness verifies" true
-      (Engine.is_hom ~source:triangle ~target:triangle h)
-  | _ -> Alcotest.fail "expected Sat on the retry");
-  check "settled by attempt 2" true
-    (r.Resilient.rung = Resilient.Search 2);
-  Alcotest.(check int) "two attempts" 2 r.Resilient.attempts
-
-(* a permanent crash (every hit) exhausts the ladder with Crashed *)
+(* a permanent crash (every hit) exhausts the run with Crashed *)
 let test_permanent_crash_exhausts () =
   Fault.with_armed [ ("csp.search.node", Fault.Every 1) ] @@ fun () ->
   let policy = Resilient.Policy.make ~max_attempts:2 () in
@@ -196,15 +248,39 @@ let test_permanent_crash_exhausts () =
   check "rung Exhausted" true (r.Resilient.rung = Resilient.Exhausted)
 
 let test_scale_limits () =
-  let policy = Resilient.Policy.make ~escalation:4.0 () in
+  let scaled ?escalation max_attempts l =
+    Resilient.Policy.scale_limits
+      (Resilient.Policy.make ~max_attempts ?escalation ())
+      l
+  in
   let l = Engine.Limits.make ~nodes:10 ~backtracks:3 ~timeout_ms:50. () in
-  let l1 = Resilient.scale_limits policy ~attempt:1 l in
-  Alcotest.(check (option int)) "attempt 1 identity" (Some 10) l1.Engine.Limits.nodes;
-  let l3 = Resilient.scale_limits policy ~attempt:3 l in
-  Alcotest.(check (option int)) "nodes x16" (Some 160) l3.Engine.Limits.nodes;
-  Alcotest.(check (option int)) "backtracks x16" (Some 48) l3.Engine.Limits.backtracks;
-  check "timeout left to the ladder's deadline" true
-    (l3.Engine.Limits.timeout_ms = Some 50.)
+  let nodes l = l.Engine.Limits.nodes in
+  Alcotest.(check (option int)) "one attempt: identity" (Some 10)
+    (nodes (scaled 1 l));
+  let l3 = scaled 3 l in
+  Alcotest.(check (option int)) "nodes x16" (Some 160) (nodes l3);
+  Alcotest.(check (option int)) "backtracks x16" (Some 48)
+    l3.Engine.Limits.backtracks;
+  check "timeout not scaled" true (l3.Engine.Limits.timeout_ms = Some 50.);
+  Alcotest.(check (option int)) "a zero budget scales to 1" (Some 1)
+    (nodes (scaled 2 (Engine.Limits.make ~nodes:0 ())));
+  Alcotest.(check (option int)) "x4^29 still fits" (Some (10 * (1 lsl 58)))
+    (nodes (scaled 30 l));
+  List.iter
+    (fun n ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "max_attempts %d saturates" n)
+        (Some max_int)
+        (nodes (scaled n l)))
+    [ 31; 32; 40; 600 ];
+  Alcotest.(check (option int)) "an unlimited budget stays unlimited" None
+    (nodes (scaled 40 Engine.Limits.unlimited));
+  List.iter
+    (fun e ->
+      match Resilient.Policy.make ~escalation:e () with
+      | _ -> Alcotest.failf "escalation %g must be rejected" e
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; 0.5 ]
 
 (* --- graded certain answers: relational, gdm, xml --- *)
 
@@ -425,6 +501,9 @@ let () =
       ( "invariant",
         [
           QCheck_alcotest.to_alcotest qcheck_ladder_sound;
+          QCheck_alcotest.to_alcotest qcheck_budget_monotone;
+          Alcotest.test_case "saturated budget settles more" `Quick
+            test_saturated_budget_settles_more;
         ] );
       ( "rungs",
         [
@@ -432,13 +511,11 @@ let () =
             test_recover_from_node_budget;
           Alcotest.test_case "backtrack budget recovered" `Quick
             test_recover_from_backtrack_budget;
-          Alcotest.test_case "attempts share one deadline" `Quick
-            test_attempts_share_one_deadline;
+          Alcotest.test_case "fallback gets the time left" `Quick
+            test_fallback_gets_time_left;
           Alcotest.test_case "deadline exhausts" `Quick test_deadline_exhausts;
           Alcotest.test_case "cancelled never retries" `Quick
             test_cancelled_never_retries;
-          Alcotest.test_case "injected crash recovered" `Quick
-            test_recover_from_injected_crash;
           Alcotest.test_case "permanent crash exhausts" `Quick
             test_permanent_crash_exhausts;
           Alcotest.test_case "scale_limits" `Quick test_scale_limits;

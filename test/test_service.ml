@@ -843,6 +843,35 @@ let test_server_constants_apart () =
   check "Int 5 no longer certain" true
     (fst (query "ans() :- R(5)") = Some (Json.Bool false))
 
+(* a lower bound is keyed on the budget its search ran under: node
+   budget 16 at one attempt and node budget 1 at max_attempts 3 (x4^2)
+   buy the same search, so the second request hits the first's entry;
+   refuting the 6-clique over K5 takes more than 16 decisions, so both
+   trip *)
+let test_server_lower_bound_keyed_on_scaled_budget () =
+  let s = Server.create ~config:(Server.Config.make ()) () in
+  (match Server.load s ~name:"k5" ~source:(complete_graph_text 5) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  let q = Result.get_ok (Wire.parse_cq_result ("ans() :- " ^ clique_text 6)) in
+  let ask ~nodes ~max_attempts =
+    match
+      Server.eval_query s ~db:"k5" ~max_attempts
+        ~limits:(Engine.Limits.make ~nodes ())
+        q
+    with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  let a1, hit1 = ask ~nodes:16 ~max_attempts:1 in
+  check "starved: lower bound" true (answer_eq a1 (Server.Graded (`Lower_bound false)));
+  check "first request computes" false hit1;
+  let a2, hit2 = ask ~nodes:1 ~max_attempts:3 in
+  check "same scaled budget: same entry" true hit2;
+  check "same answer" true (answer_eq a1 a2);
+  let _, hit3 = ask ~nodes:1 ~max_attempts:2 in
+  check "a smaller scaled budget computes afresh" false hit3
+
 let test_server_no_cache_never_hits () =
   let s = mk_server ~cache:false () in
   let q = Cq.boolean [ ("S", [ var 0 ]) ] in
@@ -1353,6 +1382,8 @@ let () =
             `Quick test_symmetric_keys_oracle;
           Alcotest.test_case "hit on renamed query" `Quick
             test_server_hit_on_renamed;
+          Alcotest.test_case "lower bound keyed on the scaled budget" `Quick
+            test_server_lower_bound_keyed_on_scaled_budget;
           Alcotest.test_case "no cache, no hits" `Quick
             test_server_no_cache_never_hits;
           Alcotest.test_case "constants of two types never share a line"
