@@ -12,6 +12,7 @@ open Certdb_values
 open Certdb_query
 module Instance = Certdb_relational.Instance
 module Plan = Certdb_analysis.Plan
+module Hypergraph = Certdb_analysis.Hypergraph
 module Obs = Certdb_obs.Obs
 
 let v x = Fo.Var x
@@ -185,6 +186,80 @@ let btw_vs_engine () =
   if !agreed <> 3 then
     failwith "E21: the bounded-width search contradicted the bitset engine"
 
+(* The analysis the planner runs on every Boolean query it routes: one
+   key of each of the serve benchmark's six miss families (bclique-4
+   under auto, as served), and one and four bidirectional 10-cliques.
+   Minor words allocated per [Plan.route_cq] over the set is a
+   deterministic gauge CI bounds; the times are reported only. *)
+let analysis_queries =
+  let x = var and r a b = ("R", [ var a; var b ]) in
+  let pairs k f =
+    List.concat_map
+      (fun a -> List.filter_map (fun b -> f a b) (List.init k Fun.id))
+      (List.init k Fun.id)
+  in
+  let path k = List.init k (fun i -> r i (i + 1)) in
+  let cycle ?(base = 0) k = List.init k (fun i -> r (base + i) (base + ((i + 1) mod k))) in
+  let tclique k = pairs k (fun a b -> if a < b then Some (r a b) else None) in
+  let bclique ?(base = 0) k =
+    pairs k (fun a b -> if a <> b then Some (r (base + a) (base + b)) else None)
+  in
+  let anchored ?(head = []) atoms =
+    Cq.make ~head (("R", [ Fo.Val (Value.int 1); x 0 ]) :: atoms)
+  in
+  let auto = Some Certdb_sat.Backend.Auto in
+  let cliques copies =
+    Cq.boolean (List.concat_map (fun c -> bclique ~base:(10 * c) 10) copies)
+  in
+  [
+    ("path-4", anchored (path 4), None);
+    ("cycle-5", anchored (cycle 5), None);
+    ("tclique-4", anchored (tclique 4), None);
+    ("tclique-4+cycle-3", anchored (tclique 4 @ cycle ~base:4 3), None);
+    ("bclique-4", anchored (bclique 4), auto);
+    ("answers-2loop", anchored ~head:[ "x0" ] [ r 0 1; r 1 0 ], None);
+    ("bclique-10", cliques [ 0 ], None);
+    ("bclique-10 x4", cliques [ 0; 1; 2; 3 ], None);
+  ]
+
+let analysis_cost () =
+  Bench_util.subsection "query analysis: Hypergraph.analyze and Plan.route_cq";
+  Bench_util.row "%-20s %-14s %-14s %-12s" "query" "analyze(us)" "route_cq(us)"
+    "minor words";
+  let best_us reps f =
+    let best = ref infinity in
+    for _ = 1 to 5 do
+      let _, ms =
+        Bench_util.time_ms (fun () ->
+            for _ = 1 to reps do
+              ignore (Sys.opaque_identity (f ()))
+            done)
+      in
+      best := Float.min !best (1000. *. ms /. float_of_int reps)
+    done;
+    !best
+  in
+  let route (_, q, backend) = Plan.route_cq ?backend q in
+  (* one warm-up pass, so that first-use tables are not counted *)
+  List.iter (fun e -> ignore (route e)) analysis_queries;
+  let total = ref 0. in
+  List.iter
+    (fun ((name, q, _) as e) ->
+      let w0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (route e));
+      let words = Gc.minor_words () -. w0 in
+      total := !total +. words;
+      let reps = if List.length q.Cq.atoms < 50 then 400 else 20 in
+      Bench_util.row "%-20s %-14.2f %-14.2f %-12.0f" name
+        (best_us reps (fun () -> Hypergraph.analyze q))
+        (best_us reps (fun () -> route e))
+        words)
+    analysis_queries;
+  let per_query = !total /. float_of_int (List.length analysis_queries) in
+  Bench_util.row "minor words per route_cq: %.0f" per_query;
+  Obs.set_int (Obs.gauge "bench.analysis.words_per_query")
+    (int_of_float (Float.round per_query))
+
 let run () =
   Bench_util.banner
     "E21  Planner: certificate-driven routing vs fixed strategies";
@@ -221,7 +296,8 @@ let run () =
       Bench_util.row "  %-28s %d" name
         (Obs.counter_value (Obs.counter ("query.plan." ^ name))))
     [ "naive_eval"; "acyclic_join"; "bounded_width"; "hom_ladder" ];
-  btw_vs_engine ()
+  btw_vs_engine ();
+  analysis_cost ()
 
 let micro () =
   let ds = instances 8 in

@@ -70,8 +70,9 @@ let key_fd_for (q : Cq.t) fds =
    symmetry that the engine's lex-leader constraint and the SAT encoder's
    ordering clauses break, and that chronological backtracking pays [k!]
    for.  The classes are the engine's own, over the endomorphism problem
-   of the frozen tableau: the query's values are pinned, and each
-   variable is a null numbered past every null the query holds. *)
+   of the frozen tableau (read off its source side alone): the query's
+   values are pinned, and each variable is a null numbered past every
+   null the query holds. *)
 let interchangeable_class_size (q : Cq.t) =
   match Cq.vars q with
   | [] -> 0
@@ -105,9 +106,8 @@ let interchangeable_class_size (q : Cq.t) =
     Array.fold_left
       (fun m c -> max m (Array.length c))
       1
-      (Engine.Compiled.interchangeable_classes
-         (Engine.compile ~restrict:e.restrict ~source:e.source
-            ~target:e.target ()))
+      (Engine.Compiled.endo_interchangeable_classes ~restrict:e.restrict
+         e.source)
 
 let route_cq ?(width_threshold = default_width_threshold) ?(fds = [])
     ?(backend = Sat_choice.Csp) (q : Cq.t) =

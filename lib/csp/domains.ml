@@ -67,9 +67,15 @@ module Bitset = struct
 
   let mem (a : bs) i = a.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
 
+  (* SWAR over the two 32-bit halves of the 63-bit word *)
   let popcount_word w =
-    let rec go n w = if w = 0 then n else go (n + 1) (w land (w - 1)) in
-    go 0 w
+    let half y =
+      let y = y - ((y lsr 1) land 0x55555555) in
+      let y = (y land 0x33333333) + ((y lsr 2) land 0x33333333) in
+      let y = (y + (y lsr 4)) land 0x0f0f0f0f in
+      ((y * 0x01010101) lsr 24) land 0xff
+    in
+    half (w land 0xffffffff) + half (w lsr 32)
 
   let count (a : bs) =
     let n = ref 0 in

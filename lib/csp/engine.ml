@@ -438,10 +438,11 @@ module Compiled = struct
      that agree on it and on their label meet a swap test.  The test
      looks each swapped fact up in the source's per-position index, so
      an instance without symmetry builds no table.  Classes grow
-     greedily from their smallest member, as transpositions with it. *)
-  let interchangeable_classes c =
-    let src = c.csrc in
-    let n = c.nvars in
+     greedily from their smallest member, as transpositions with it.
+     [same_init a b] compares the initial rows of two variables of one
+     label. *)
+  let classes ~same_init (src : Structure.columnar) =
+    let n = Array.length src.Structure.node_ids in
     let occ = Array.make (max 1 n) 0 in
     Array.iteri
       (fun ri (cr : Structure.crel) ->
@@ -480,7 +481,7 @@ module Compiled = struct
       !found
     in
     let swap_ok a b =
-      c.init.(a) = c.init.(b)
+      same_init a b
       && Array.for_all
            (fun (cr : Structure.crel) ->
              Array.for_all
@@ -518,6 +519,35 @@ module Compiled = struct
     let classes = Array.of_list !classes in
     Array.sort (fun a b -> Int.compare a.(0) b.(0)) classes;
     classes
+
+  let interchangeable_classes c =
+    classes ~same_init:(fun a b -> c.init.(a) = c.init.(b)) c.csrc
+
+  (* Source and target are one structure, so the initial row of [v] is
+     the nodes of its label, cut down to its restriction when it has
+     one: the target half of the compiled instance is never built *)
+  let endo_interchangeable_classes ?restrict s =
+    let src = Structure.columnar s in
+    let label = src.Structure.node_labels in
+    let row v =
+      match restrict with
+      | None -> None
+      | Some r ->
+        Option.map
+          (Int_set.filter (fun w ->
+               match Hashtbl.find_opt src.Structure.dense_of w with
+               | Some d -> label.(d) = label.(v)
+               | None -> false))
+          (Domains.find r src.Structure.node_ids.(v))
+    in
+    let label_size l =
+      Array.fold_left (fun k l' -> if l' = l then k + 1 else k) 0 label
+    in
+    classes src ~same_init:(fun a b ->
+        match (row a, row b) with
+        | None, None -> true
+        | Some x, Some y -> Int_set.equal x y
+        | Some x, None | None, Some x -> Int_set.cardinal x = label_size label.(a))
 end
 
 (* {1 Clusters}

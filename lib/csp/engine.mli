@@ -236,6 +236,15 @@ module Compiled : sig
       occurrence counts at every (relation, position) meet a swap
       test. *)
   val interchangeable_classes : t -> int array array
+
+  (** [endo_interchangeable_classes ?restrict s] — the classes
+      {!interchangeable_classes} finds in
+      [make ?restrict ~source:s ~target:s ()], read off [s] alone: in an
+      endomorphism problem the initial row of a variable is the nodes of
+      its label, cut down to its restriction, so the target half of the
+      compiled instance is never built. *)
+  val endo_interchangeable_classes :
+    ?restrict:Domains.t -> Structure.t -> int array array
 end
 
 val compile :

@@ -1,5 +1,7 @@
 (** Tree decompositions of the Gaifman graph of a structure, built from
-    elimination orders (min-degree / min-fill heuristics).  Theorem 6
+    elimination orders (min-degree / min-fill heuristics, run on dense
+    adjacency rows: one bitset per node, degree and fill-in by popcount;
+    among nodes of least cost the lowest node id goes first).  Theorem 6
     evaluates Codd membership in polynomial time when the structural part
     has bounded treewidth; the decompositions produced here drive the
     engine's bounded-width search ({!Engine.Config.t}). *)
@@ -22,7 +24,10 @@ val is_valid : Structure.t -> t -> bool
 val of_structure : ?heuristic:[ `Min_degree | `Min_fill ] -> Structure.t -> t
 
 (** [of_elimination_order s order] builds the decomposition induced by an
-    explicit elimination order (fill-in construction). *)
+    explicit elimination order (fill-in construction): bag [i] is the
+    [i]-th node of [order] with its neighbors at its elimination, and its
+    parent is the bag of the earliest-eliminated of its later nodes.
+    @raise Invalid_argument when a bag holds a node [order] omits. *)
 val of_elimination_order : Structure.t -> int list -> t
 
 (** [estimate s] runs both heuristics and returns the narrower
@@ -31,6 +36,11 @@ val of_elimination_order : Structure.t -> int list -> t
     the width, so spending two heuristic passes before it is always
     worth it). *)
 val estimate : Structure.t -> t * int
+
+(** [estimate_width n edges] — [snd (estimate s)] for the structure [s]
+    on nodes [0 .. n-1] whose tuples are [edges], computed straight from
+    the node ids: relation names play no part in the Gaifman graph. *)
+val estimate_width : int -> int array array -> int
 
 (** [exact s] — an optimal-width decomposition by branch-and-bound over
     elimination orders.  Exponential; intended for ≤ 10 nodes (validates

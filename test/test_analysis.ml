@@ -263,6 +263,82 @@ let qcheck_gyo_matches_oracle =
         residual = r'
       | _ -> false)
 
+(* The width estimate, component count and sizes [Hypergraph.analyze]
+   computed before it interned the variables once: a structure over the
+   variables' sorted-name ranks for [Treewidth.estimate], and variable
+   sets merged to a fixpoint for the components; kept as the oracle. *)
+let analyze_oracle (q : Cq.t) =
+  let edges =
+    List.filter (fun (_, vs) -> not (S.is_empty vs)) (edges_of_cq q)
+  in
+  let vars = List.fold_left (fun acc (_, vs) -> S.union acc vs) S.empty edges in
+  let width =
+    if S.is_empty vars then 0
+    else begin
+      let ids = Hashtbl.create 16 in
+      List.iteri (fun i x -> Hashtbl.replace ids x i) (S.elements vars);
+      let structure =
+        Certdb_csp.Structure.make ~nodes:[]
+          ~tuples:
+            (List.map
+               (fun (i, vs) ->
+                 ( (List.nth q.Cq.atoms i).Cq.rel,
+                   [ Array.of_list (List.map (Hashtbl.find ids) (S.elements vs)) ] ))
+               edges)
+      in
+      max 0 (snd (Certdb_csp.Treewidth.estimate structure))
+    end
+  in
+  let merge gs vs =
+    let touching, rest =
+      List.partition (fun g -> not (S.is_empty (S.inter g vs))) gs
+    in
+    List.fold_left S.union vs touching :: rest
+  in
+  let rec settle gs =
+    let merged = List.fold_left merge [] gs in
+    if List.length merged = List.length gs then merged else settle merged
+  in
+  let components =
+    List.length (settle (List.fold_left (fun gs (_, vs) -> merge gs vs) [] edges))
+  in
+  (List.length q.Cq.atoms, S.cardinal vars, width, components)
+
+(* wider hypergraphs than the GYO oracle's: up to 14 variables over
+   relations of arity 0-4, so that widths past 2 and several components
+   occur *)
+let gen_wide_cq =
+  QCheck.Gen.(
+    int_range 1 14 >>= fun nv ->
+    list_size (int_range 0 18)
+      (pair (int_range 0 2)
+         (list_size (int_range 0 4)
+            (frequency
+               [
+                 (8, map (fun i -> v (Printf.sprintf "v%d" i)) (int_range 0 (nv - 1)));
+                 (1, return (Fo.Val (c 0)));
+               ])))
+    >|= fun atoms ->
+    Cq.boolean (List.map (fun (r, args) -> (Printf.sprintf "R%d" r, args)) atoms))
+
+let qcheck_analyze_matches_oracle =
+  QCheck.Test.make ~count:2000
+    ~name:"analyze's width, components and sizes match the oracle"
+    (QCheck.make ~print:(Format.asprintf "%a" Cq.pp)
+       QCheck.Gen.(oneof [ gen_hypergraph_cq; gen_wide_cq ]))
+    (fun q ->
+      let r = Hypergraph.analyze q in
+      let got =
+        ( r.Hypergraph.atom_count,
+          r.Hypergraph.var_count,
+          r.Hypergraph.width_estimate,
+          r.Hypergraph.components )
+      in
+      let ((a, n, w, k) as want) = analyze_oracle q in
+      got = want
+      || QCheck.Test.fail_reportf
+           "oracle: %d atoms, %d vars, width %d, %d components" a n w k)
+
 (* --- weak acyclicity and the certified chase bound --- *)
 
 let nx = Value.null 9001
@@ -820,6 +896,7 @@ let () =
           Alcotest.test_case "cyclic residual irreducible" `Quick
             test_gyo_cyclic;
           QCheck_alcotest.to_alcotest qcheck_gyo_matches_oracle;
+          QCheck_alcotest.to_alcotest qcheck_analyze_matches_oracle;
         ] );
       ( "weak acyclicity",
         [

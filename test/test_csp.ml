@@ -153,6 +153,15 @@ let test_matching_empty () =
   let g = Matching.make ~left:0 ~right:0 ~edges:[] in
   check "empty saturates" true (Matching.saturates_left g)
 
+(* the word popcount against clearing the lowest bit one at a time,
+   over the sign bit and both 32-bit halves *)
+let qcheck_popcount =
+  QCheck.Test.make ~count:2000 ~name:"popcount_word counts every bit"
+    QCheck.(oneof [ int; int_range (-64) 64; map (fun k -> 1 lsl k) (int_range 0 62) ])
+    (fun w ->
+      let rec slow n w = if w = 0 then n else slow (n + 1) (w land (w - 1)) in
+      Domains.Bitset.popcount_word w = slow 0 w)
+
 (* treewidth *)
 let test_treewidth_path () =
   let open Certdb_graph in
@@ -222,6 +231,194 @@ let test_treewidth_random_valid () =
           (Treewidth.is_valid g d))
       [ `Min_degree; `Min_fill ]
   done
+
+(* The Int_set elimination heuristics [Treewidth] ran before its dense
+   adjacency rows, kept as the oracle: the rows must give the same bags,
+   parents and widths, tie-breaks included. *)
+module Tw_oracle = struct
+  module Int_map = Structure.Int_map
+
+  let adjacency s =
+    let adj = Hashtbl.create 16 in
+    Int_map.iter (fun v ns -> Hashtbl.replace adj v ns) (Structure.gaifman s);
+    adj
+
+  let neighbors adj v =
+    match Hashtbl.find_opt adj v with Some ns -> ns | None -> IS.empty
+
+  let eliminate adj ns v =
+    IS.iter
+      (fun u ->
+        Hashtbl.replace adj u
+          (IS.union (IS.remove v (neighbors adj u)) (IS.remove u ns)))
+      ns;
+    Hashtbl.remove adj v
+
+  let of_elimination_order s order =
+    let adj = adjacency s in
+    let n = List.length order in
+    let bags = Array.make (max n 1) IS.empty in
+    let position = Hashtbl.create 16 in
+    List.iteri (fun i v -> Hashtbl.replace position v i) order;
+    List.iteri
+      (fun i v ->
+        let ns = neighbors adj v in
+        bags.(i) <- IS.add v ns;
+        eliminate adj ns v)
+      order;
+    let parent = Array.make (max n 1) (-1) in
+    Array.iteri
+      (fun i b ->
+        let later = IS.filter (fun u -> Hashtbl.find position u > i) b in
+        match IS.elements later with
+        | [] -> ()
+        | u :: us ->
+          let first =
+            List.fold_left
+              (fun best u ->
+                if Hashtbl.find position u < Hashtbl.find position best then u
+                else best)
+              u us
+          in
+          parent.(i) <- Hashtbl.find position first)
+      bags;
+    if n = 0 then { Treewidth.bags = [||]; parent = [||] }
+    else { Treewidth.bags; parent }
+
+  let order_by_heuristic heuristic s =
+    let adj = adjacency s in
+    let remaining = ref (IS.of_list (Structure.nodes s)) in
+    let cost v =
+      let ns = neighbors adj v in
+      match heuristic with
+      | `Min_degree -> IS.cardinal ns
+      | `Min_fill ->
+        IS.fold
+          (fun u acc ->
+            IS.fold
+              (fun w acc ->
+                if u < w && not (IS.mem w (neighbors adj u)) then acc + 1
+                else acc)
+              ns acc)
+          ns 0
+    in
+    let order = ref [] in
+    while not (IS.is_empty !remaining) do
+      let v =
+        IS.fold
+          (fun v best ->
+            match best with
+            | Some b when cost v >= cost b -> best
+            | _ -> Some v)
+          !remaining None
+        |> Option.get
+      in
+      order := v :: !order;
+      eliminate adj (neighbors adj v) v;
+      remaining := IS.remove v !remaining
+    done;
+    List.rev !order
+
+  let of_structure heuristic s =
+    of_elimination_order s (order_by_heuristic heuristic s)
+
+  let estimate s =
+    let md = of_structure `Min_degree s and mf = of_structure `Min_fill s in
+    let best = if Treewidth.width mf < Treewidth.width md then mf else md in
+    (best, Treewidth.width best)
+end
+
+(* Random structures for the oracle: up to ~70 nodes, so that the rows
+   cross the word boundary at 63; raw ids spread out and unsorted,
+   labels, arities 0-3, repeated tuples and isolated nodes *)
+let tw_structure st =
+  let int = Random.State.int st in
+  let n = if int 2 = 0 then int 21 else int 71 in
+  let ids = Array.init (3 * n + 1) Fun.id in
+  for i = Array.length ids - 1 downto 1 do
+    let j = int (i + 1) in
+    let t = ids.(i) in
+    ids.(i) <- ids.(j);
+    ids.(j) <- t
+  done;
+  let nodes = Array.sub ids 0 n in
+  let nodes_labelled =
+    Array.to_list
+      (Array.map
+         (fun v -> (v, match int 3 with 0 -> Some "a" | 1 -> Some "b" | _ -> None))
+         nodes)
+  in
+  let tuples =
+    if n = 0 then []
+    else
+      List.init (int ((2 * n) + 1)) (fun _ ->
+          let arity = int 4 in
+          ( Printf.sprintf "R%d" arity,
+            Array.init arity (fun _ -> nodes.(int (max 1 (n / (1 + int 4))))) ))
+  in
+  let tuples = tuples @ List.filteri (fun i _ -> i mod 3 = 0) tuples in
+  let s =
+    Structure.make ~nodes:nodes_labelled
+      ~tuples:(List.map (fun (r, t) -> (r, [ t ])) tuples)
+  in
+  let order = Array.of_list (Structure.nodes s) in
+  for i = Array.length order - 1 downto 1 do
+    let j = int (i + 1) in
+    let t = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- t
+  done;
+  (s, Array.to_list order)
+
+let same_decomposition (a : Treewidth.t) (b : Treewidth.t) =
+  Array.length a.bags = Array.length b.bags
+  && Array.for_all2 IS.equal a.bags b.bags
+  && a.parent = b.parent
+
+let qcheck_treewidth_oracle =
+  let print seed =
+    let s, order = tw_structure (Random.State.make [| seed |]) in
+    Format.asprintf "seed %d@.order %s@.%a" seed
+      (String.concat "," (List.map string_of_int order))
+      Structure.pp s
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"dense elimination matches the Int_set heuristics"
+    (QCheck.make ~print QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let s, order = tw_structure (Random.State.make [| seed |]) in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let agree name got expected =
+        same_decomposition got expected
+        || fail "%s: got@.%a@.expected@.%a" name Treewidth.pp got
+             Treewidth.pp expected
+      in
+      let d, w = Treewidth.estimate s and d', w' = Tw_oracle.estimate s in
+      (* the same tuples over the ranks of their nodes *)
+      let nodes = Structure.nodes s in
+      let rank = Hashtbl.create 16 in
+      List.iteri (fun i v -> Hashtbl.replace rank v i) nodes;
+      let edges =
+        Array.of_list
+          (List.map
+             (fun (_, t) -> Array.map (Hashtbl.find rank) t)
+             (Structure.all_tuples s))
+      in
+      agree "min-degree"
+        (Treewidth.of_structure ~heuristic:`Min_degree s)
+        (Tw_oracle.of_structure `Min_degree s)
+      && agree "min-fill"
+           (Treewidth.of_structure ~heuristic:`Min_fill s)
+           (Tw_oracle.of_structure `Min_fill s)
+      && agree "elimination order"
+           (Treewidth.of_elimination_order s order)
+           (Tw_oracle.of_elimination_order s order)
+      && agree "estimate" d d'
+      && (w = w' || fail "estimate width %d, oracle %d" w w')
+      && (Treewidth.estimate_width (List.length nodes) edges = w'
+         || fail "estimate_width %d, oracle %d"
+              (Treewidth.estimate_width (List.length nodes) edges)
+              w'))
 
 (* Theorem 6's R-compatible hom test: the engine over a tree
    decomposition of the source (min-degree unless given) *)
@@ -686,6 +883,43 @@ let planted_instance st =
   in
   (source, target, Domains.of_list !rows)
 
+(* The endomorphism classes read off the source match those of the
+   compiled endomorphism problem, under restrictions that pin nodes to
+   themselves (as the planner's frozen tableau does), narrow them to
+   sets, or leave them whole *)
+let qcheck_endo_classes =
+  QCheck.Test.make ~count:1000
+    ~name:"endomorphism classes off the source match the compiled ones"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let s, _ = tw_structure st in
+      let nodes = Structure.nodes s in
+      let restrict =
+        if Random.State.bool st then None
+        else
+          Some
+            (Domains.of_list
+               (List.filter_map
+                  (fun v ->
+                    match Random.State.int st 4 with
+                    | 0 -> Some (v, IS.singleton v)
+                    | 1 ->
+                      Some
+                        (v, IS.of_list (List.filter (fun _ -> Random.State.bool st) nodes))
+                    | 2 -> Some (v, IS.of_list nodes)
+                    | _ -> None)
+                  nodes))
+      in
+      let got = Engine.Compiled.endo_interchangeable_classes ?restrict s in
+      let expected =
+        Engine.Compiled.interchangeable_classes
+          (Engine.compile ?restrict ~source:s ~target:s ())
+      in
+      got = expected
+      || QCheck.Test.fail_reportf "%d classes off the source, %d compiled"
+           (Array.length got) (Array.length expected))
+
 let qcheck_lex_planted =
   let print seed =
     let source, target, _ = planted_instance (Random.State.make [| seed |]) in
@@ -749,6 +983,8 @@ let () =
           Alcotest.test_case "clique" `Quick test_treewidth_clique;
           Alcotest.test_case "random valid" `Quick test_treewidth_random_valid;
           Alcotest.test_case "exact" `Quick test_treewidth_exact;
+          QCheck_alcotest.to_alcotest qcheck_treewidth_oracle;
+          QCheck_alcotest.to_alcotest qcheck_popcount;
         ] );
       ( "bounded_tw",
         [
@@ -768,5 +1004,6 @@ let () =
           Alcotest.test_case "enumeration keeps every copy" `Quick
             test_lex_enumeration;
           QCheck_alcotest.to_alcotest qcheck_lex_planted;
+          QCheck_alcotest.to_alcotest qcheck_endo_classes;
         ] );
     ]
