@@ -15,11 +15,16 @@
      stream with the cache disabled.
 
    A last row times [Canon.cq_key] alone on the serve benchmark's six
-   miss families (each anchored to a constant as perfbench builds them)
-   and on the transitive 10-tournament, alone and as four copies; every
-   key must come out [Some].  The gauge [bench.canon.core_tests] sums the
-   core tests over one key of each family: one test per null gives
-   5+5+4+7+4+1 = 26, a deterministic count.  The gauge
+   miss families (each anchored to a constant as perfbench builds them),
+   with their sum, and on the transitive 10-tournament, alone and as four
+   copies, and the bidirectional 8- and 10-cliques; every key must come
+   out [Some].  Over one key of each family, the gauge
+   [bench.canon.core_tests] sums the core searches, one per retraction
+   round, 6 in all (every family is a core), and the gauge
+   [bench.canon.label_nodes] sums the labeling's tree nodes, 11 in all
+   (one per rigid core, 4 for tclique-4+cycle-3, whose 3-cycle has three
+   rotations, and 3 for bclique-4, whose class of 3 branches once per
+   level); both are deterministic counts.  The gauge
    [bench.service.targets_per_query] is the number of hom targets built
    during both replays' requests, after their loads, per request: the
    server prepares its database once per load, so it reads 0. *)
@@ -203,12 +208,12 @@ let canon_queries =
     Printf.sprintf "ans(%s) :- %s" head
       (String.concat ", " (Printf.sprintf "R(201,%s)" (x 0) :: List.map edge edges))
   in
+  let unanchored edges =
+    Printf.sprintf "ans() :- %s" (String.concat ", " (List.map edge edges))
+  in
   let family (name, text) = (name, true, text) in
   let tournaments copies =
-    Printf.sprintf "ans() :- %s"
-      (String.concat ", "
-         (List.map edge
-            (List.concat_map (fun c -> tclique ~base:(10 * c) 10) copies)))
+    unanchored (List.concat_map (fun c -> tclique ~base:(10 * c) 10) copies)
   in
   List.map family
     [
@@ -222,20 +227,23 @@ let canon_queries =
   @ [
       ("tournament-10", false, tournaments [ 0 ]);
       ("tournament-10 x4", false, tournaments [ 0; 1; 2; 3 ]);
+      ("bclique-8", false, unanchored (bclique 8));
+      ("bclique-10", false, unanchored (bclique 10));
     ]
 
 let canon_row () =
-  Bench_util.row "%-20s %-10s %-12s" "Canon.cq_key" "core tests" "us (min of 5)";
-  let total_tests = ref 0 in
+  Bench_util.row "%-20s %-10s %-12s %-12s" "Canon.cq_key" "core tests"
+    "label nodes" "us (min of 5)";
+  let total_tests = ref 0 and total_nodes = ref 0 and total_us = ref 0. in
   List.iter
     (fun (name, family, text) ->
       let q = Result.get_ok (Wire.parse_cq_result text) in
-      let key, tests =
-        Bench_util.with_counter "service.canon.core_tests" (fun () ->
-            Canon.cq_key q)
+      let (key, tests), nodes =
+        Bench_util.with_counter "service.canon.label_nodes" (fun () ->
+            Bench_util.with_counter "service.canon.core_tests" (fun () ->
+                Canon.cq_key q))
       in
       if key = None then failwith ("e22: " ^ name ^ " gave up canonicalisation");
-      if family then total_tests := !total_tests + tests;
       let reps = if family then 200 else 5 in
       let best = ref infinity in
       for _ = 1 to 5 do
@@ -247,10 +255,18 @@ let canon_row () =
         in
         best := Float.min !best (ms /. float_of_int reps)
       done;
-      Bench_util.row "%-20s %-10d %-12.1f" name tests (1000. *. !best))
+      let us = 1000. *. !best in
+      if family then begin
+        total_tests := !total_tests + tests;
+        total_nodes := !total_nodes + nodes;
+        total_us := !total_us +. us
+      end;
+      Bench_util.row "%-20s %-10d %-12d %-12.1f" name tests nodes us)
     canon_queries;
-  Bench_util.row "core tests over one key per family: %d" !total_tests;
-  Obs.set_int (Obs.gauge "bench.canon.core_tests") !total_tests
+  Bench_util.row "%-20s %-10d %-12d %-12.1f" "six families" !total_tests
+    !total_nodes !total_us;
+  Obs.set_int (Obs.gauge "bench.canon.core_tests") !total_tests;
+  Obs.set_int (Obs.gauge "bench.canon.label_nodes") !total_nodes
 
 let timer snap name =
   match Obs.find_timer snap name with

@@ -1,7 +1,6 @@
 open Certdb_query
-module Value = Certdb_values.Value
-module Instance = Certdb_relational.Instance
-module Hom = Certdb_relational.Hom
+module Structure = Certdb_csp.Structure
+module Domains = Certdb_csp.Domains
 module Obs = Certdb_obs.Obs
 module Trace = Certdb_obs.Trace
 module Sat_choice = Certdb_sat.Backend
@@ -70,44 +69,27 @@ let key_fd_for (q : Cq.t) fds =
    symmetry that the engine's lex-leader constraint and the SAT encoder's
    ordering clauses break, and that chronological backtracking pays [k!]
    for.  The classes are the engine's own, over the endomorphism problem
-   of the frozen tableau (read off its source side alone): the query's
-   values are pinned, and each variable is a null numbered past every
-   null the query holds. *)
+   of the tableau's structure (read off its source side alone), with
+   the query's values pinned: the canonical key builds the same
+   structure. *)
 let interchangeable_class_size (q : Cq.t) =
   match Cq.vars q with
   | [] -> 0
-  | vars ->
-    let fixed =
-      Value.Set.of_list
-        (List.concat_map
-           (fun (a : Cq.atom) ->
-             List.filter_map
-               (function Fo.Val v when Value.is_null v -> Some v | _ -> None)
-               a.args)
-           q.atoms)
-    in
-    let base =
-      Value.Set.fold
-        (fun v m -> match v with Value.Null i -> max i m | Value.Const _ -> m)
-        fixed 0
-    in
-    let frozen = Hashtbl.create 16 in
-    List.iteri
-      (fun i x -> Hashtbl.replace frozen x (Value.null (base + 1 + i)))
-      vars;
-    let value = function Fo.Val v -> v | Fo.Var x -> Hashtbl.find frozen x in
-    let e =
-      Hom.encode_endo ~fixed
-        (Instance.of_facts
-           (List.map
-              (fun (a : Cq.atom) -> Instance.fact a.rel (List.map value a.args))
-              q.atoms))
+  | _ ->
+    let c, terms = Cq.tableau_columnar q in
+    let restrict =
+      Domains.of_list
+        (List.concat
+           (List.mapi
+              (fun i -> function
+                | Fo.Val _ -> [ (i, Structure.Int_set.singleton i) ]
+                | Fo.Var _ -> [])
+              (Array.to_list terms)))
     in
     Array.fold_left
       (fun m c -> max m (Array.length c))
       1
-      (Engine.Compiled.endo_interchangeable_classes ~restrict:e.restrict
-         e.source)
+      (Engine.Compiled.endo_interchangeable_classes ~restrict c)
 
 let route_cq ?(width_threshold = default_width_threshold) ?(fds = [])
     ?(backend = Sat_choice.Csp) (q : Cq.t) =

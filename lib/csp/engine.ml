@@ -324,18 +324,26 @@ module Compiled = struct
     done;
     (comp, !ncomps)
 
-  let make ?restrict ~source ~target () =
-    let csrc = Structure.columnar source in
-    let ctgt = Structure.columnar target in
+  let of_columnar ?restrict ~source:csrc ~target:ctgt () =
     let nvars = Array.length csrc.Structure.node_ids in
     let cap = Array.length ctgt.Structure.node_ids in
     let words = max 1 (Bitset.words_for cap) in
-    (* targets grouped by label id, as bitsets *)
+    (* targets grouped by label id, as bitsets; runs of one label (an
+       unlabeled structure is one run) look the table up once *)
     let by_label = Hashtbl.create 8 in
+    let last = ref None in
+    let label_row l =
+      match !last with
+      | Some (l', bs) when l' = l -> Some bs
+      | _ ->
+        let bs = Hashtbl.find_opt by_label l in
+        Option.iter (fun bs -> last := Some (l, bs)) bs;
+        bs
+    in
     Array.iteri
       (fun w l ->
         let bs =
-          match Hashtbl.find_opt by_label l with
+          match label_row l with
           | Some bs -> bs
           | None ->
             let bs = Bitset.create cap in
@@ -348,7 +356,7 @@ module Compiled = struct
     let init =
       Array.init nvars (fun v ->
           let base =
-            match Hashtbl.find_opt by_label csrc.Structure.node_labels.(v) with
+            match label_row csrc.Structure.node_labels.(v) with
             | Some bs -> Bitset.copy bs
             | None -> Bitset.copy empty_row
           in
@@ -423,11 +431,9 @@ module Compiled = struct
       ncomps;
     }
 
-  let with_init cp init =
-    let comp, ncomps =
-      components ~nvars:cp.nvars ~init ~cstrs:cp.cstrs ~by_var:cp.by_var
-    in
-    { cp with init; comp; ncomps }
+  let make ?restrict ~source ~target () =
+    of_columnar ?restrict ~source:(Structure.columnar source)
+      ~target:(Structure.columnar target) ()
 
   (* Two variables are interchangeable when they have one label and one
      initial row, and swapping them maps the source's facts onto
@@ -526,8 +532,7 @@ module Compiled = struct
   (* Source and target are one structure, so the initial row of [v] is
      the nodes of its label, cut down to its restriction when it has
      one: the target half of the compiled instance is never built *)
-  let endo_interchangeable_classes ?restrict s =
-    let src = Structure.columnar s in
+  let endo_interchangeable_classes ?restrict src =
     let label = src.Structure.node_labels in
     let row v =
       match restrict with
@@ -723,7 +728,9 @@ exception Cut of int
    leave [next.(v)]'s row and values above [b] leave [prev.(v)]'s. *)
 type lex = { next : int array; prev : int array (* -1: none *) }
 
-let lex_order (cp : Compiled.t) =
+(* the chain of consecutive class members [a], [b] that [linked a b]
+   admits *)
+let lex_chain ~linked (cp : Compiled.t) classes =
   let n = max 1 cp.Compiled.nvars in
   let next = Array.make n (-1) and prev = Array.make n (-1) in
   let any = ref false in
@@ -731,15 +738,19 @@ let lex_order (cp : Compiled.t) =
     (fun cls ->
       for i = 0 to Array.length cls - 2 do
         let a = cls.(i) and b = cls.(i + 1) in
-        let c = cp.Compiled.comp.(a) in
-        if c >= 0 && c = cp.Compiled.comp.(b) then begin
+        if linked a b then begin
           next.(a) <- b;
           prev.(b) <- a;
           any := true
         end
       done)
-    (Compiled.interchangeable_classes cp);
+    classes;
   if !any then Some { next; prev } else None
+
+let lex_order (cp : Compiled.t) =
+  let comp = cp.Compiled.comp in
+  lex_chain cp (Compiled.interchangeable_classes cp) ~linked:(fun a b ->
+      comp.(a) >= 0 && comp.(a) = comp.(b))
 
 type memo_entry = Good of int array | Nogood
 
@@ -1194,7 +1205,6 @@ let solve ?(config = Config.default) ~source ~target () =
   solve_cp ?decomposition:config.decomposition config.limits
     (Compiled.make ?restrict:config.restrict ~source ~target ())
 
-let solve_compiled ?(limits = Limits.unlimited) cp = solve_cp limits cp
 
 let satisfiable ?(config = Config.default) ~source ~target () =
   Trace.with_span "csp.engine.satisfiable" @@ fun () ->
@@ -1214,6 +1224,22 @@ let satisfiable ?(config = Config.default) ~source ~target () =
        with
       | `Exhausted | `Stopped -> ());
       if !found then Some () else None)
+
+(* Enumeration searches the whole instance under the root, so every
+   pair of consecutive class members takes the lex-leader constraint *)
+let first_compiled ~budget ~classes cp ~accept =
+  let lex = lex_chain cp classes ~linked:(fun _ _ -> true) in
+  let found = ref None in
+  (match
+     run_search_compiled ~budget ~exists:false ?lex cp (fun assignment _ _ ->
+         if accept assignment then begin
+           found := Some (Array.copy assignment);
+           `Stop
+         end
+         else `Continue)
+   with
+  | `Exhausted | `Stopped -> ());
+  !found
 
 let iter ?(config = Config.default) ~source ~target f =
   Trace.with_span "csp.engine.iter" @@ fun () ->

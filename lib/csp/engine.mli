@@ -218,10 +218,14 @@ module Compiled : sig
     unit ->
     t
 
-  (** [with_init cp init] — [cp] with [init] (one row per dense
-      variable) as its initial candidates, and its components
-      recomputed: a row narrowed to one candidate pins its variable. *)
-  val with_init : t -> Domains.Bitset.bs array -> t
+  (** [of_columnar ?restrict ~source ~target ()] — {!make} on the
+      structures' columnar views. *)
+  val of_columnar :
+    ?restrict:Domains.t ->
+    source:Structure.columnar ->
+    target:Structure.columnar ->
+    unit ->
+    t
 
   (** [interchangeable_classes c] — classes (size ≥ 2, ascending dense
       var ids, ordered by their smallest member) of source variables
@@ -237,14 +241,15 @@ module Compiled : sig
       test. *)
   val interchangeable_classes : t -> int array array
 
-  (** [endo_interchangeable_classes ?restrict s] — the classes
+  (** [endo_interchangeable_classes ?restrict c] — the classes
       {!interchangeable_classes} finds in
-      [make ?restrict ~source:s ~target:s ()], read off [s] alone: in an
-      endomorphism problem the initial row of a variable is the nodes of
-      its label, cut down to its restriction, so the target half of the
-      compiled instance is never built. *)
+      [of_columnar ?restrict ~source:c ~target:c ()], read off the
+      columnar view [c] alone: in an endomorphism problem the initial
+      row of a variable is the nodes of its label, cut down to its
+      restriction, so the target half of the compiled instance is never
+      built. *)
   val endo_interchangeable_classes :
-    ?restrict:Domains.t -> Structure.t -> int array array
+    ?restrict:Domains.t -> Structure.columnar -> int array array
 end
 
 val compile :
@@ -254,10 +259,27 @@ val compile :
   unit ->
   Compiled.t
 
-(** [solve_compiled ?limits cp] — {!solve} on an instance compiled
-    once, so a caller that varies only the initial candidates (with
-    {!Compiled.with_init}) pays the compilation once. *)
-val solve_compiled : ?limits:Limits.t -> Compiled.t -> hom outcome
+(** [first_compiled ~budget ~classes cp ~accept] enumerates the
+    homomorphisms of [cp] as {!iter} does, every variable branched, and
+    returns the first one [accept] takes: per dense source variable, the
+    dense target id it maps to.  [None] means the space is exhausted.
+    Its decisions tick [budget], shared with whatever else the caller
+    runs under it.
+
+    [classes] must be classes of [cp] ({!Compiled.interchangeable_classes}).
+    The search imposes their lex-leader order on every pair of
+    consecutive members, so it visits only the homomorphisms sorted
+    along each class.  For any homomorphism [h] and any permutation
+    [σ] within the classes, [h∘σ] is a homomorphism, and some such
+    [h∘σ] is sorted.  [accept] must therefore take [h∘σ] whenever it
+    takes [h], as a property of the image does.
+    @raise Budget.Interrupted when a limit of [budget] trips. *)
+val first_compiled :
+  budget:Budget.t ->
+  classes:int array array ->
+  Compiled.t ->
+  accept:(int array -> bool) ->
+  int array option
 
 (**/**)
 
@@ -306,8 +328,8 @@ val solve :
     checking enforces it: after [v <- b], values below [b] leave the
     row of [v]'s successor and values above [b] the row of its
     predecessor, counted in [csp.solver.fc_prunes] (an emptied row is a
-    wipeout).  {!solve}, {!solve_compiled}, {!iter}, {!count} and
-    {!Reference} do not impose it. *)
+    wipeout).  {!solve}, {!iter}, {!count} and {!Reference} do not
+    impose it. *)
 val satisfiable :
   ?config:Config.t ->
   source:Structure.t ->

@@ -4,10 +4,25 @@ module String_map = Map.Make (String)
 
 type tuple = int array
 
+(* [Stdlib.compare] on int arrays, without the call into the runtime:
+   shorter first, then entry by entry *)
+let compare_tuples (a : tuple) (b : tuple) =
+  let la = Array.length a in
+  let c = Int.compare la (Array.length b) in
+  if c <> 0 then c
+  else
+    let rec go i =
+      if i = la then 0
+      else
+        let c = Int.compare a.(i) b.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+
 module Tuple_set = Set.Make (struct
   type t = tuple
 
-  let compare (a : tuple) (b : tuple) = Stdlib.compare a b
+  let compare = compare_tuples
 end)
 
 (* {1 The columnar compiled view}
@@ -116,6 +131,20 @@ let fold_tuples f s init =
     (fun rel ts acc -> Tuple_set.fold (fun t acc -> f rel t acc) ts acc)
     s.rels init
 
+(* the per-position index of [count] tuples laid out in [flat] *)
+let crel ~nodes rel rel_id arity count flat =
+  let by_pos =
+    Array.init arity (fun p ->
+        let buckets = Array.make (max 1 nodes) [] in
+        (* reverse iteration leaves each bucket ascending *)
+        for i = count - 1 downto 0 do
+          let w = flat.((i * arity) + p) in
+          buckets.(w) <- i :: buckets.(w)
+        done;
+        Array.map Array.of_list buckets)
+  in
+  { rel; rel_id; arity; count; flat; by_pos }
+
 let compile s =
   let node_ids = Array.of_list (Int_set.elements s.nodes) in
   let n = Array.length node_ids in
@@ -157,21 +186,57 @@ let compile s =
                     flat.((i * arity) + p) <- Hashtbl.find dense_of raw)
                   t)
               tuples;
-            let by_pos =
-              Array.init arity (fun p ->
-                  let buckets = Array.make (max 1 n) [] in
-                  (* reverse iteration leaves each bucket ascending *)
-                  for i = count - 1 downto 0 do
-                    let w = flat.((i * arity) + p) in
-                    buckets.(w) <- i :: buckets.(w)
-                  done;
-                  Array.map Array.of_list buckets)
-            in
-            { rel; rel_id; arity; count; flat; by_pos } :: acc)
+            crel ~nodes:n rel rel_id arity count flat :: acc)
           acc (List.sort compare !arities))
       s.rels []
   in
   { node_ids; dense_of; node_labels; crels = Array.of_list (List.rev crels) }
+
+let columnar_of ~nodes tuples =
+  let tuples = Array.of_list tuples in
+  (* the order of [compile]: relation names, then arities, then tuples *)
+  Array.sort
+    (fun (r1, t1) (r2, t2) ->
+      let c = String.compare r1 r2 in
+      if c <> 0 then c else compare_tuples t1 t2)
+    tuples;
+  let dense_of = Hashtbl.create (max 16 nodes) in
+  for d = 0 to nodes - 1 do
+    Hashtbl.replace dense_of d d
+  done;
+  let nt = Array.length tuples in
+  let crels = ref [] in
+  let i = ref 0 in
+  while !i < nt do
+    let rel, t0 = tuples.(!i) in
+    let arity = Array.length t0 in
+    (* the run of [rel] at [arity], duplicates dropped *)
+    let run = ref [ t0 ] in
+    let j = ref (!i + 1) in
+    while
+      !j < nt
+      && String.equal (fst tuples.(!j)) rel
+      && Array.length (snd tuples.(!j)) = arity
+    do
+      let t = snd tuples.(!j) in
+      if compare_tuples t (List.hd !run) <> 0 then run := t :: !run;
+      incr j
+    done;
+    let count = List.length !run in
+    let flat = Array.make (max 1 (count * arity)) 0 in
+    List.iteri
+      (fun k t -> Array.blit t 0 flat ((count - 1 - k) * arity) arity)
+      !run;
+    crels :=
+      crel ~nodes rel (Interner.rel_id rel) arity count flat :: !crels;
+    i := !j
+  done;
+  {
+    node_ids = Array.init nodes Fun.id;
+    dense_of;
+    node_labels = Array.make nodes (-1);
+    crels = Array.of_list (List.rev !crels);
+  }
 
 let columnar s =
   match s.cview with

@@ -49,6 +49,13 @@ type t = private {
     values). *)
 val columnar : t -> columnar
 
+(** [columnar_of ~nodes tuples] — the columnar view of the unlabeled
+    structure with nodes [0..nodes-1] and the facts [tuples] (each
+    relation name with one tuple; repeats collapse), built without the
+    persistent structure: it equals [columnar (make ~nodes ~tuples)]
+    for those nodes.  Dense ids are the node ids. *)
+val columnar_of : nodes:int -> (string * tuple) list -> columnar
+
 val empty : t
 val add_node : ?label:string -> t -> int -> t
 

@@ -67,6 +67,36 @@ let freeze q =
   in
   (inst, assignment)
 
+module Term_table = Hashtbl.Make (struct
+  type t = Fo.term
+
+  let equal t u =
+    match (t, u) with
+    | Fo.Var x, Fo.Var y -> String.equal x y
+    | Fo.Val v, Fo.Val w -> Value.equal v w
+    | Fo.Var _, Fo.Val _ | Fo.Val _, Fo.Var _ -> false
+
+  let hash = function Fo.Var x -> Hashtbl.hash x | Fo.Val v -> Value.hash v
+end)
+
+let tableau_columnar q =
+  let ids = Term_table.create 16 in
+  let terms = ref [] in
+  let id_of t =
+    match Term_table.find_opt ids t with
+    | Some i -> i
+    | None ->
+      let i = Term_table.length ids in
+      Term_table.replace ids t i;
+      terms := t :: !terms;
+      i
+  in
+  let tuples =
+    List.map (fun a -> (a.rel, Array.of_list (List.map id_of a.args))) q.atoms
+  in
+  ( Certdb_csp.Structure.columnar_of ~nodes:(Term_table.length ids) tuples,
+    Array.of_list (List.rev !terms) )
+
 let of_instance d =
   let atoms =
     List.map

@@ -24,6 +24,15 @@ val to_fo : t -> Fo.t
     restriction to [head] identifies the distinguished nulls). *)
 val freeze : t -> Instance.t * Value.t Stdlib.Map.Make(String).t
 
+(** [tableau_columnar q] — the tableau [D_Q] as the columnar view of one
+    structure ({!Certdb_csp.Structure.columnar_of}), for its
+    endomorphism problem [D_Q → D_Q], built straight from the atoms.
+    Node [i] stands for [terms.(i)], the [i]-th distinct term in order
+    of first occurrence, so the nodes are [0..n-1]; they are unlabeled.
+    Which terms stay fixed (constants, head variables) is the caller's
+    choice. *)
+val tableau_columnar : t -> Certdb_csp.Structure.columnar * Fo.term array
+
 (** [of_instance d] — the canonical Boolean CQ [Q_D] of a naïve database:
     nulls become variables named after their ids. *)
 val of_instance : Instance.t -> t
@@ -53,8 +62,9 @@ val equivalent : t -> t -> bool
     has a minimal number of atoms. *)
 val minimize : t -> t
 
-(** [minimize_b ?limits q] — {!minimize} with every hom test of the core
-    computation under [limits] ({!Core_instance.core_b}). *)
+(** [minimize_b ?limits q] — {!minimize} with the whole core
+    computation under the one budget [limits]: every retraction round's
+    search draws from it ({!Core_instance.core_b}). *)
 val minimize_b :
   ?limits:Certdb_csp.Engine.Limits.t -> t -> t Certdb_csp.Engine.outcome
 

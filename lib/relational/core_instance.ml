@@ -1,65 +1,120 @@
 open Certdb_values
 module Engine = Certdb_csp.Engine
+module Structure = Certdb_csp.Structure
 module Domains = Certdb_csp.Domains
 
-(* [d] is not a core iff some endomorphism misses a null of [d].  An
-   endomorphism injective on the finite active domain permutes it, hence
-   permutes the facts (constants are always fixed); a non-injective one
-   misses some value, and that value is a null.  Conversely an image
-   without the null [v] lacks every fact holding [v].
+type endo = {
+  compiled : Engine.Compiled.t;
+  origin : int array;
+  classes : int array array;
+}
 
-   So the core asks, for each null [v] in turn, for an endomorphism
-   whose image avoids [v].  The target stays [d]: [d → d] is encoded and
-   compiled once per retraction round, and each test only narrows the
-   initial candidates ([v] leaves the row of every null that may move).
-   On [Sat h] the instance retracts to [h(d)], which is encoded afresh.
-   One pass suffices: if no endomorphism of [d] avoids [v], none of
-   [h(d) ⊆ d] does either (compose it with the retraction).  Nulls in
-   [fixed] are pinned to themselves like constants, so they are never
-   tested and never move.  Each test runs under [limits]; the first one
-   that trips stops the computation. *)
-let core_b ?limits ?(fixed = Value.Set.empty) ?tests d =
-  let rec round d todo =
-    (* node [i] is [values.(i)] on both sides of [d → d] *)
-    let e = Hom.encode_endo ~fixed d in
-    let values = e.Hom.tgt_values in
-    let index = Hashtbl.create (Array.length values) in
-    Array.iteri (fun i v -> Hashtbl.replace index v i) values;
-    let movable =
-      Array.mapi (fun i _ -> Domains.find e.Hom.restrict i = None) values
-    in
-    let cp =
-      Engine.compile ~restrict:e.Hom.restrict ~source:e.Hom.source
-        ~target:e.Hom.target ()
-    in
-    let rec test = function
-      | [] -> Engine.Sat d
-      | v :: rest -> (
-        match Hashtbl.find_opt index v with
-        | None -> test rest (* retracted away by an earlier round *)
-        | Some j -> (
-          Option.iter Certdb_obs.Obs.incr tests;
-          let init =
-            Array.mapi
-              (fun i row ->
-                if movable.(i) then begin
-                  let row = Domains.Bitset.copy row in
-                  Domains.Bitset.remove row j;
-                  row
-                end
-                else row)
-              cp.Engine.Compiled.init
-          in
-          match
-            Engine.solve_compiled ?limits (Engine.Compiled.with_init cp init)
-          with
-          | Engine.Sat h -> round (Instance.apply (Hom.valuation e h) d) rest
-          | Engine.Unsat -> test rest
-          | Engine.Unknown r -> Engine.Unknown r))
-    in
-    test todo
+(* [c] is not a core iff some endomorphism of [c] is not injective.  An
+   injective one permutes the finite node set, hence the tuples; a
+   non-injective one is not surjective either, so its image misses a
+   node (never a pinned one), and [c] retracts to that image.
+
+   So each round enumerates the endomorphisms of [c] and stops at the
+   first that is not injective.  The enumeration runs in the lex-leader
+   order of [c]'s interchangeable classes: for a permutation [σ] within
+   the classes, [h∘σ] is an endomorphism with the image of [h], so the
+   search loses no image.  A bidirectional k-clique, a core whose k!
+   automorphisms all permute one class, is settled by the identity in
+   about 2^k decisions.
+
+   The image [h(c) ⊆ c] is hom-equivalent to [c], so it has the same
+   core: it is encoded afresh, nodes renumbered [0..m-1], and searched
+   again.  Every round draws from one budget. *)
+
+(* [c] retracted by [h] (node to node): its image, nodes renumbered
+   [0..m-1], and each image node's input node *)
+let image (c : Structure.columnar) h origin =
+  let n = Array.length h in
+  let id = Array.make n (-1) in
+  Array.iter (fun w -> id.(w) <- 0) h;
+  let m = ref 0 in
+  for w = 0 to n - 1 do
+    if id.(w) >= 0 then begin
+      id.(w) <- !m;
+      incr m
+    end
+  done;
+  let origin' = Array.make !m 0 in
+  Array.iteri (fun w i -> if i >= 0 then origin'.(i) <- origin.(w)) id;
+  let tuples =
+    Array.fold_left
+      (fun acc (cr : Structure.crel) ->
+        let ar = cr.Structure.arity in
+        List.init cr.Structure.count (fun t ->
+            ( cr.Structure.rel,
+              Array.init ar (fun p -> id.(h.(cr.Structure.flat.((t * ar) + p))))
+            ))
+        @ acc)
+      [] c.Structure.crels
   in
-  round d (Value.Set.elements (Value.Set.diff (Instance.nulls d) fixed))
+  (Structure.columnar_of ~nodes:!m tuples, origin')
+
+let not_injective h =
+  let seen = Array.make (Array.length h) false in
+  Array.exists
+    (fun w ->
+      seen.(w)
+      || begin
+        seen.(w) <- true;
+        false
+      end)
+    h
+
+let core_nodes ?(limits = Engine.Limits.unlimited) ?tests ~pinned c =
+  Engine.Budget.run limits @@ fun budget ->
+  let rec round c origin =
+    let restrict =
+      Domains.of_list
+        (List.filter_map
+           (fun i ->
+             if pinned.(origin.(i)) then
+               Some (i, Structure.Int_set.singleton i)
+             else None)
+           (List.init (Array.length origin) Fun.id))
+    in
+    let compiled =
+      Engine.Compiled.of_columnar ~restrict ~source:c ~target:c ()
+    in
+    let classes = Engine.Compiled.interchangeable_classes compiled in
+    let core () = Some { compiled; origin; classes } in
+    if Array.for_all (fun i -> pinned.(i)) origin then core ()
+    else begin
+      Option.iter Certdb_obs.Obs.incr tests;
+      match
+        Engine.first_compiled ~budget ~classes compiled ~accept:not_injective
+      with
+      | None -> core ()
+      | Some h ->
+        let c', origin' = image c h origin in
+        round c' origin'
+    end
+  in
+  round c (Array.init (Array.length c.Structure.node_ids) Fun.id)
+
+let core_b ?limits ?(fixed = Value.Set.empty) ?tests d =
+  let e = Hom.encode_endo ~fixed d in
+  let values = e.Hom.tgt_values in
+  let pinned =
+    Array.mapi (fun i _ -> Domains.find e.Hom.restrict i <> None) values
+  in
+  Engine.map_outcome
+    (fun c ->
+      Instance.of_facts
+        (Array.fold_left
+           (fun acc (cr : Structure.crel) ->
+             let ar = cr.Structure.arity in
+             List.init cr.Structure.count (fun t ->
+                 Instance.fact cr.Structure.rel
+                   (List.init ar (fun p ->
+                        values.(c.origin.(cr.Structure.flat.((t * ar) + p))))))
+             @ acc)
+           [] c.compiled.Engine.Compiled.csrc.Structure.crels))
+    (core_nodes ?limits ?tests ~pinned (Structure.columnar e.Hom.source))
 
 let core d = Option.get (Certdb_csp.Solver.definitive (core_b d))
 let is_core d = Instance.cardinal (core d) = Instance.cardinal d

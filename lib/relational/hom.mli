@@ -63,7 +63,7 @@ val encode : Instance.fact list -> Instance.t -> encoding
     active domain, in order) in the source as in the target, and
     [src_values] is [tgt_values].  [restrict] pins each constant, and
     each null in [fixed], to itself; it leaves every other node
-    unconstrained.  This is query-side work (a core test's [D_Q → D_Q]),
+    unconstrained.  This is query-side work (a core search's [D_Q → D_Q]),
     not a prepared target: [relational.hom.targets] does not count it. *)
 val encode_endo : ?fixed:Value.Set.t -> Instance.t -> encoding
 

@@ -911,7 +911,9 @@ let qcheck_endo_classes =
                     | _ -> None)
                   nodes))
       in
-      let got = Engine.Compiled.endo_interchangeable_classes ?restrict s in
+      let got = Engine.Compiled.endo_interchangeable_classes ?restrict
+          (Structure.columnar s)
+      in
       let expected =
         Engine.Compiled.interchangeable_classes
           (Engine.compile ?restrict ~source:s ~target:s ())
@@ -919,6 +921,45 @@ let qcheck_endo_classes =
       got = expected
       || QCheck.Test.fail_reportf "%d classes off the source, %d compiled"
            (Array.length got) (Array.length expected))
+
+(* The columnar view built straight from tuples equals the one compiled
+   off the persistent structure: relations by name then arity, tuples
+   in set order with repeats collapsed, the same per-position index *)
+let qcheck_columnar_of =
+  QCheck.Test.make ~count:500
+    ~name:"columnar_of equals the columnar view of make"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = Random.State.int st 8 in
+      let tuples =
+        List.init (Random.State.int st 12) (fun _ ->
+            let arity = if n = 0 then 0 else Random.State.int st 4 in
+            ( (if Random.State.bool st then "R" else "S"),
+              Array.init arity (fun _ -> Random.State.int st n) ))
+      in
+      let tuples = tuples @ List.filteri (fun i _ -> i mod 3 = 0) tuples in
+      let got = Structure.columnar_of ~nodes:n tuples in
+      let expected =
+        Structure.columnar
+          (Structure.make
+             ~nodes:(List.init n (fun i -> (i, None)))
+             ~tuples:(List.map (fun (r, t) -> (r, [ t ])) tuples))
+      in
+      let crel (c : Structure.crel) =
+        ( c.Structure.rel,
+          c.Structure.rel_id,
+          c.Structure.arity,
+          c.Structure.count,
+          Array.sub c.Structure.flat 0 (c.Structure.count * c.Structure.arity),
+          c.Structure.by_pos )
+      in
+      got.Structure.node_ids = expected.Structure.node_ids
+      && got.Structure.node_labels = expected.Structure.node_labels
+      && Array.map crel got.Structure.crels = Array.map crel expected.Structure.crels
+      && List.for_all
+           (fun i -> Hashtbl.find_opt got.Structure.dense_of i = Some i)
+           (List.init n Fun.id))
 
 let qcheck_lex_planted =
   let print seed =
@@ -1005,5 +1046,6 @@ let () =
             test_lex_enumeration;
           QCheck_alcotest.to_alcotest qcheck_lex_planted;
           QCheck_alcotest.to_alcotest qcheck_endo_classes;
+          QCheck_alcotest.to_alcotest qcheck_columnar_of;
         ] );
     ]

@@ -266,6 +266,100 @@ let prop_core_b_oracle =
         && Instance.cardinal c = Instance.cardinal oracle
       | _ -> false)
 
+(* The per-null core, kept as an oracle for the one-search core: one hom
+   test per null [v] of [d] asks for an endomorphism whose image avoids
+   [v] (a restriction takes [v] out of every movable node's candidates);
+   on [Sat h] the instance retracts to [h(d)] and is encoded afresh.
+   Nulls in [fixed] are pinned and never tested. *)
+let core_per_null ?(fixed = Value.Set.empty) d =
+  let module Engine = Certdb_csp.Engine in
+  let module Domains = Certdb_csp.Domains in
+  let module Int_set = Certdb_csp.Structure.Int_set in
+  let rec round d todo =
+    let e = Hom.encode_endo ~fixed d in
+    let values = e.Hom.tgt_values in
+    let nodes = Int_set.of_list (List.init (Array.length values) Fun.id) in
+    let rec test = function
+      | [] -> d
+      | v :: rest -> (
+        match Array.find_index (Value.equal v) values with
+        | None -> test rest
+        | Some j -> (
+          let restrict =
+            Domains.of_list
+              (List.init (Array.length values) (fun i ->
+                   match Domains.find e.Hom.restrict i with
+                   | Some pin -> (i, pin)
+                   | None -> (i, Int_set.remove j nodes)))
+          in
+          match
+            Engine.solve ~config:(Engine.Config.make ~restrict ())
+              ~source:e.Hom.source ~target:e.Hom.target ()
+          with
+          | Engine.Sat h -> round (Instance.apply (Hom.valuation e h) d) rest
+          | Engine.Unsat -> test rest
+          | Engine.Unknown _ -> assert false))
+    in
+    test todo
+  in
+  round d (Value.Set.elements (Value.Set.diff (Instance.nulls d) fixed))
+
+(* random instances with fixed nulls (as [prop_core_b_oracle] draws
+   them), and bidirectional cliques of 2 to 5 nulls with extra atoms over
+   the same nulls, constants and fixed nulls *)
+let gen_core_cliques =
+  QCheck.Gen.(
+    int_range 2 5 >>= fun k ->
+    let null i = Value.null (950 + i) in
+    let value =
+      frequency
+        [
+          (1, map Value.int (int_range 1 2));
+          (4, map null (int_range 0 (k + 1)));
+        ]
+    in
+    list_size (int_range 0 3) (map2 (fun a b -> ("E", [ a; b ])) value value)
+    >>= fun extra ->
+    list_size (int_range 0 2) (map null (int_range 0 (k + 1))) >|= fun fixed ->
+    let clique =
+      List.concat_map
+        (fun a ->
+          List.filter_map
+            (fun b -> if a <> b then Some ("E", [ null a; null b ]) else None)
+            (List.init k Fun.id))
+        (List.init k Fun.id)
+    in
+    ( List.fold_left
+        (fun d (rel, args) -> Instance.add_fact d rel args)
+        Instance.empty (clique @ extra),
+      Value.Set.of_list fixed ))
+
+let prop_core_one_search =
+  QCheck.Test.make ~count:400
+    ~name:"the one-search core matches the per-null oracle"
+    (QCheck.make
+       ~print:(fun (d, fixed) ->
+         Printf.sprintf "%s  fixed %s" (Parse.to_string d)
+           (String.concat "," (List.map Value.to_string (Value.Set.elements fixed))))
+       QCheck.Gen.(frequency [ (1, gen_core_case); (1, gen_core_cliques) ]))
+    (fun (d, fixed) ->
+      let pin =
+        Value.Set.fold
+          (fun v h -> Valuation.bind h v (Value.fresh_const ()))
+          fixed Valuation.empty
+      in
+      let frozen d = Instance.apply pin d in
+      let oracle = core_per_null ~fixed d in
+      match Core_instance.core_b ~fixed d with
+      | Certdb_csp.Engine.Sat c ->
+        Instance.cardinal c = Instance.cardinal oracle
+        && Ordering.equiv (frozen c) (frozen oracle)
+        && Ordering.equiv (frozen c) (frozen d)
+        && Value.Set.subset
+             (Value.Set.inter fixed (Instance.nulls d))
+             (Instance.nulls c)
+      | _ -> false)
+
 (* --- graphs --- *)
 
 let prop_graph_product_universal =
@@ -451,7 +545,7 @@ let all_props =
     prop_glb_greatest; prop_lub_upper_bound; prop_lub_least;
     prop_glb_commutes; prop_glb_associative; prop_glb_idempotent;
     prop_lub_idempotent; prop_core_equiv; prop_core_idempotent;
-    prop_core_no_smaller_equivalent; prop_core_b_oracle;
+    prop_core_no_smaller_equivalent; prop_core_b_oracle; prop_core_one_search;
     prop_graph_product_universal;
     prop_graph_core_equiv; prop_chromatic_monotone; prop_tree_leq_reflexive;
     prop_tree_glb_lower_bound; prop_tree_ground_member;

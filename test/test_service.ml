@@ -161,10 +161,9 @@ let qcheck_canon_sound =
       | _ -> QCheck.Test.fail_report "canonicalisation budget tripped")
 
 let test_canon_budget () =
-  (* the transitive 4-tournament is a core: each of its four core tests
-     refutes an endomorphism avoiding one null, which takes more than
-     two engine nodes, so a starved budget gives up (None) instead of
-     searching beyond it *)
+  (* the transitive 4-tournament is a core: its core search finds the
+     identity alone, which takes more than two engine nodes, so a
+     starved budget gives up (None) instead of searching beyond it *)
   let clique k =
     let ids = List.init k Fun.id in
     Cq.boolean
@@ -181,9 +180,9 @@ let test_canon_budget () =
     (Canon.cq_key (clique 4) <> None)
 
 let test_canon_core_budget () =
-  (* the bidirectional 6-clique is a core with 720 automorphisms: each of
-     its six core tests (one per null) is a pigeonhole refutation, and
-     each one runs under the canonicalisation budget *)
+  (* the bidirectional 6-clique is a core with 720 automorphisms: its
+     core search, lex-leader ordered, takes 63 decisions, all under the
+     canonicalisation budget *)
   let ids = List.init 6 Fun.id in
   let q =
     Cq.boolean
@@ -201,31 +200,336 @@ let test_canon_core_budget () =
   check "starved budget returns None" true (Canon.cq_key ~budget:20 q = None);
   check "default budget keys the clique" true (Canon.cq_key q <> None)
 
-let test_canon_core_budget_per_test () =
-  (* the budget bounds each hom test of the minimization on its own: the
-     bidirectional 5-clique runs 5 symmetric refutations (one per null),
-     and half of their total engine nodes is enough for every one of
-     them *)
-  let ids = List.init 5 Fun.id in
-  let q =
-    Cq.boolean
-      (List.concat_map
-         (fun a ->
-           List.filter_map
-             (fun b -> if a <> b then Some ("E", [ var a; var b ]) else None)
-             ids)
-         ids)
-  in
+let bclique k =
+  let ids = List.init k Fun.id in
+  List.concat_map
+    (fun a ->
+      List.filter_map
+        (fun b -> if a <> b then Some ("E", [ var a; var b ]) else None)
+        ids)
+    ids
+
+let test_canon_core_budget_whole () =
+  (* one budget covers the whole core computation: the bidirectional
+     5-clique, a core, minimizes at exactly the decisions it measures,
+     and one node fewer gives up *)
+  let q = Cq.boolean (bclique 5) in
   let decisions = Obs.counter "csp.solver.decisions" in
   let before = Obs.counter_value decisions in
   ignore (Cq.minimize q);
   let total = Obs.counter_value decisions - before in
-  check "the core computation branches" true (total >= 20);
-  let limits = Certdb_csp.Engine.Limits.make ~nodes:(total / 2) () in
-  check "half the total budget minimizes" true
-    (match Cq.minimize_b ~limits q with
+  check "the core search branches" true (total >= 5);
+  check "its measured decisions minimize" true
+    (match
+       Cq.minimize_b ~limits:(Certdb_csp.Engine.Limits.make ~nodes:total ()) q
+     with
     | Certdb_csp.Engine.Sat core -> List.length core.Cq.atoms = 20
-    | _ -> false)
+    | _ -> false);
+  check "one node fewer gives up" true
+    (Cq.minimize_b
+       ~limits:(Certdb_csp.Engine.Limits.make ~nodes:(total - 1) ())
+       q
+    = Certdb_csp.Engine.Unknown Certdb_csp.Engine.Node_budget)
+
+(* Bidirectional k-cliques are cores whose k! automorphisms all permute
+   one class: the core search settles each under the default budget,
+   and the labeling branches once per level, k nodes in all. *)
+let test_canon_bcliques () =
+  let nodes = Obs.counter "service.canon.label_nodes" in
+  for k = 5 to 12 do
+    let before = Obs.counter_value nodes in
+    let key = Canon.cq_key (Cq.boolean (bclique k)) in
+    let walked = Obs.counter_value nodes - before in
+    if key = None then Alcotest.failf "the %d-clique gave up" k;
+    if walked > k then
+      Alcotest.failf "the %d-clique walked %d labeling nodes" k walked
+  done
+
+(* ---- the unpruned labeling, kept as the oracle ------------------------
+
+   The labeling as it read the core before it ran on the core's dense
+   ids: the tableau frozen to an instance, its core by [core_b], the
+   atoms read off the instance's facts, and every member of a split cell
+   tried.  Keys must come out byte-identical. *)
+module Oracle = struct
+  module String_map = Map.Make (String)
+
+  let rec add_nat buf n =
+    if n >= 10 then add_nat buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+  let add_int buf n =
+    if n < 0 then Buffer.add_string buf (string_of_int n) else add_nat buf n
+
+  let add_string buf s =
+    add_int buf (String.length s);
+    Buffer.add_char buf ':';
+    Buffer.add_string buf s
+
+  let add_const buf = function
+    | Value.Int i ->
+      Buffer.add_string buf "ci";
+      add_int buf i
+    | Value.Str s ->
+      Buffer.add_string buf "cs";
+      add_string buf s
+
+  let render_atom rel arity add_arg =
+    let buf = Buffer.create 32 in
+    add_string buf rel;
+    Buffer.add_char buf '(';
+    for p = 0 to arity - 1 do
+      add_arg buf p;
+      Buffer.add_char buf ','
+    done;
+    Buffer.add_char buf ')';
+    Buffer.contents buf
+
+  type atom = {
+    rel : string;
+    rel_id : int;
+    vars : int array;
+    codes : int array;
+    args : Value.t array;
+  }
+
+  let mix h x =
+    let h = (h lxor x) * 0x1e3779b97f4a7c15 in
+    h lxor (h lsr 29)
+
+  let code col x a p =
+    let y = a.vars.(p) in
+    if y < 0 then a.codes.(p) else if y = x then 2 else (col.(y) lsl 2) lor 3
+
+  let refine atoms occ col ncol =
+    let n = Array.length col in
+    let order = Array.init n Fun.id in
+    let h = Array.make n 0 in
+    let rec round col ncol =
+      for x = 0 to n - 1 do
+        h.(x) <-
+          List.fold_left
+            (fun acc i ->
+              let a = atoms.(i) in
+              let k = ref (mix a.rel_id (Array.length a.vars)) in
+              for p = 0 to Array.length a.vars - 1 do
+                k := mix !k (code col x a p)
+              done;
+              acc + mix !k 0)
+            0 occ.(x)
+      done;
+      let cmp x y =
+        let c = Int.compare col.(x) col.(y) in
+        if c <> 0 then c else Int.compare h.(x) h.(y)
+      in
+      Array.sort cmp order;
+      let col' = Array.make n 0 in
+      for k = 1 to n - 1 do
+        let x = order.(k) and prev = order.(k - 1) in
+        col'.(x) <- (if cmp prev x = 0 then col'.(prev) else col'.(prev) + 1)
+      done;
+      let ncol' = if n = 0 then 0 else col'.(order.(n - 1)) + 1 in
+      if ncol' = ncol || ncol' = n then col' else round col' ncol'
+    in
+    round col ncol
+
+  let compare_rows r1 r2 =
+    let c = Int.compare (Array.length r1) (Array.length r2) in
+    if c <> 0 then c else compare r1 r2
+
+  let certificate atoms col =
+    let rows =
+      Array.map
+        (fun a ->
+          Array.init
+            (1 + Array.length a.vars)
+            (fun p -> if p = 0 then a.rel_id else code col (-1) a (p - 1)))
+        atoms
+    in
+    Array.sort compare_rows rows;
+    rows
+
+  let compare_certificates c1 c2 =
+    let rec go i =
+      if i = Array.length c1 then 0
+      else
+        let c = compare_rows c1.(i) c2.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+
+  let ranks compare xs =
+    let tbl = Hashtbl.create 8 in
+    List.iteri (fun i x -> Hashtbl.replace tbl x i) (List.sort_uniq compare xs);
+    Hashtbl.find tbl
+
+  let atoms_of ~head_pos core =
+    let facts = Instance.facts core in
+    let body = Hashtbl.create 16 in
+    Value.Set.iter
+      (fun v ->
+        if not (Value.Map.mem v head_pos) then
+          Hashtbl.replace body v (Hashtbl.length body))
+      (Instance.nulls core);
+    let rel_rank =
+      ranks String.compare (List.map (fun (f : Instance.fact) -> f.rel) facts)
+    in
+    let const_rank =
+      ranks Value.compare
+        (List.concat_map
+           (fun (f : Instance.fact) ->
+             List.filter Value.is_const (Array.to_list f.args))
+           facts)
+    in
+    let atom (f : Instance.fact) =
+      let vars =
+        Array.map
+          (fun v -> Option.value (Hashtbl.find_opt body v) ~default:(-1))
+          f.args
+      in
+      let codes =
+        Array.map
+          (fun v ->
+            match Value.Map.find_opt v head_pos with
+            | Some p -> (p lsl 2) lor 1
+            | None -> if Value.is_const v then const_rank v lsl 2 else 0)
+          f.args
+      in
+      { rel = f.rel; rel_id = rel_rank f.rel; vars; codes; args = f.args }
+    in
+    let atoms = Array.of_list (List.map atom facts) in
+    let occ = Array.make (Hashtbl.length body) [] in
+    Array.iteri
+      (fun i a ->
+        Array.iter
+          (fun y ->
+            if y >= 0 && not (List.mem i occ.(y)) then occ.(y) <- i :: occ.(y))
+          a.vars)
+      atoms;
+    (atoms, occ)
+
+  (* every member of the split cell, no budget *)
+  let least_leaf atoms occ =
+    let nb = Array.length occ in
+    let best = ref None in
+    let rec go col ncol =
+      let col = refine atoms occ col ncol in
+      let size = Array.make (max 1 nb) 0 in
+      Array.iter (fun c -> size.(c) <- size.(c) + 1) col;
+      let cell = ref (-1) in
+      Array.iteri
+        (fun c s -> if s > 1 && (!cell < 0 || s < size.(!cell)) then cell := c)
+        size;
+      if !cell < 0 then begin
+        let c = certificate atoms col in
+        match !best with
+        | Some (b, _) when compare_certificates b c <= 0 -> ()
+        | _ -> best := Some (c, col)
+      end
+      else
+        let ncol =
+          Array.fold_left (fun k s -> if s > 0 then k + 1 else k) 0 size
+        in
+        Array.iteri
+          (fun w c ->
+            if c = !cell then
+              go
+                (Array.mapi (fun x c -> (2 * c) + if x = w then 0 else 1) col)
+                (ncol + 1))
+          col
+    in
+    go (Array.make nb 0) (min nb 1);
+    snd (Option.get !best)
+
+  let label ~head_pos core =
+    let atoms, occ = atoms_of ~head_pos core in
+    let col = least_leaf atoms occ in
+    let add_arg a buf p =
+      let y = a.vars.(p) in
+      if y >= 0 then begin
+        Buffer.add_char buf 'v';
+        add_int buf col.(y)
+      end
+      else
+        match a.args.(p) with
+        | Value.Const c -> add_const buf c
+        | Value.Null _ ->
+          Buffer.add_char buf 'h';
+          add_int buf (a.codes.(p) lsr 2)
+    in
+    Array.to_list atoms
+    |> List.map (fun a -> render_atom a.rel (Array.length a.args) (add_arg a))
+    |> List.sort String.compare |> String.concat ";"
+
+  let cq_key q =
+    let d, assignment = Cq.freeze q in
+    let head = List.map (fun x -> String_map.find x assignment) q.Cq.head in
+    let head_pos =
+      List.fold_left
+        (fun (i, m) v ->
+          (i + 1, if Value.Map.mem v m then m else Value.Map.add v i m))
+        (0, Value.Map.empty) head
+      |> snd
+    in
+    match
+      Certdb_relational.Core_instance.core_b ~fixed:(Value.Set.of_list head) d
+    with
+    | Certdb_csp.Engine.Sat core ->
+      let buf = Buffer.create 64 in
+      Buffer.add_string buf "cq:[";
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ',';
+          add_int buf (Value.Map.find v head_pos))
+        head;
+      Buffer.add_string buf "]|";
+      Buffer.add_string buf (label ~head_pos core);
+      Buffer.contents buf
+    | _ -> Alcotest.fail "the unlimited core computation gave up"
+end
+
+(* Queries of at most 7 body variables with interchangeable classes
+   forced in: an anchored bidirectional clique (its members but the
+   anchored one form a class), atoms added over the same variables and
+   constants, which break classes apart, and head variables among them. *)
+let gen_symmetric_query =
+  QCheck.Gen.(
+    int_range 2 5 >>= fun k ->
+    bool >>= fun anchored ->
+    list_size (int_range 0 3)
+      (pair (int_range 0 (k + 1)) (int_range 0 (k + 1)))
+    >>= fun extra ->
+    list_size (int_range 0 1) gen_const >>= fun consts ->
+    list_size (int_range 0 2) (int_range 0 (k + 1)) >|= fun head ->
+    let anchor =
+      if anchored then [ ("E", [ Fo.Val (Value.int 7); var 0 ]) ] else []
+    in
+    let extra =
+      List.map (fun (a, b) -> ("E", [ var a; var b ])) extra
+      @ List.map (fun c -> ("S", [ c; var 1 ])) consts
+    in
+    let atoms = bclique k @ anchor @ extra in
+    let vars = Cq.vars (Cq.boolean atoms) in
+    let head =
+      List.filter_map
+        (fun i ->
+          let x = Printf.sprintf "x%d" i in
+          if List.mem x vars then Some x else None)
+        head
+    in
+    Cq.make ~head atoms)
+
+let qcheck_canon_pruning_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"pruned keys equal the unpruned labeling's, byte for byte"
+    (QCheck.make ~print:(Format.asprintf "%a" Cq.pp) gen_symmetric_query)
+    (fun q ->
+      match Canon.cq_key q with
+      | None -> QCheck.Test.fail_report "canonicalisation budget tripped"
+      | Some key ->
+        let expected = Oracle.cq_key q in
+        String.equal key expected
+        || QCheck.Test.fail_reportf "key %s, oracle %s" key expected)
 
 let test_canon_head_vars () =
   (* head variables are pinned: ans(x):-R(x,y) and ans(y):-R(y,x) are
@@ -916,6 +1220,48 @@ let test_server_protocol () =
   check "shutdown ok" true (field "status" row = Json.String "ok");
   check "shutdown stops the loop" true (k = `Shutdown)
 
+(* The bidirectional 8-clique against K7 under a 10 ms deadline: its
+   key costs one core search and 8 labeling nodes, and the lex-leader
+   engine refutes it well inside the deadline, so the answer is exact,
+   and the repeat is served from the cache. *)
+let test_server_bclique_deadline () =
+  let s =
+    Server.create ~config:(Server.Config.make ~cache_capacity:8 ~jobs:1 ()) ()
+  in
+  let k7 =
+    String.concat "; "
+      (List.concat_map
+         (fun a ->
+           List.filter_map
+             (fun b ->
+               if a <> b then Some (Printf.sprintf "E(%d,%d)" a b) else None)
+             (List.init 7 Fun.id))
+         (List.init 7 Fun.id))
+  in
+  (match Server.load s ~name:"k7" ~source:k7 with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  let request =
+    Json.to_string
+      (Json.Obj
+         [
+           ("op", Json.String "query");
+           ("db", Json.String "k7");
+           ("query", Json.String (cq_text (bclique 8)));
+           ("timeout_ms", Json.Float 10.);
+         ])
+  in
+  let ask () = fst (Server.handle_line s ~idx:0 request) in
+  let r1 = ask () in
+  check "exact false" true (graded_of_serve_row r1 = Ok (`Exact false));
+  check "first ask misses" true
+    (Json.member "cached" r1 = Some (Json.Bool false));
+  let r2 = ask () in
+  check "repeat still exact false" true
+    (graded_of_serve_row r2 = Ok (`Exact false));
+  check "repeat is cached" true
+    (Json.member "cached" r2 = Some (Json.Bool true))
+
 let test_server_batch_verb () =
   let s = mk_server () in
   let row, _ =
@@ -1343,8 +1689,11 @@ let () =
           Alcotest.test_case "budget gives up" `Quick test_canon_budget;
           Alcotest.test_case "core budget gives up" `Quick
             test_canon_core_budget;
-          Alcotest.test_case "core budget is per hom test" `Quick
-            test_canon_core_budget_per_test;
+          Alcotest.test_case "core budget covers the whole core" `Quick
+            test_canon_core_budget_whole;
+          Alcotest.test_case "bidirectional cliques key" `Quick
+            test_canon_bcliques;
+          QCheck_alcotest.to_alcotest qcheck_canon_pruning_oracle;
           Alcotest.test_case "head variables pinned" `Quick
             test_canon_head_vars;
           Alcotest.test_case "rigid tournaments key" `Quick
@@ -1390,6 +1739,8 @@ let () =
             `Quick test_server_constants_apart;
           Alcotest.test_case "protocol rows" `Quick test_server_protocol;
           Alcotest.test_case "batch verb" `Quick test_server_batch_verb;
+          Alcotest.test_case "bidirectional 8-clique keys inside its deadline"
+            `Quick test_server_bclique_deadline;
           Alcotest.test_case "wire CQ syntax" `Quick test_wire_parse;
           Alcotest.test_case "one target per loaded database" `Quick
             test_targets_built_once;
