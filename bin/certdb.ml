@@ -844,16 +844,13 @@ let serve_cmd =
     Fun.protect
       ~finally:(fun () -> Option.iter (fun stop -> stop ()) stop_metrics)
       (fun () ->
+        let config =
+          Supervisor.Config.make ~conns ~queue_capacity ?request_timeout_ms
+            ~max_line_bytes ~backlog ~retry_after_ms ()
+        in
         match socket with
-        | None -> (
-          match Server.serve ~max_line_bytes server stdin stdout with
-          | `Shutdown | `Eof -> ())
-        | Some path ->
-          let config =
-            Supervisor.Config.make ~conns ~queue_capacity ?request_timeout_ms
-              ~max_line_bytes ~backlog ~retry_after_ms ()
-          in
-          Supervisor.run ~config server ~path);
+        | None -> Supervisor.serve_stdio ~config server
+        | Some path -> Supervisor.run ~config server ~path);
     0
   in
   let socket =
@@ -888,9 +885,10 @@ let serve_cmd =
       & opt (some float) None
       & info [ "request-timeout-ms" ] ~docv:"MS"
           ~doc:
-            "Per-request read deadline on socket connections; a \
-             connection idle past it is answered with an error row and \
-             closed, reclaiming its worker.")
+            "Per-request read deadline, on stdio and on socket \
+             connections; a connection idle past it is answered with an \
+             error row and closed (on a socket this reclaims its worker; \
+             on stdio the server ends).")
   in
   let max_line_bytes =
     Arg.(

@@ -17,7 +17,7 @@
 
 type t = {
   name : string;
-      (** reported by the ladder's fallback rung ([fallback[<name>]]) and
+      (** reported by a resilient run's fallback rung ([fallback[<name>]]) and
           on the [solver] label of certainty spans *)
   satisfiable :
     Engine.Config.t -> Structure.t -> Structure.t -> unit Engine.outcome;

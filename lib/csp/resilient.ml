@@ -87,7 +87,7 @@ let run ?(policy = Policy.default) ?fallback ~limits f =
   in
   Obs.incr attempts_total;
   let r =
-    match Trace.with_span "csp.resilient.attempt" (fun () -> f limits) with
+    match f limits with
     | (Engine.Sat _ | Engine.Unsat) as outcome -> { outcome; rung = Search }
     | Engine.Unknown Engine.Cancelled as outcome -> exhausted outcome
     | Engine.Unknown _ as outcome -> (

@@ -21,14 +21,14 @@
     - ["csp.sat.conflict"] — every conflict of the CDCL SAT backend
       ([Certdb_sat.Solver.Cdcl]); the solver's budget wrapper converts
       the crash into [Unknown (Crashed "csp.sat.conflict")], which is
-      what lets the resilient ladder cross to the CSP backend.
+      what lets a resilient run fall back to the CSP backend.
     - ["exchange.chase.step"] — each chase round of
       [Constraints.chase_budgeted].
     - ["csp.batch.task"] — before each task of an [Engine.Batch] worker;
       surfaces as a per-task [Error] through [Batch.map_result].
-    - ["service.handler"] — before each request handled by a
-      [Service.Supervisor] connection worker; the supervisor converts
-      the crash into a structured [error] row
+    - ["service.handler"] — before each request handled by the
+      [Service.Supervisor] connection handler (stdio or a socket); the
+      supervisor converts the crash into a structured [error] row
       ([service.server.crashed]), never a dead worker.
     - ["service.read"] / ["service.write"] — {e non-raising} wire
       points consulted through {!check} by the supervisor around each

@@ -355,10 +355,6 @@ let record_ms t ms =
     let b = bucket_of_ms ms in
     t.t_buckets.(b) <- t.t_buckets.(b) + 1
 
-let time t f =
-  let t0 = now_ms () in
-  Fun.protect ~finally:(fun () -> record_ms t (now_ms () -. t0)) f
-
 type timer_stats = {
   count : int;
   total_ms : float;

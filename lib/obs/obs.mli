@@ -86,9 +86,6 @@ val timer : string -> timer
 (** [record_ms t ms] adds one sample of [ms] milliseconds to [t]. *)
 val record_ms : timer -> float -> unit
 
-(** [time t f] runs [f ()] and records its wall-clock duration in [t].
-    The sample is recorded even when [f] raises. *)
-val time : timer -> (unit -> 'a) -> 'a
 
 type timer_stats = {
   count : int;

@@ -110,8 +110,7 @@ let annotate k v =
 
 let label k = Option.bind (head ()) (fun f -> List.assoc_opt k f.f_labels)
 
-let close_frame fr stack =
-  let now = Obs.now_ms () in
+let close_frame fr stack ~dur_ms =
   record_event
     {
       trace_id = fr.f_trace;
@@ -120,7 +119,7 @@ let close_frame fr stack =
       name = fr.f_name;
       labels = List.rev fr.f_labels;
       start_ms = fr.f_start;
-      dur_ms = now -. fr.f_start;
+      dur_ms;
       domain = (Domain.self () :> int);
       kind = Span;
     };
@@ -133,42 +132,58 @@ let close_frame fr stack =
   in
   match drop !stack with Some rest -> stack := rest | None -> ()
 
-let run_frame ~trace ~parent ?(labels = []) name f =
-  let stack = Domain.DLS.get stack_key in
-  let fr =
-    { f_id = (match trace with `Root id -> id | `Child _ -> fresh_id ());
-      f_trace = (match trace with `Root id -> id | `Child t -> t);
-      f_parent = parent; f_name = name; f_start = Obs.now_ms ();
-      f_labels = labels }
+(* The one frame routine of [with_span] and [with_trace]: one clock read
+   when the span opens, one when it closes, and one exception guard.
+   The one duration feeds the Obs timer of [name] and, when [trace]
+   places the span (span id, trace id, parent), the ring event; with
+   tracing off ([trace = None]) there is no stack and no ring. *)
+let run_frame ?(labels = []) name ~trace f =
+  let timer = Obs.timer name in
+  let start = Obs.now_ms () in
+  let close =
+    match trace with
+    | None -> ignore
+    | Some (id, trace_id, parent) ->
+      let stack = Domain.DLS.get stack_key in
+      let fr =
+        { f_id = id; f_trace = trace_id; f_parent = parent; f_name = name;
+          f_start = start; f_labels = labels }
+      in
+      stack := fr :: !stack;
+      fun dur_ms -> close_frame fr stack ~dur_ms
   in
-  stack := fr :: !stack;
-  Fun.protect ~finally:(fun () -> close_frame fr stack) (fun () -> f fr)
+  let finish () =
+    let dur_ms = Obs.now_ms () -. start in
+    Obs.record_ms timer dur_ms;
+    close dur_ms
+  in
+  match f () with
+  | v ->
+    finish ();
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    finish ();
+    Printexc.raise_with_backtrace e bt
 
 let with_span ?labels name f =
-  let timer = Obs.timer name in
-  if not !enabled_flag then Obs.time timer f
-  else
-    Obs.time timer (fun () ->
-        match head () with
-        | Some parent ->
-          run_frame ~trace:(`Child parent.f_trace) ~parent:(Some parent.f_id)
-            ?labels name (fun _ -> f ())
-        | None -> (
-          match !(Domain.DLS.get ambient_key) with
-          | Some (tid, psp) ->
-            run_frame ~trace:(`Child tid) ~parent:psp ?labels name (fun _ ->
-                f ())
-          | None ->
-            run_frame ~trace:(`Root (fresh_id ())) ~parent:None ?labels name
-              (fun _ -> f ())))
+  let trace =
+    if not !enabled_flag then None
+    else
+      let id = fresh_id () in
+      match head () with
+      | Some parent -> Some (id, parent.f_trace, Some parent.f_id)
+      | None -> (
+        match !(Domain.DLS.get ambient_key) with
+        | Some (tid, psp) -> Some (id, tid, psp)
+        | None -> Some (id, id, None))
+  in
+  run_frame ?labels name ~trace f
 
 let with_trace ?labels name f =
-  let timer = Obs.timer name in
-  if not !enabled_flag then Obs.time timer (fun () -> f (fresh_id ()))
-  else
-    Obs.time timer (fun () ->
-        run_frame ~trace:(`Root (fresh_id ())) ~parent:None ?labels name
-          (fun fr -> f fr.f_id))
+  let id = fresh_id () in
+  let trace = if !enabled_flag then Some (id, id, None) else None in
+  run_frame ?labels name ~trace (fun () -> f id)
 
 let instant ?(labels = []) name =
   if !enabled_flag then begin

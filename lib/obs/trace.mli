@@ -14,8 +14,10 @@
     fresh trace.  Every completed span {e also} feeds the plain {!Obs}
     timer of the same name, so aggregate timer statistics are identical
     whether tracing is enabled or not — per-request labels (worker index,
-    ladder rung, plan route, ...) live only on the ring-buffer events, not
-    in timer names.
+    resilient rung, plan route, ...) live only on the ring-buffer events,
+    not in timer names.  A span reads the clock twice, when it opens and
+    when it closes; that one duration is both the timer sample and the
+    event's [dur_ms].
 
     {1 Ring buffer}
 
@@ -27,8 +29,8 @@
     may or may not appear, which is fine for a diagnostic stream.
 
     [set_enabled false] stops context bookkeeping and ring writes;
-    [with_span] degrades to [Obs.time] on the same timer, so the
-    aggregate metrics keep flowing. *)
+    [with_span] runs the same frame routine without the span stack and
+    the ring, so the aggregate metrics keep flowing. *)
 
 module Json = Obs.Json
 

@@ -16,7 +16,7 @@
     ({!Certdb_obs.Fault}), and an injected crash surfaces as
     [Unknown (Crashed "csp.sat.conflict")], never an escaped exception —
     the same failure contract as the CSP engine, which is what lets
-    {!Certdb_csp.Resilient}'s ladder cross backends. *)
+    a {!Certdb_csp.Resilient} run fall back across backends. *)
 
 module Engine = Certdb_csp.Engine
 

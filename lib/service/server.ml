@@ -159,54 +159,6 @@ type pending = {
   p_scoped : string option;  (* where a lower bound is stored *)
 }
 
-(* The one cache lookup.  [canon ()] gives the query's canonical key
-   ([None]: canonicalisation gave up, so the request bypasses the cache)
-   and is only called when the cache is consulted; [query ()] gives the
-   query itself, only needed on a miss.  Lookup order: the plain key
-   first — an exact answer cached by anyone is valid under any budget —
-   then, for budgeted requests, the budget-scoped key, so a degraded
-   answer is only reused by requests imposing the same budget. *)
-let find_or_prepare t entry ~limits ~policy ~backend ~no_cache ~canon ~query
-    =
-  let todo plain scoped =
-    Result.map
-      (fun q ->
-        `Todo
-          {
-            p_entry = entry;
-            p_limits = limits;
-            p_policy = policy;
-            p_q = q;
-            p_backend = backend;
-            p_plain = plain;
-            p_scoped = scoped;
-          })
-      (query ())
-  in
-  match t.cache with
-  | None -> todo None None
-  | Some cache when no_cache ->
-    Cache.bypass cache;
-    todo None None
-  | Some cache -> (
-    match canon () with
-    | Error _ as e -> e
-    | Ok None ->
-      Cache.bypass cache;
-      todo None None
-    | Ok (Some ck) -> (
-      let key = entry.fingerprint ^ "|" ^ ck in
-      let scoped =
-        if Engine.Limits.is_unlimited limits then None
-        else Some (key ^ "|" ^ limits_sig ~backend limits policy)
-      in
-      match Cache.find cache key with
-      | Some (a, _) -> Ok (`Hit a)
-      | None -> (
-        match Option.bind scoped (Cache.find cache) with
-        | Some (a, _) -> Ok (`Hit a)
-        | None -> todo (Some key) scoped)))
-
 (* search-effort attribution for [explain], one label per counter:
    [nodes] are the engine's decisions, [backtracks] its dead ends,
    [sat_decisions] and [sat_conflicts] the CDCL's own.  The
@@ -255,40 +207,18 @@ let store t p a ~cost_ms =
       Cache.add cache k ~footprint ~cost_ms a
     | _ -> ())
 
-(* the one policy override: a request's [max_attempts] *)
-let policy_with t max_attempts =
-  match max_attempts with
-  | None -> t.config.Config.policy
-  | Some n ->
-    { t.config.Config.policy with Resilient.Policy.max_attempts = max 1 n }
-
-let eval_query t ~db ?limits ?max_attempts ?backend ?(no_cache = false) q =
-  let limits = Option.value limits ~default:t.config.Config.default_limits in
-  let policy = policy_with t max_attempts in
-  let backend = Option.value backend ~default:t.config.Config.backend in
-  let canon () = Ok (Canon.cq_key ~budget:t.config.Config.canon_budget q) in
-  match lookup t db with
-  | Error _ as e -> e
-  | Ok entry -> (
-    match
-      find_or_prepare t entry ~limits ~policy ~backend ~no_cache ~canon
-        ~query:(fun () -> Ok q)
-    with
-    | Error _ as e -> e
-    | Ok (`Hit a) -> Ok ((a, true) : answer * bool)
-    | Ok (`Todo p) ->
-      let a, cost_ms = compute_pending p in
-      store t p a ~cost_ms;
-      Ok (a, false))
-
 (* ---- request handling ----------------------------------------------- *)
 
-(* Parse the query-shaped fields of [j] and run the cache lookup.  The
-   canonical key of the request's query text comes from the [memo] LRU
-   when the same text was served before, so the hit path skips CQ
+(* Parse the query-shaped fields of [j] and run the one cache lookup.
+   The canonical key of the request's query text comes from the [memo]
+   LRU when the same text was served before, so the hit path skips CQ
    parsing, core computation and the canonical-labeling search; the
    query is parsed at most once, and only when an evaluation (or a
-   fresh canonicalisation) actually needs it. *)
+   fresh canonicalisation) actually needs it.  Lookup order: the plain
+   key first — an exact answer cached by anyone is valid under any
+   budget — then, for budgeted requests, the budget-scoped key, so a
+   degraded answer is only reused by requests imposing the same
+   budget. *)
 let prepare_request t j =
   let field k =
     Option.to_result (Wire.str_field k j)
@@ -302,24 +232,67 @@ let prepare_request t j =
   let limits =
     Wire.limits_of_json ~default:t.config.Config.default_limits j
   in
-  let policy = policy_with t (Wire.int_field "max_attempts" j) in
+  (* the one policy override: a request's [max_attempts] *)
+  let policy =
+    match Wire.int_field "max_attempts" j with
+    | None -> t.config.Config.policy
+    | Some n ->
+      { t.config.Config.policy with Resilient.Policy.max_attempts = max 1 n }
+  in
   let no_cache = Option.value (Wire.bool_field "no_cache" j) ~default:false in
   let parsed =
     lazy (Result.map_error (( ^ ) "query: ") (Wire.parse_cq_result qs))
   in
-  let query () = Lazy.force parsed in
-  let canon () =
-    match Option.bind t.memo (fun memo -> Cache.find memo qs) with
-    | Some (ck, _) -> Ok ck
-    | None ->
-      Result.map
-        (fun q ->
-          let ck = Canon.cq_key ~budget:t.config.Config.canon_budget q in
-          Option.iter (fun memo -> Cache.add memo qs ~cost_ms:0.0 ck) t.memo;
-          ck)
-        (query ())
+  let todo plain scoped =
+    Result.map
+      (fun q ->
+        `Todo
+          {
+            p_entry = entry;
+            p_limits = limits;
+            p_policy = policy;
+            p_q = q;
+            p_backend = backend;
+            p_plain = plain;
+            p_scoped = scoped;
+          })
+      (Lazy.force parsed)
   in
-  find_or_prepare t entry ~limits ~policy ~backend ~no_cache ~canon ~query
+  match t.cache with
+  | None -> todo None None
+  | Some cache when no_cache ->
+    Cache.bypass cache;
+    todo None None
+  | Some cache -> (
+    let canon =
+      match Option.bind t.memo (fun memo -> Cache.find memo qs) with
+      | Some (ck, _) -> Ok ck
+      | None ->
+        Result.map
+          (fun q ->
+            let ck = Canon.cq_key ~budget:t.config.Config.canon_budget q in
+            Option.iter (fun memo -> Cache.add memo qs ~cost_ms:0.0 ck) t.memo;
+            ck)
+          (Lazy.force parsed)
+    in
+    match canon with
+    | Error _ as e -> e
+    | Ok None ->
+      (* canonicalisation gave up: the request bypasses the cache *)
+      Cache.bypass cache;
+      todo None None
+    | Ok (Some ck) -> (
+      let key = entry.fingerprint ^ "|" ^ ck in
+      let scoped =
+        if Engine.Limits.is_unlimited limits then None
+        else Some (key ^ "|" ^ limits_sig ~backend limits policy)
+      in
+      match Cache.find cache key with
+      | Some (a, _) -> Ok (`Hit a)
+      | None -> (
+        match Option.bind scoped (Cache.find cache) with
+        | Some (a, _) -> Ok (`Hit a)
+        | None -> todo (Some key) scoped)))
 
 let answer_fields ?latency_ms answer ~cached =
   let base =
@@ -706,36 +679,12 @@ let handle_line t ~idx line =
     | other ->
       continue (of_result (Error (Printf.sprintf "unknown op %S" other))))
 
-(* ---- the loop -------------------------------------------------------- *)
-
-let oversized_row ~idx ~max =
+(* an over-long line is a request answered with an error, on every
+   transport *)
+let oversized_row t ~idx ~max =
+  Obs.incr t.c_requests;
+  Obs.incr t.c_errors;
   Wire.row ~idx
     ~id:("line-" ^ string_of_int idx)
     ~op:"?"
     (Wire.error_fields (Printf.sprintf "request line exceeds %d bytes" max))
-
-let serve ?(max_line_bytes = Wire.default_max_line_bytes) t ic oc =
-  let respond row =
-    output_string oc (Json.to_string row);
-    output_char oc '\n';
-    flush oc
-  in
-  let rec loop idx =
-    match Wire.input_line_bounded ~max:max_line_bytes ic with
-    | `Eof -> `Eof
-    | `Oversized _ ->
-      (* the over-long line was drained, never buffered whole; the
-         stream stays in sync and the client gets a structured row *)
-      Obs.incr t.c_requests;
-      Obs.incr t.c_errors;
-      respond (oversized_row ~idx ~max:max_line_bytes);
-      loop (idx + 1)
-    | `Line line ->
-      if String.trim line = "" then loop idx
-      else begin
-        let row, k = handle_line t ~idx line in
-        respond row;
-        match k with `Continue -> loop (idx + 1) | `Shutdown -> `Shutdown
-      end
-  in
-  loop 0

@@ -1,6 +1,7 @@
 (** The long-running certain-answer server: a named database registry, a
-    core-canonical semantic cache, and a JSONL request loop served over
-    stdio or a Unix socket.
+    core-canonical semantic cache, and one JSONL request entry,
+    {!handle_line}.  {!Supervisor} serves it over stdio or a Unix
+    socket, through one connection handler.
 
     {1 Protocol}
 
@@ -29,8 +30,8 @@
     always exact by Theorem 4).  [ping] answers
     [{"status":"ok","pong":true}] — a constant-work liveness probe.
     Malformed or failing requests produce [{"status":"error","error":msg}]
-    rows and the loop keeps serving; only [shutdown] (or EOF) ends it.
-    A request line longer than the serve loop's cap is drained and
+    rows and the connection keeps serving; only [shutdown] (or EOF) ends it.
+    A request line longer than the connection's cap is drained and
     answered with an [error] row ("request line exceeds N bytes")
     without ever being buffered whole.
 
@@ -39,8 +40,7 @@
     components one at a time.  [jobs] widens only the [batch] verb's
     pool.
 
-    Under the concurrent socket front end ({!Supervisor}), an
-    overloaded server sheds new connections with one
+    On a socket ({!Supervisor.run}), an overloaded server sheds new connections with one
     [{"status":"overloaded","retry_after_ms":F}] row instead of
     queueing unboundedly; {!Client} honors the hint.
 
@@ -134,48 +134,25 @@ type t
     {!Config.t.slow_ms}); defaults to a line on stderr. *)
 val create : ?config:Config.t -> ?slow_sink:(Json.t -> unit) -> unit -> t
 
-(** {1 Typed entry points (tests, benches)} *)
+(** {1 Databases and the cache} *)
 
 val load : t -> name:string -> source:string -> (Instance.t, string) result
 
-(** A query answer: graded Boolean certainty, or the certain answer set
-    of a non-Boolean query. *)
+(** A query answer, as the cache stores it: graded Boolean certainty,
+    or the certain answer set of a non-Boolean query. *)
 type answer =
   | Graded of [ `Exact of bool | `Lower_bound of bool ]
   | Tuples of Instance.t
 
-(** [eval_query t ~db q] — the served evaluation: planner-routed,
-    resilient, cache-checked.  The [bool] is [true] on a cache hit. *)
-val eval_query :
-  t ->
-  db:string ->
-  ?limits:Engine.Limits.t ->
-  ?max_attempts:int ->
-  ?backend:Certdb_sat.Backend.choice ->
-  ?no_cache:bool ->
-  Certdb_query.Cq.t ->
-  (answer * bool, string) result
-
 val cache_totals : t -> Cache.totals option
 
-(** {1 The request loop} *)
+(** {1 Requests} *)
 
-(** [handle_line t ~idx line] — one request through the full wire path;
-    returns the response row and whether the loop should continue. *)
+(** [handle_line t ~idx line] — one request through the full wire path,
+    the server's only request entry; returns the response row and
+    whether the connection should continue. *)
 val handle_line : t -> idx:int -> string -> Json.t * [ `Continue | `Shutdown ]
 
-(** [oversized_row ~idx ~max] — the structured answer to a request line
-    longer than [max] bytes (shared by {!serve} and the socket
-    supervisor). *)
-val oversized_row : idx:int -> max:int -> Json.t
-
-(** [serve t ic oc] reads JSONL requests from [ic] and writes one
-    response line per request to [oc] (flushed per line).  Lines longer
-    than [max_line_bytes] (default {!Wire.default_max_line_bytes}) are
-    drained — never buffered whole — and answered with an [error] row.
-
-    Socket serving lives in {!Supervisor.run}: concurrent connections
-    on a bounded domain pool with admission control, crash isolation
-    and graceful drain. *)
-val serve :
-  ?max_line_bytes:int -> t -> in_channel -> out_channel -> [ `Shutdown | `Eof ]
+(** [oversized_row t ~idx ~max] — the structured answer to a request
+    line longer than [max] bytes, counted as a request and an error. *)
+val oversized_row : t -> idx:int -> max:int -> Json.t

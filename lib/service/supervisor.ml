@@ -109,12 +109,12 @@ let timeout_row ~idx =
     ~op:"?"
     (Wire.error_fields "request timed out")
 
-(* One request/response exchange per iteration.  Crash isolation is
-   here: an exception out of [Server.handle_line] — a bug, or an
-   injected [service.handler] fault — becomes a structured error row
-   and the connection (and process) live on. *)
-let handle_conn t fd =
-  let reader = Wire.Fd_reader.create fd in
+(* One request/response exchange per iteration, reading [reader] and
+   writing [out]: a socket connection, or stdin and stdout.  Crash
+   isolation is here: an exception out of [Server.handle_line] — a bug,
+   or an injected [service.handler] fault — becomes a structured error
+   row and the connection (and process) live on. *)
+let handle_conn t reader out =
   let rec loop idx =
     match faulty_read t reader with
     | `Stopped | `Eof -> `Closed
@@ -122,13 +122,14 @@ let handle_conn t fd =
       (* reclaim the worker: one stalled client must not hold a pool
          slot forever.  Best-effort notice, then hang up. *)
       Obs.incr c_timeouts;
-      ignore (Wire.write_line fd (Json.to_string (timeout_row ~idx)));
+      ignore (Wire.write_line out (Json.to_string (timeout_row ~idx)));
       `Closed
     | `Oversized _ -> (
       match
-        faulty_write fd
+        faulty_write out
           (Json.to_string
-             (Server.oversized_row ~idx ~max:t.config.max_line_bytes))
+             (Server.oversized_row t.server ~idx
+                ~max:t.config.max_line_bytes))
       with
       | Ok () -> loop (idx + 1)
       | Error _ -> `Closed)
@@ -147,15 +148,13 @@ let handle_conn t fd =
                    ("handler crashed: " ^ Wire.describe_exn e)),
               `Continue )
         in
-        match faulty_write fd (Json.to_string row) with
+        match faulty_write out (Json.to_string row) with
         | Error _ -> `Closed (* client hung up mid-response (EPIPE) *)
         | Ok () -> (
           match k with `Continue -> loop (idx + 1) | `Shutdown -> `Shutdown)
       end
   in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () -> loop 0)
+  loop 0
 
 (* ---- the pool -------------------------------------------------------- *)
 
@@ -184,8 +183,9 @@ let rec worker t =
     let outcome =
       Fun.protect
         ~finally:(fun () ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
           Obs.set_int g_inflight (Atomic.fetch_and_add t.inflight (-1) - 1))
-        (fun () -> handle_conn t fd)
+        (fun () -> handle_conn t (Wire.Fd_reader.create fd) fd)
     in
     (match outcome with `Shutdown -> request_stop t | `Closed -> ());
     worker t
@@ -252,23 +252,33 @@ let acceptor t sock =
 
 (* ---- lifecycle ------------------------------------------------------- *)
 
-let run ?(config = Config.default) server ~path =
-  (* stale socket from a crashed predecessor *)
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
+let create config server =
   (* a client that disconnects mid-response must not kill the server *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let t =
-    {
-      server;
-      config;
-      stop = Atomic.make false;
-      queue = Queue.create ();
-      mu = Mutex.create ();
-      nonempty = Condition.create ();
-      inflight = Atomic.make 0;
-    }
-  in
+  {
+    server;
+    config;
+    stop = Atomic.make false;
+    queue = Queue.create ();
+    mu = Mutex.create ();
+    nonempty = Condition.create ();
+    inflight = Atomic.make 0;
+  }
+
+(* stdio is one connection, served on the calling domain: stdin's last
+   line is a request even without its newline, which on a socket would
+   be a torn frame *)
+let serve_stdio ?(config = Config.default) server =
+  let t = create config server in
+  ignore
+    (handle_conn t (Wire.Fd_reader.create ~final_line:true Unix.stdin)
+       Unix.stdout)
+
+let run ?(config = Config.default) server ~path =
+  (* stale socket from a crashed predecessor *)
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let t = create config server in
   (* SIGTERM drains like the shutdown verb.  Handler body: one atomic
      store (see [request_stop]); accept also wakes on the EINTR. *)
   let prev_term =

@@ -1,8 +1,16 @@
-(** The concurrent socket front end of {!Server}: a bounded worker-domain
-    pool with admission control, per-connection crash isolation, request
-    deadlines and graceful drain.
+(** The front end of {!Server}, on stdio and on a Unix socket: one
+    connection handler, with crash isolation, request deadlines, line
+    caps and wire fault points, serves both.  On a socket it runs on a
+    bounded worker-domain pool with admission control and graceful
+    drain.
 
     {1 Architecture}
+
+    {!serve_stdio} runs the handler once, on the calling domain, reading
+    stdin and writing stdout.  The one difference between the
+    transports is the end of the stream: stdin's last line is a request
+    even without its newline, while on a socket such a line is a torn
+    request and is dropped.
 
     {!run} binds a Unix socket and splits work across [1 + conns]
     domains: the calling domain accepts (selecting in 0.1 s slices so a
@@ -29,11 +37,12 @@
       worker or process.
     - A connection idle past [request_timeout_ms] is answered with a
       "request timed out" error row and closed, reclaiming the pool
-      slot ([service.server.timeouts]).
+      slot ([service.server.timeouts]); on stdio the server then ends.
     - Request lines longer than [max_line_bytes] are drained and
       answered with {!Server.oversized_row}.
     - [EPIPE]/[ECONNRESET] from a client that hung up close that
-      connection only ([SIGPIPE] is ignored).
+      connection only ([SIGPIPE] is ignored); on stdio a closed stdout
+      ends the server quietly.
 
     {1 Drain}
 
@@ -76,6 +85,12 @@ module Config : sig
     unit ->
     t
 end
+
+(** [serve_stdio ?config server] serves [server] on stdin and stdout
+    until EOF, a [shutdown] request or a request timeout.  [conns],
+    [queue_capacity], [backlog] and [retry_after_ms] have no effect
+    here. *)
+val serve_stdio : ?config:Config.t -> Server.t -> unit
 
 (** [run ?config server ~path] serves [server] on the Unix socket
     [path] until a client issues [shutdown] or the process receives

@@ -155,40 +155,27 @@ let overloaded_fields ~retry_after_ms =
 
 let default_max_line_bytes = 1 lsl 20
 
-let input_line_bounded ?(max = default_max_line_bytes) ic =
-  let buf = Buffer.create 256 in
-  (* [overflow] counts bytes past the cap of the current line: the tail
-     is drained (to keep the stream in sync) but never buffered. *)
-  let rec go overflow =
-    match In_channel.input_char ic with
-    | None ->
-      if overflow > 0 then `Oversized (Buffer.length buf + overflow)
-      else if Buffer.length buf = 0 then `Eof
-      else `Line (Buffer.contents buf)
-    | Some '\n' ->
-      if overflow > 0 then `Oversized (Buffer.length buf + overflow)
-      else `Line (Buffer.contents buf)
-    | Some c ->
-      if Buffer.length buf >= max then go (overflow + 1)
-      else begin
-        Buffer.add_char buf c;
-        go 0
-      end
-  in
-  go 0
-
 module Fd_reader = struct
   type t = {
     fd : Unix.file_descr;
     chunk : Bytes.t;
     mutable pending : string;
+    mutable pos : int;  (* [pending]'s bytes before [pos] are consumed *)
     mutable discarding : int;
         (* > 0: bytes already dropped of an over-long line still being
            drained to its terminating newline *)
+    final_line : bool;
   }
 
-  let create fd =
-    { fd; chunk = Bytes.create 8192; pending = ""; discarding = 0 }
+  let create ?(final_line = false) fd =
+    {
+      fd;
+      chunk = Bytes.create 8192;
+      pending = "";
+      pos = 0;
+      discarding = 0;
+      final_line;
+    }
 
   (* Select in <=100ms slices so a tripped [stop] flag (drain) is
      noticed promptly even under an indefinite timeout. *)
@@ -217,28 +204,37 @@ module Fd_reader = struct
   (* Consume one buffered line (or the tail of an over-long line).
      [None] when no newline is buffered yet. *)
   let take_line t ~max =
-    match String.index_opt t.pending '\n' with
+    match String.index_from_opt t.pending t.pos '\n' with
     | Some i ->
-      let rest =
-        String.sub t.pending (i + 1) (String.length t.pending - i - 1)
-      in
-      if t.discarding > 0 then begin
-        let total = t.discarding + i in
+      let start = t.pos and len = i - t.pos in
+      t.pos <- i + 1;
+      if t.discarding > 0 || len > max then begin
+        let total = t.discarding + len in
         t.discarding <- 0;
-        t.pending <- rest;
         Some (`Oversized total)
       end
-      else begin
-        let line = String.sub t.pending 0 i in
-        t.pending <- rest;
-        if i > max then Some (`Oversized i) else Some (`Line line)
-      end
+      else Some (`Line (String.sub t.pending start len))
     | None ->
-      if t.discarding > 0 || String.length t.pending > max then begin
-        t.discarding <- t.discarding + String.length t.pending;
-        t.pending <- ""
+      let left = String.length t.pending - t.pos in
+      if t.discarding > 0 || left > max then begin
+        t.discarding <- t.discarding + left;
+        t.pending <- "";
+        t.pos <- 0
       end;
       None
+
+  (* A partial line at EOF is a last request under [final_line] and a
+     torn one, dropped, otherwise. *)
+  let at_eof t =
+    let left = String.length t.pending - t.pos in
+    if (not t.final_line) || (t.discarding = 0 && left = 0) then `Eof
+    else begin
+      let line = String.sub t.pending t.pos left and dropped = t.discarding in
+      t.discarding <- 0;
+      t.pending <- "";
+      t.pos <- 0;
+      if dropped > 0 then `Oversized (dropped + left) else `Line line
+    end
 
   let read_line ?timeout_ms ?stop ~max t =
     let deadline =
@@ -254,11 +250,13 @@ module Fd_reader = struct
         | `Stopped -> `Stopped
         | `Readable -> (
           match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
-          (* a partial pending line at socket EOF is a torn request,
-             not a request *)
-          | 0 -> `Eof
+          | 0 -> at_eof t
           | n ->
-            t.pending <- t.pending ^ Bytes.sub_string t.chunk 0 n;
+            (* only a partial line is left to keep: no newline remains *)
+            t.pending <-
+              String.sub t.pending t.pos (String.length t.pending - t.pos)
+              ^ Bytes.sub_string t.chunk 0 n;
+            t.pos <- 0;
             go ()
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
           | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)

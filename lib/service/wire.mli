@@ -123,21 +123,18 @@ val parse_instance_result : string -> (Instance.t, string) result
 (** 1 MiB. *)
 val default_max_line_bytes : int
 
-(** [input_line_bounded ?max ic] — bounded [input_line] over a channel
-    (the stdio server).  A partial final line without a newline is
-    still [`Line]. *)
-val input_line_bounded :
-  ?max:int -> In_channel.t -> [ `Line of string | `Oversized of int | `Eof ]
-
 (** Buffered line reads over a raw [Unix] fd with per-call deadlines —
-    the supervisor's connection reader.  [Unix.select] runs in ≤100 ms
-    slices polling [stop], so drain interrupts an idle read promptly;
-    [EINTR] is always retried.  A partial line at socket EOF is a torn
-    request and reads as [`Eof]. *)
+    the supervisor's connection reader, on a socket and on stdin alike.
+    [Unix.select] runs in ≤100 ms slices polling [stop], so drain
+    interrupts an idle read promptly; [EINTR] is always retried. *)
 module Fd_reader : sig
   type t
 
-  val create : Unix.file_descr -> t
+  (** [create ?final_line fd] — with [final_line] (stdin, where a
+      file's last line may lack its newline) a partial line at EOF is
+      one last request; without it (a socket) it is a torn request and
+      reads as [`Eof]. *)
+  val create : ?final_line:bool -> Unix.file_descr -> t
 
   val read_line :
     ?timeout_ms:float ->

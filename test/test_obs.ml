@@ -227,6 +227,47 @@ let test_spans () =
       Alcotest.(check int) "raising span recorded" 1
         (stats "test.obs.raises").Obs.count)
 
+(* One span reads the clock twice, once when it opens and once when it
+   closes, and its timer sample is the ring event's duration — on
+   return and on raise, and with tracing off (no event) too. *)
+let test_span_clock () =
+  Obs.reset ();
+  Trace.clear ();
+  let reads = ref 0 in
+  Obs.set_clock_ms (fun () ->
+      incr reads;
+      float_of_int (!reads * !reads));
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_enabled true;
+      Obs.set_clock_ms (fun () -> Unix.gettimeofday () *. 1000.))
+    (fun () ->
+      let span name f =
+        reads := 0;
+        (try Trace.with_span name f with Failure _ -> ());
+        Alcotest.(check int) (name ^ ": two clock reads") 2 !reads;
+        let timer = Option.get (Obs.find_timer (Obs.snapshot ()) name) in
+        Alcotest.(check int) (name ^ ": one sample") 1 timer.Obs.count;
+        (* the clock reads 1 then 4: a duration of 3 *)
+        Alcotest.(check (float 0.)) (name ^ ": timer sample") 3.
+          timer.Obs.total_ms;
+        List.find_opt (fun ev -> ev.Trace.name = name) (Trace.events ())
+      in
+      List.iter
+        (fun (name, f) ->
+          match span name f with
+          | Some ev ->
+            Alcotest.(check (float 0.)) (name ^ ": event duration") 3.
+              ev.Trace.dur_ms
+          | None -> Alcotest.failf "%s: no ring event" name)
+        [
+          ("test.obs.clock.returns", fun () -> ());
+          ("test.obs.clock.raises", fun () -> failwith "boom");
+        ];
+      Trace.set_enabled false;
+      Alcotest.(check bool) "tracing off: no ring event" true
+        (span "test.obs.clock.off" (fun () -> ()) = None))
+
 let test_snapshot_reset () =
   Obs.reset ();
   Obs.add (Obs.counter "test.obs.reset") 3;
@@ -290,7 +331,12 @@ let () =
           Alcotest.test_case "timer quantiles" `Quick test_timer_quantiles;
           Alcotest.test_case "snapshot/reset" `Quick test_snapshot_reset;
         ] );
-      ("spans", [ Alcotest.test_case "nesting" `Quick test_spans ]);
+      ( "spans",
+        [
+          Alcotest.test_case "nesting" `Quick test_spans;
+          Alcotest.test_case "two clock reads, one duration" `Quick
+            test_span_clock;
+        ] );
       ("json", [ Alcotest.test_case "well-formedness" `Quick test_json ]);
       ( "solver",
         [

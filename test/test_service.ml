@@ -691,11 +691,47 @@ let mk_server ?(cache = true) () =
   | Error m -> Alcotest.fail m);
   s
 
-let answer_eq a b =
-  match (a, b) with
-  | Server.Graded g1, Server.Graded g2 -> g1 = g2
-  | Server.Tuples d1, Server.Tuples d2 -> Instance.equal d1 d2
-  | _ -> false
+let graded_of_serve_row row =
+  match (Wire.str_field "grade" row, Json.member "certain" row) with
+  | Some "exact", Some (Json.Bool b) -> Ok (`Exact b)
+  | Some "lower-bound", Some (Json.Bool b) -> Ok (`Lower_bound b)
+  | _ -> Error (Json.to_string row)
+
+(* [serve_query s ~db ?fields q] sends [q] through [Server.handle_line]
+   as a client does ([fields] are extra request fields) and reads the
+   row back: the graded verdict or the rendered answer set, and whether
+   the cache served it.  String constants are quoted so the query text
+   parses back to [q]'s constants. *)
+let serve_query s ~db ?(fields = []) (q : Cq.t) =
+  let term = function
+    | Fo.Var x -> "_" ^ x
+    | Fo.Val (Value.Const (Value.Str c)) -> "\"" ^ c ^ "\""
+    | Fo.Val v -> Value.to_string v
+  in
+  let atom (a : Cq.atom) =
+    a.rel ^ "(" ^ String.concat "," (List.map term a.args) ^ ")"
+  in
+  let text =
+    Printf.sprintf "ans(%s) :- %s" (String.concat "," q.head)
+      (String.concat ", " (List.map atom q.atoms))
+  in
+  let request =
+    Json.Obj
+      ([
+         ("op", Json.String "query");
+         ("db", Json.String db);
+         ("query", Json.String text);
+       ]
+      @ fields)
+  in
+  let row, _ = Server.handle_line s ~idx:0 (Json.to_string request) in
+  let cached = Json.member "cached" row = Some (Json.Bool true) in
+  match Json.member "answers" row with
+  | Some (Json.String a) -> Ok (`Answers a, cached)
+  | _ -> Result.map (fun g -> (`Graded g, cached)) (graded_of_serve_row row)
+
+let backend_field b =
+  ("backend", Json.String (Certdb_sat.Backend.choice_to_string b))
 
 (* cached answers always equal freshly computed ones *)
 let qcheck_cached_equals_fresh =
@@ -705,13 +741,13 @@ let qcheck_cached_equals_fresh =
     (fun atoms ->
       let q = Cq.boolean atoms in
       let eval s =
-        match Server.eval_query s ~db:"d" q with
+        match serve_query s ~db:"d" q with
         | Ok (a, _) -> a
         | Error m -> QCheck.Test.fail_reportf "eval failed: %s" m
       in
       let f = eval fresh in
       (* twice through the cached server: miss then (typically) hit *)
-      answer_eq (eval cached) f && answer_eq (eval cached) f)
+      eval cached = f && eval cached = f)
 
 (* One request, three front ends: [Plan.certain], serve's [query] verb on
    a cacheless server, and a batch [certain] row must give the same
@@ -743,12 +779,6 @@ let graded_of_batch_row row =
   | Some "unsat", None -> Ok (`Exact false)
   | Some "sat", Some "lower-bound" -> Ok (`Lower_bound true)
   | Some "unknown", Some "lower-bound" -> Ok (`Lower_bound false)
-  | _ -> Error (Json.to_string row)
-
-let graded_of_serve_row row =
-  match (Wire.str_field "grade" row, Json.member "certain" row) with
-  | Some "exact", Some (Json.Bool b) -> Ok (`Exact b)
-  | Some "lower-bound", Some (Json.Bool b) -> Ok (`Lower_bound b)
   | _ -> Error (Json.to_string row)
 
 let qcheck_front_ends_agree =
@@ -1098,14 +1128,14 @@ let test_server_hit_on_renamed () =
   let q2 =
     Cq.boolean [ ("R", [ Fo.Var "b"; Fo.Var "a" ]); ("R", [ Fo.Var "a"; Fo.Var "b" ]) ]
   in
-  (match Server.eval_query s ~db:"d" q1 with
+  (match serve_query s ~db:"d" q1 with
   | Ok (_, hit) -> check "first is a miss" false hit
   | Error m -> Alcotest.fail m);
-  match Server.eval_query s ~db:"d" q2 with
+  match serve_query s ~db:"d" q2 with
   | Ok (a, hit) ->
     check "renamed+reordered query hits" true hit;
     check "answer is graded" true
-      (match a with Server.Graded _ -> true | _ -> false)
+      (match a with `Graded _ -> true | `Answers _ -> false)
   | Error m -> Alcotest.fail m
 
 (* Distinct constants never share a cache line: [Int 5] and [Str "5"]
@@ -1160,29 +1190,33 @@ let test_server_lower_bound_keyed_on_scaled_budget () =
   let q = Result.get_ok (Wire.parse_cq_result ("ans() :- " ^ clique_text 6)) in
   let ask ~nodes ~max_attempts =
     match
-      Server.eval_query s ~db:"k5" ~max_attempts
-        ~limits:(Engine.Limits.make ~nodes ())
+      serve_query s ~db:"k5"
+        ~fields:
+          [
+            ("node_budget", Json.Int nodes);
+            ("max_attempts", Json.Int max_attempts);
+          ]
         q
     with
     | Ok r -> r
     | Error m -> Alcotest.fail m
   in
   let a1, hit1 = ask ~nodes:16 ~max_attempts:1 in
-  check "starved: lower bound" true (answer_eq a1 (Server.Graded (`Lower_bound false)));
+  check "starved: lower bound" true (a1 = `Graded (`Lower_bound false));
   check "first request computes" false hit1;
   let a2, hit2 = ask ~nodes:1 ~max_attempts:3 in
   check "same scaled budget: same entry" true hit2;
-  check "same answer" true (answer_eq a1 a2);
+  check "same answer" true (a1 = a2);
   let _, hit3 = ask ~nodes:1 ~max_attempts:2 in
   check "a smaller scaled budget computes afresh" false hit3
 
 let test_server_no_cache_never_hits () =
   let s = mk_server ~cache:false () in
   let q = Cq.boolean [ ("S", [ var 0 ]) ] in
-  (match Server.eval_query s ~db:"d" q with
+  (match serve_query s ~db:"d" q with
   | Ok (_, hit) -> check "miss without a cache" false hit
   | Error m -> Alcotest.fail m);
-  (match Server.eval_query s ~db:"d" q with
+  (match serve_query s ~db:"d" q with
   | Ok (_, hit) -> check "still no hit" false hit
   | Error m -> Alcotest.fail m);
   check "no totals without a cache" true (Server.cache_totals s = None)
@@ -1302,39 +1336,49 @@ let test_wire_parse () =
 
 (* ---- bounded line IO -------------------------------------------------- *)
 
-let with_string_ic s f =
+(* [with_file_reader s f] — a final-line reader over a file holding
+   [s], as stdin reads a request file *)
+let with_file_reader s f =
   let path = Filename.temp_file "certdb-wire" ".txt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s);
-      In_channel.with_open_bin path f)
+      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () -> f (Wire.Fd_reader.create ~final_line:true fd)))
 
-let test_input_line_bounded () =
-  with_string_ic "short\nx\n" (fun ic ->
-      (match Wire.input_line_bounded ~max:16 ic with
+let test_final_line_reads () =
+  let read = Wire.Fd_reader.read_line ~max:16 in
+  with_file_reader "short\nx\n" (fun r ->
+      (match read r with
       | `Line "short" -> ()
       | _ -> Alcotest.fail "expected `Line short");
-      match Wire.input_line_bounded ~max:16 ic with
-      | `Line "x" -> ()
-      | _ -> Alcotest.fail "expected `Line x");
+      (match read r with `Line "x" -> () | _ -> Alcotest.fail "expected `Line x");
+      match read r with `Eof -> () | _ -> Alcotest.fail "expected `Eof");
   (* an oversized line is drained to its newline: the next read is the
      following line, in sync *)
-  with_string_ic (String.make 100 'a' ^ "\nafter\n") (fun ic ->
-      (match Wire.input_line_bounded ~max:16 ic with
+  with_file_reader (String.make 100 'a' ^ "\nafter\n") (fun r ->
+      (match read r with
       | `Oversized n -> Alcotest.(check int) "drained total" 100 n
       | _ -> Alcotest.fail "expected `Oversized");
-      match Wire.input_line_bounded ~max:16 ic with
+      match read r with
       | `Line "after" -> ()
       | _ -> Alcotest.fail "expected `Line after");
   (* a partial final line without a newline is still a line; then EOF *)
-  with_string_ic "partial" (fun ic ->
-      (match Wire.input_line_bounded ~max:16 ic with
+  with_file_reader "partial" (fun r ->
+      (match read r with
       | `Line "partial" -> ()
       | _ -> Alcotest.fail "expected `Line partial");
-      match Wire.input_line_bounded ~max:16 ic with
-      | `Eof -> ()
-      | _ -> Alcotest.fail "expected `Eof")
+      match read r with `Eof -> () | _ -> Alcotest.fail "expected `Eof");
+  (* ... and an over-long one is oversized, never buffered whole *)
+  with_file_reader ("ok\n" ^ String.make 100 'b') (fun r ->
+      (match read r with `Line "ok" -> () | _ -> Alcotest.fail "expected `Line ok");
+      (match read r with
+      | `Oversized n -> Alcotest.(check int) "drained tail" 100 n
+      | _ -> Alcotest.fail "expected `Oversized tail");
+      match read r with `Eof -> () | _ -> Alcotest.fail "expected `Eof")
 
 let test_fd_reader () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1391,7 +1435,7 @@ let test_row_shapes () =
       (Wire.str_field "status" j = Some "overloaded");
     check "hint present" true
       (Wire.float_field "retry_after_ms" j = Some 75.0));
-  let j = Server.oversized_row ~idx:3 ~max:256 in
+  let j = Server.oversized_row (Server.create ()) ~idx:3 ~max:256 in
   check "oversized id" true (Wire.str_field "id" j = Some "line-3");
   check "oversized message" true
     (Wire.str_field "error" j = Some "request line exceeds 256 bytes")
@@ -1465,7 +1509,7 @@ let test_targets_built_once () =
         (Obs.counter_value targets - v0);
       List.iter
         (fun (route, backend, q) ->
-          match Server.eval_query s ~db:"g" ~backend q with
+          match serve_query s ~db:"g" ~fields:[ backend_field backend ] q with
           | Ok _ -> ()
           | Error m -> Alcotest.failf "%s: %s" route m)
         route_queries;
@@ -1540,20 +1584,20 @@ let qcheck_target_changes_nothing =
       let d = Result.get_ok (Server.load s ~name:"g" ~source:src) in
       let target = Hom.target d in
       let served backend =
-        match Server.eval_query s ~db:"g" ~backend q with
+        match serve_query s ~db:"g" ~fields:[ backend_field backend ] q with
         | Ok (a, _) -> a
         | Error m -> QCheck.Test.fail_reportf "eval failed: %s" m
       in
       if q.Cq.head <> [] then
         let direct = Plan.certain_answers [ q ] d in
         Instance.equal (Plan.certain_answers ~target [ q ] d) direct
-        && answer_eq (served Backend.Csp) (Server.Tuples direct)
+        && served Backend.Csp = `Answers (Parse.to_string direct)
       else
         List.for_all
           (fun backend ->
             let direct = Plan.certain ~backend q d in
             Plan.certain ~backend ~target q d = direct
-            && answer_eq (served backend) (Server.Graded direct))
+            && served backend = `Graded direct)
           [ Backend.Csp; Backend.Auto ])
 
 (* ---- the symmetric route's oracle ------------------------------------- *)
@@ -1668,8 +1712,8 @@ let test_symmetric_keys_oracle () =
       in
       Alcotest.(check bool) (name ^ ": CDCL = reference") reference sat;
       if sat then incr certain;
-      match Server.eval_query s ~db ~backend q with
-      | Ok (Server.Graded (`Exact b), _) ->
+      match serve_query s ~db ~fields:[ backend_field backend ] q with
+      | Ok (`Graded (`Exact b), _) ->
         Alcotest.(check bool) (name ^ ": served = CDCL") sat b
       | Ok _ -> Alcotest.failf "%s: not an exact answer" name
       | Error m -> Alcotest.failf "%s: %s" name m)
@@ -1748,8 +1792,8 @@ let () =
         ] );
       ( "wire",
         [
-          Alcotest.test_case "bounded channel reads" `Quick
-            test_input_line_bounded;
+          Alcotest.test_case "bounded reads keep a final line" `Quick
+            test_final_line_reads;
           Alcotest.test_case "fd reader deadlines and sync" `Quick
             test_fd_reader;
           Alcotest.test_case "overloaded and oversized rows" `Quick
